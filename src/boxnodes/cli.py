@@ -177,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="end time (default: one beat period after t-start)")
     p.add_argument("--time-samples", type=int, default=256)
     p.add_argument("--grid", type=int, default=2048,
-                   help="spatial grid intervals for the numeric finders")
+                   help="checked to be at least 16; the closed-form finders "
+                        "no longer use it")
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="analytic")
     p.set_defaults(handler=_handle_trajectory)
 

@@ -6,31 +6,32 @@ are implemented and can be compared:
 
 * analytic-formula: x(t) = (a/pi) arccos(-A cos(dw t)) with A = c1/(2 c2),
   valid for real coefficients; absent whenever |A cos(dw t)| > 1.
-* real-part-zero: interior zeros of Re Psi(x, t), found by bisection.
-* density-minimum: interior local minima of |Psi|^2, found by golden-section.
+* real-part-zero: interior zeros of Re Psi(x, t).
+* density-minimum: interior local minima of |Psi|^2.
+
+Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
+|Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
+closed form and map back through x = (a/pi) arccos(v).
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
-exist only at instants with sin(dw t) = 0; exact_zero_times scans a window
-for them.
+exist only at instants with sin(dw t) = 0; exact_zero_times lists them.
 """
-
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .numerics import bisect_root, golden_min
 from .well import (
     TwoStateSuperposition,
     WellConfig,
     beat_period,
     delta_omega,
     density_exact,
-    eigenfunction,
-    evaluate_psi,
+    omega,
 )
 
 __all__ = [
@@ -125,63 +126,68 @@ def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition, t: float
                          grid_n: int = 2048) -> list[float]:
     """Interior zeros of Re Psi(x, t) for a real-coefficient state.
 
-    Sign changes on a uniform grid of grid_n intervals are refined by
-    bisection to a width of 1e-12 * a. Wall zeros are structural and are not
-    reported. At instants where Re Psi vanishes identically (possible when a
-    coefficient's cosine factor is zero) there are no isolated zeros and the
-    list is empty.
+    Re Psi = sqrt(2/a) sin(pi x / a) [c1 cos(w1 t) + 2 c2 cos(w2 t) v] with
+    v = cos(pi x / a), so the only interior zero sits at v = -c1 cos(w1 t) /
+    (2 c2 cos(w2 t)) when that lies in (-1, 1). Wall zeros are structural and
+    are not reported. At instants where 2 c2 cos(w2 t) = 0, Re Psi either
+    vanishes identically (no isolated zeros) or has no interior zero, and the
+    list is empty. grid_n is validated but no longer affects the result.
     """
-    _require_real(state)
+    c1, c2 = _require_real(state)
     if grid_n < 16:
         raise ValueError("grid_n too small to isolate zeros")
-    a = cfg.width_a
-    xs = np.linspace(0.0, a, grid_n + 1)
-    fs = np.real(np.asarray(evaluate_psi(cfg, state, xs, float(t))))
-    if np.max(np.abs(fs)) == 0.0:
+    t = float(t)
+    q = 2.0 * c2 * math.cos(omega(cfg, 2) * t)
+    if q == 0.0:
         return []
+    v = -c1 * math.cos(omega(cfg, 1) * t) / q
+    if not -1.0 < v < 1.0:
+        return []
+    return [cfg.width_a / math.pi * math.acos(v)]
 
-    def f(x: float) -> float:
-        return evaluate_psi(cfg, state, x, float(t)).real
 
-    zeros: list[float] = []
-    for i in range(1, grid_n):
-        if fs[i] == 0.0:
-            zeros.append(float(xs[i]))
-    for i in range(grid_n):
-        if fs[i] * fs[i + 1] < 0.0:
-            zeros.append(bisect_root(f, float(xs[i]), float(xs[i + 1]), 1e-12 * a))
-    zeros.sort()
-    return [z for z in zeros if 0.0 < z < a]
+def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
+                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior extrema of |Psi|^2 at time t, in the variable v = cos(pi x / a).
+
+    |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
+    alpha = |c1|^2, beta = 4 |c2|^2, gamma = 4 Re(c1 conj(c2) e^{i dw t}).
+    Returns (v_min, v_max, f): the real roots of f' in (-1, 1) split by the
+    sign of f'', and the coefficients of f for np.polyval. Since x -> v is
+    strictly monotone inside the well, extrema in v are extrema in x.
+    """
+    cross = state.c1 * state.c2.conjugate() * cmath.exp(1j * delta_omega(cfg) * t)
+    alpha, beta, gamma = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2, 4.0 * cross.real
+    f = np.array([-beta, -gamma, beta - alpha, gamma, alpha])
+    df = np.polyder(f)
+    roots = np.roots(df)
+    v = np.sort(roots[roots.imag == 0.0].real)
+    # A double root of f' (an inflection of f, e.g. a zero of |Psi|^2 that
+    # reaches a wall) comes out of np.roots as two real roots ~1e-8 apart or
+    # as a complex pair; either way it is not an extremum.
+    close = np.diff(v) < 1e-6
+    v = v[~(np.append(close, False) | np.insert(close, 0, False))]
+    v = v[(v > -1.0) & (v < 1.0)]
+    curvature = np.polyval(np.polyder(df), v)
+    return v[curvature > 0.0], v[curvature < 0.0], f
 
 
 def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition, t: float,
                         grid_n: int = 2048) -> list[tuple[float, float]]:
     """Interior local minima of |Psi|^2 at time t, as (position, density) pairs.
 
-    Grid minima are refined by golden-section search inside their bracketing
-    cells to 1e-10 * a. Searching only within brackets keeps the walls (where
-    the density always tends to zero) from masquerading as minima.
+    The minima are the roots in (-1, 1) of the cubic d/dv of the density in
+    v = cos(pi x / a) with positive curvature, mapped back through
+    x = (a/pi) arccos(v); complex coefficients are allowed. The walls, where
+    the density always vanishes, are never reported. grid_n is validated but
+    no longer affects the result.
     """
     if grid_n < 16:
         raise ValueError("grid_n too small to isolate minima")
-    a = cfg.width_a
-    xs = np.linspace(0.0, a, grid_n + 1)
-    rho = np.asarray(density_exact(cfg, state, xs, float(t)))
-
-    def f(x: float) -> float:
-        return float(density_exact(cfg, state, x, float(t)))
-
-    found: list[tuple[float, float]] = []
-    for i in range(1, grid_n):
-        if rho[i] > rho[i - 1] or rho[i] > rho[i + 1]:
-            continue
-        if rho[i] == rho[i - 1]:  # plateau: keep only its left edge
-            continue
-        x_star = golden_min(f, float(xs[i - 1]), float(xs[i + 1]), 1e-10 * a)
-        if 0.0 < x_star < a:
-            found.append((x_star, f(x_star)))
-    found.sort()
-    return found
+    t = float(t)
+    v_min, _, _ = _density_extrema(cfg, state, t)
+    xs = sorted(cfg.width_a / math.pi * math.acos(float(v)) for v in v_min)
+    return [(x, float(density_exact(cfg, state, x, t))) for x in xs]
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
@@ -189,63 +195,30 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
                      rel_threshold: float = 1e-10) -> list[float]:
     """Times in [0, period_count * T] at which |Psi|^2 has a genuine interior zero.
 
-    The coefficients must be real. A time qualifies when the deepest interior
-    density dip falls below rel_threshold of the instantaneous density
-    maximum. The scan samples each beat period uniformly and refines any
-    near-miss dip in t by golden-section search, so isolated zero crossings
-    between sample times are still caught. For a state with |c1/(2 c2)| > 1
-    the list is empty: no interior zero ever forms.
+    The coefficients must be real. A sampled time (samples_per_period per
+    beat period) qualifies when the deepest interior density minimum is at
+    most rel_threshold of the highest interior maximum; this is how the
+    permanent node of pure psi_2 shows up at every sample. For 0 < |A| < 1,
+    A = c1/(2 c2), the zeros at t = k T/2 are added exactly, so they are
+    found whatever the sampling. For |A| >= 1 the list is empty: at |A| = 1
+    the zero touches a wall, which is not an interior zero. grid_n is
+    validated but no longer affects the result.
     """
-    _require_real(state)
+    c1, c2 = _require_real(state)
     if period_count < 1:
         raise ValueError("period_count must be at least 1")
     if grid_n < 16 or samples_per_period < 16:
         raise ValueError("scan resolution too small")
-    a = cfg.width_a
     T = beat_period(cfg)
-    horizon = period_count * T
-    x_interior = np.linspace(0.0, a, grid_n + 1)[1:-1]
-    # The density vanishes quadratically at the walls for every state, which
-    # would put a flat floor under a raw min-density scan and hide a zero
-    # approaching between time samples. Dividing by the stationary envelope
-    # psi_1^2 + psi_2^2 removes the wall zeros without moving any interior
-    # zero; the contract threshold is still applied to the raw density.
-    envelope = (np.asarray(eigenfunction(cfg, 1, x_interior)) ** 2
-                + np.asarray(eigenfunction(cfg, 2, x_interior)) ** 2)
 
-    def _env(x: float) -> float:
-        return eigenfunction(cfg, 1, x) ** 2 + eigenfunction(cfg, 2, x) ** 2
-
-    def rel_min(t: float) -> float:
-        rho = np.asarray(density_exact(cfg, state, x_interior, float(t)))
-        i = int(np.argmin(rho / envelope))
-        lo = x_interior[max(i - 1, 0)]
-        hi = x_interior[min(i + 1, rho.size - 1)]
-        x_star = golden_min(
-            lambda x: float(density_exact(cfg, state, x, float(t))) / _env(x),
-            float(lo), float(hi), 1e-12 * a)
-        bottom = float(density_exact(cfg, state, x_star, float(t)))
-        return min(bottom, float(rho[i])) / float(np.max(rho))
-
-    n_t = period_count * samples_per_period
-    ts = np.linspace(0.0, horizon, n_t + 1)
-    depth = np.array([rel_min(t) for t in ts])
-
-    times = [float(ts[k]) for k in range(n_t + 1) if depth[k] <= rel_threshold]
-
-    # dips that straddle sample times: refine an interior local minimum of the
-    # sampled depth curve and keep it if the refined dip reaches zero. A real
-    # crossing is locally quadratic in t, so its flanks sit at least ~9x above
-    # the dip sample; a flank ratio test keeps flat noise plateaus (states
-    # that never develop a zero) from triggering hundreds of refinements.
-    for k in range(1, n_t):
-        if depth[k] <= rel_threshold:
-            continue
-        if depth[k] <= depth[k - 1] and depth[k] <= depth[k + 1] \
-                and max(depth[k - 1], depth[k + 1]) > 4.0 * depth[k]:
-            t_star = golden_min(rel_min, float(ts[k - 1]), float(ts[k + 1]), 1e-12 * T)
-            if rel_min(t_star) <= rel_threshold:
-                times.append(t_star)
+    times = []
+    for t in np.linspace(0.0, period_count * T, period_count * samples_per_period + 1):
+        v_min, v_max, f = _density_extrema(cfg, state, float(t))
+        if v_min.size and v_max.size and \
+                np.polyval(f, v_min).min() <= rel_threshold * np.polyval(f, v_max).max():
+            times.append(float(t))
+    if c1 != 0.0 and abs(c1) < 2.0 * abs(c2):
+        times.extend(k * 0.5 * T for k in range(2 * period_count + 1))
     times.sort()
 
     deduped: list[float] = []
@@ -270,7 +243,8 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     kinds), the one nearest the previously tracked position wins; the first
     step measures from the well center. kind selects among analytic-formula,
     real-part-zero and density-minimum; true zeros are isolated events in
-    time, not a trackable curve, so that kind is rejected here.
+    time, not a trackable curve, so that kind is rejected here. grid_n is
+    passed to the finders, which validate it but no longer depend on it.
     """
     kind = NodeKind(kind)
     if kind is NodeKind.TRUE_ZERO:

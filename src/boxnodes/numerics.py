@@ -1,4 +1,4 @@
-"""Small numerical kernels: Simpson quadrature, bisection, golden-section search.
+"""Small numerical kernels: Simpson quadrature and golden-section search.
 
 These are deliberately plain implementations with fixed, documented tolerances
 so results are reproducible bit for bit across runs.
@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["composite_simpson", "bisect_root", "golden_min"]
+__all__ = ["composite_simpson", "golden_min"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -28,33 +28,6 @@ def composite_simpson(values: np.ndarray, h: float) -> float:
     odd = values[1:-1:2].sum()
     even = values[2:-1:2].sum()
     return float((h / 3.0) * (values[0] + values[-1] + 4.0 * odd + 2.0 * even))
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
-    """Bisection on a bracketing interval; returns the midpoint once |hi-lo| <= xtol.
-
-    Requires f(lo) and f(hi) with opposite signs (either may be exactly zero).
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError("interval does not bracket a sign change")
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval exhausted at float resolution
-            break
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:

@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = ["OutputSpec", "write_rows", "write_json_object"]
 
 _FORMATS = ("csv", "json")
@@ -45,15 +47,10 @@ def _clean(value):
         return float(value)
     if isinstance(value, (int,)):
         return int(value)
-    try:  # numpy scalars
-        import numpy as np
-
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
     return str(value)
 
 

@@ -8,6 +8,7 @@ of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -45,12 +46,15 @@ class WellConfig:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.width_a > 0.0):
-            raise ValueError("well width must be positive")
-        if not (self.mass_m > 0.0):
-            raise ValueError("mass must be positive")
-        if not (self.hbar > 0.0):
-            raise ValueError("hbar must be positive")
+        for label, value in (("well width a", self.width_a), ("mass m", self.mass_m),
+                             ("hbar", self.hbar)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{label} must be positive and finite, got {value!r}")
+        dw = delta_omega(self)
+        if not (dw > 0.0 and math.isfinite(dw)):
+            raise ValueError(
+                f"beat frequency delta_omega = {dw!r} is not positive and finite for "
+                f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,11 @@ class TwoStateSuperposition:
     c2: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", complex(self.c1))
-        object.__setattr__(self, "c2", complex(self.c2))
+        for label in ("c1", "c2"):
+            c = complex(getattr(self, label))
+            if not cmath.isfinite(c):
+                raise ValueError(f"{label} must be finite, got {c!r}")
+            object.__setattr__(self, label, c)
         if self.norm_sq() == 0.0:
             raise ValueError("zero state: need |c1|^2 + |c2|^2 > 0")
 

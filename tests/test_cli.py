@@ -170,6 +170,10 @@ class TestVerifyCommand:
     def test_cli_entry(self):
         assert run_cli(["verify"]) == 0
 
+    @pytest.mark.parametrize("width", [2.0, 0.5])
+    def test_non_unit_well_passes(self, width):
+        assert run_cli(["verify", "--a", width]) == 0
+
     def test_tampered_tolerance_fails(self):
         stream = io.StringIO()
         run = RunConfig(well=WellConfig())
@@ -201,6 +205,19 @@ class TestExitCodes:
 
     def test_invalid_well(self, tmp_path):
         assert run_cli(["trajectory", "--a", -1.0, "--out", tmp_path / "x.csv"]) == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--a", "inf"], "width"),
+        (["--mass", "inf"], "mass"),
+        (["--hbar", "1e-300"], "hbar"),
+        (["--c1", "nan"], "c1"),
+    ])
+    def test_nonfinite_input_is_usage_error(self, tmp_path, capsys, flags, named):
+        assert run_cli(["trajectory", *flags, "--out", tmp_path / "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestOutputSpec:

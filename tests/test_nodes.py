@@ -187,6 +187,38 @@ class TestDensityMinima:
         minima = find_density_minima(UNIT, TwoStateSuperposition(1.0j, 1.0), 0.0)
         assert all(0.0 < x < 1.0 and rho >= 0.0 for x, rho in minima)
 
+    def test_matches_dense_scan(self):
+        """Independent oracle: interior minima of a 20,001-point density scan.
+
+        Instants where two critical points (or one and a wall) lie within a
+        few cells of each other are skipped; the scan cannot separate them.
+        """
+        rng = np.random.default_rng(2024)
+        cfg = WellConfig(width_a=1.7, mass_m=0.6, hbar=1.3)
+        a = cfg.width_a
+        n = 20_000
+        h = a / n
+        xs = np.linspace(0.0, a, n + 1)
+        checked = 0
+        for _ in range(200):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            state = TwoStateSuperposition(c[0], c[1])
+            t = float(rng.uniform(0.0, beat_period(cfg)))
+            rho = density_exact(cfg, state, xs, t)
+            slope = np.sign(np.diff(rho))
+            turns = np.flatnonzero(slope[:-1] != slope[1:]) + 1
+            edges = np.concatenate(([0], turns, [n]))
+            if np.any(np.diff(edges) < 8):
+                continue
+            checked += 1
+            scan = [i for i in turns if slope[i - 1] < 0]
+            found = find_density_minima(cfg, state, t)
+            assert len(found) == len(scan)
+            for i, (x, rho_min) in zip(scan, found):
+                assert abs(x - xs[i]) <= h
+                assert rho_min <= rho[i] * (1.0 + 1e-12)
+        assert checked >= 180
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_minima_are_local_minima(self, frac):
@@ -235,6 +267,11 @@ class TestExactZeroTimes:
         # |A| = 3.05 > 1: the formula has no solution at the critical instants
         state = TwoStateSuperposition(0.987, 0.162)
         assert exact_zero_times(UNIT, state, period_count=1) == []
+
+    @pytest.mark.parametrize("c1", [2.0, -2.0])
+    def test_unit_ratio_touches_only_the_walls(self, c1):
+        # |A| = 1: at t = k T/2 the zero sits on a wall, which is not interior
+        assert exact_zero_times(UNIT, TwoStateSuperposition(c1, 1.0)) == []
 
     def test_pure_ground_never_vanishes(self):
         assert exact_zero_times(UNIT, TwoStateSuperposition(1.0, 0.0)) == []
