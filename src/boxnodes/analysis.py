@@ -2,23 +2,22 @@
 averages, and mixing-angle heatmaps.
 
 The interesting control parameter is the amplitude ratio A = c1/(2 c2). The
-node's excursion from the well center grows like (a/pi) arcsin(A), and its
-time average sits at a/2 for every A; both facts are measured here rather
-than assumed, so they double as consistency checks on the node trackers.
+node x(t) = (a/pi) arccos(-A cos(dw t)) swings between (a/pi) arccos(+-|A|),
+so its excursion from the well center is (a/pi) arcsin|A|, and the
+reflection x(t) + x(t + T/2) = a puts its time average at a/2. Averaging the
+density over a beat period removes the interference term and leaves
+|c1|^2 psi_1^2 + |c2|^2 psi_2^2. All of these are evaluated in closed form;
+verify measures them independently.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
-from .nodes import analytic_node_position
-from .numerics import golden_min
-from .well import TwoStateSuperposition, WellConfig, beat_period, density_exact, _ret
+from .well import TwoStateSuperposition, WellConfig, eigenfunction, _ret
 
 __all__ = [
     "SweepSpec",
@@ -105,52 +104,33 @@ def _check_ratio(ratio: float) -> float:
     return ratio
 
 
-def oscillation_extrema(cfg: WellConfig, ratio: float,
-                        n_samples: int = 256) -> tuple[float, float]:
+def oscillation_extrema(cfg: WellConfig, ratio: float) -> tuple[float, float]:
     """Minimum and maximum of the analytic node position over one beat period.
 
-    The position is sampled on a uniform grid and the two candidate extrema
-    are polished by golden-section search, so the returned values do not
-    depend on whether the grid happens to hit the turning instants.
+    As cos(dw t) runs over [-1, 1], x(t) = (a/pi) arccos(-A cos(dw t)) runs
+    between (a/pi) arccos(|A|) and (a/pi) arccos(-|A|).
     """
-    ratio = _check_ratio(ratio)
-    if n_samples < 16:
-        raise ValueError("need at least 16 samples to bracket the extrema")
-    T = beat_period(cfg)
-    step = T / n_samples
-    ts = np.arange(n_samples) * step
-    xs = np.array([analytic_node_position(cfg, ratio, float(t)) for t in ts])
-
-    def pos(t: float) -> float:
-        return analytic_node_position(cfg, ratio, t)
-
-    i_lo = int(np.argmin(xs))
-    i_hi = int(np.argmax(xs))
-    t_lo = golden_min(pos, float(ts[i_lo]) - step, float(ts[i_lo]) + step, 1e-12 * T)
-    t_hi = golden_min(lambda t: -pos(t), float(ts[i_hi]) - step,
-                      float(ts[i_hi]) + step, 1e-12 * T)
-    return pos(t_lo), pos(t_hi)
+    ratio = abs(_check_ratio(ratio))
+    scale = cfg.width_a / math.pi
+    return scale * math.acos(ratio), scale * math.acos(-ratio)
 
 
-def oscillation_amplitude(cfg: WellConfig, ratio: float, n_samples: int = 256) -> float:
+def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
     """Half the peak-to-peak excursion of the node over one beat period."""
-    lo, hi = oscillation_extrema(cfg, ratio, n_samples)
+    lo, hi = oscillation_extrema(cfg, ratio)
     return 0.5 * (hi - lo)
 
 
-def amplitude_sweep(cfg: WellConfig, spec: SweepSpec, n_samples: int = 256) -> AmplitudeSweep:
-    """Measure the oscillation amplitude at every ratio in the spec."""
-    entries = tuple(
-        (float(A), oscillation_amplitude(cfg, float(A), n_samples))
-        for A in spec.values()
-    )
+def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
+    """Oscillation amplitude at every ratio in the spec."""
+    entries = tuple((float(A), oscillation_amplitude(cfg, float(A))) for A in spec.values())
     return AmplitudeSweep(entries=entries, spec=spec)
 
 
 def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     """Least-squares power law through a sweep.
 
-    A log-log ordinary least squares line seeds a Levenberg-Marquardt fit of
+    A log-log ordinary least squares line seeds Gauss-Newton iterations for
     k * A**p against the raw amplitudes, which weights the large-amplitude
     end the way a direct fit to the curve should. The quoted residual is the
     rms of log(data) - log(fit).
@@ -163,14 +143,16 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     if np.any(ratios <= 0.0) or np.any(amps <= 0.0):
         raise ValueError("power-law fit needs strictly positive data")
 
-    slope, intercept = np.polyfit(np.log(ratios), np.log(amps), 1)
-    with warnings.catch_warnings():
-        # the covariance is unused; it is singular when the data fit exactly
-        warnings.simplefilter("ignore", OptimizeWarning)
-        popt, _ = curve_fit(
-            lambda x, k, p: k * np.power(x, p),
-            ratios, amps, p0=(math.exp(intercept), slope), maxfev=10000)
-    k, p = float(popt[0]), float(popt[1])
+    log_r = np.log(ratios)
+    p, log_k = np.polyfit(log_r, np.log(amps), 1)
+    k = math.exp(log_k)
+    for _ in range(100):  # converges in under 20 steps from the log-log seed
+        model = k * np.power(ratios, p)
+        jac = np.column_stack([model / k, model * log_r])
+        (dk, dp), *_ = np.linalg.lstsq(jac, amps - model, rcond=None)
+        k, p = float(k + dk), float(p + dp)
+        if abs(dk) <= 1e-15 * abs(k) and abs(dp) <= 1e-15 * max(abs(p), 1.0):
+            break
     if not (k > 0.0 and math.isfinite(k) and math.isfinite(p)):
         raise ValueError("power-law fit did not converge to a usable model")
     resid = np.log(amps) - np.log(k * np.power(ratios, p))
@@ -179,35 +161,31 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
 
 
 def time_avg_node_position(cfg: WellConfig, ratio: float, n_samples: int = 1024) -> float:
-    """Node position averaged over one beat period.
+    """Node position averaged over one beat period: exactly a/2.
 
-    n_samples must be even: the samples then pair t with t + T/2, where the
-    arccos reflection identity makes each pair average to exactly a/2, so the
-    result is free of sampling bias.
+    The reflection x(t) + x(t + T/2) = a pairs every instant with one half a
+    period later. n_samples is still checked (even, at least 2) but no
+    longer affects the result.
     """
-    ratio = _check_ratio(ratio)
+    _check_ratio(ratio)
     if n_samples < 2 or n_samples % 2:
         raise ValueError("n_samples must be even and at least 2")
-    T = beat_period(cfg)
-    ts = np.arange(n_samples) * (T / n_samples)
-    xs = [analytic_node_position(cfg, ratio, float(t)) for t in ts]
-    return float(np.mean(xs))
+    return 0.5 * cfg.width_a
 
 
 def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x,
                      n_samples: int = 1024):
     """|Psi|^2 averaged over one beat period at position(s) x.
 
-    Uses the midpoint rule; the time dependence is a single harmonic, so the
-    average is exact for any n_samples >= 2.
+    The interference term oscillates at dw and averages to zero, which leaves
+    |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2. n_samples is still checked (at
+    least 2) but no longer affects the result.
     """
     if n_samples < 2:
         raise ValueError("need at least two time samples")
-    T = beat_period(cfg)
-    ts = (np.arange(n_samples) + 0.5) * (T / n_samples)
-    xs = np.asarray(x, dtype=float)
-    rho = density_exact(cfg, state, xs[..., None] if xs.ndim else xs, ts)
-    return _ret(np.asarray(rho).mean(axis=-1))
+    p1 = np.asarray(eigenfunction(cfg, 1, x))
+    p2 = np.asarray(eigenfunction(cfg, 2, x))
+    return _ret(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2)
 
 
 def heatmap(cfg: WellConfig, x_count: int, mix_count: int,
@@ -215,17 +193,20 @@ def heatmap(cfg: WellConfig, x_count: int, mix_count: int,
     """Time-averaged density over a grid of mixing angles theta in [0, pi/2].
 
     Row i uses the state (c1, c2) = (cos theta_i, sin theta_i), sweeping from
-    the pure ground state to the pure first excited state.
+    the pure ground state to the pure first excited state; its average
+    density is cos^2 theta_i psi_1^2 + sin^2 theta_i psi_2^2. n_samples is
+    still checked (at least 2) but no longer affects the result.
     """
     if x_count < 8 or mix_count < 8:
         raise ValueError("heatmap grid needs at least 8 points per axis")
+    if n_samples < 2:
+        raise ValueError("need at least two time samples")
     xs = np.linspace(0.0, cfg.width_a, x_count)
     thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
-    rows = []
-    for theta in thetas:
-        state = TwoStateSuperposition(math.cos(theta), math.sin(theta))
-        rows.append(np.asarray(time_avg_density(cfg, state, xs, n_samples)))
-    return HeatmapGrid(x_values=xs, mix_values=thetas, values=np.array(rows))
+    p1 = np.asarray(eigenfunction(cfg, 1, xs))
+    p2 = np.asarray(eigenfunction(cfg, 2, xs))
+    values = np.outer(np.cos(thetas) ** 2, p1**2) + np.outer(np.sin(thetas) ** 2, p2**2)
+    return HeatmapGrid(x_values=xs, mix_values=thetas, values=values)
 
 
 def local_max_positions(x_values, row) -> list[float]:

@@ -74,7 +74,7 @@ def cmd_trajectory(run: RunConfig, kind: NodeKind, out: OutputSpec) -> int:
 def cmd_amplitude_sweep(run: RunConfig, spec: SweepSpec, out: OutputSpec) -> int:
     if spec.count < 3:
         raise ValueError("need at least 3 sweep points to fit a power law")
-    sweep = amplitude_sweep(run.well, spec, run.time_samples)
+    sweep = amplitude_sweep(run.well, spec)
     fit = fit_power_law(sweep)
     rows = [{"ratio": A, "amplitude": amp} for A, amp in sweep.entries]
     fit_fields = {
@@ -132,8 +132,6 @@ def _add_well_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a", type=float, default=1.0, help="well width (default 1)")
     parser.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     parser.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
@@ -187,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_well_args(p)
     _add_out_args(p)
     _add_sweep_args(p, a_max_default=1.0, count_default=64, log_default=True)
-    p.add_argument("--time-samples", type=int, default=256)
     p.set_defaults(handler=_handle_amplitude_sweep)
 
     p = sub.add_parser("avg-position", help="time-averaged node position vs ratio A")
     _add_well_args(p)
     _add_out_args(p)
     _add_sweep_args(p, a_max_default=0.95, count_default=19, log_default=False)
-    p.add_argument("--time-samples", type=int, default=1024)
+    p.add_argument("--time-samples", type=int, default=1024,
+                   help="checked to be even and at least 2; the mean is exact")
     p.set_defaults(handler=_handle_avg_position)
 
     p = sub.add_parser("heatmap",
@@ -204,11 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=64, help="positions per row (default 64)")
     p.add_argument("--mix-count", type=int, default=64,
                    help="number of mixing angles (default 64)")
-    p.add_argument("--time-samples", type=int, default=1024)
+    p.add_argument("--time-samples", type=int, default=1024,
+                   help="checked to be at least 2; the average is exact")
     p.set_defaults(handler=_handle_heatmap)
 
     p = sub.add_parser("verify", help="run the invariant battery and report pass/fail")
     _add_well_args(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized checks (default 0)")
     p.add_argument("--grid", type=int, default=2048)
     p.add_argument("--time-samples", type=int, default=256)
     p.set_defaults(handler=_handle_verify)
@@ -226,7 +227,7 @@ def _run_from_args(args: argparse.Namespace) -> RunConfig:
         t_end=getattr(args, "t_end", None),
         time_samples=getattr(args, "time_samples", 256),
         grid_n=getattr(args, "grid", 2048),
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
     )
 
 

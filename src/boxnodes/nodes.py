@@ -228,22 +228,17 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     return deduped
 
 
-def _nearest(candidates: list[float], reference: float) -> float | None:
-    if not candidates:
-        return None
-    return min(candidates, key=lambda x: abs(x - reference))
-
-
 def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
                      t_start: float, t_end: float, n_samples: int,
                      grid_n: int = 2048) -> NodeTrajectory:
-    """Sample the node position on a uniform time grid, keeping track continuity.
+    """Sample the node position on a uniform time grid.
 
-    When a time step offers several candidate nodes (possible for the numeric
-    kinds), the one nearest the previously tracked position wins; the first
-    step measures from the well center. kind selects among analytic-formula,
-    real-part-zero and density-minimum; true zeros are isolated events in
-    time, not a trackable curve, so that kind is rejected here. grid_n is
+    kind selects among analytic-formula, real-part-zero and density-minimum;
+    true zeros are isolated events in time, not a trackable curve, so that
+    kind is rejected here. Every kind has at most one node per instant, so
+    the samples form a single curve without any continuity rule: Re Psi is
+    linear in v, and |Psi|^2 >= 0 vanishes at both walls, so its interior
+    critical points are one maximum or maximum, minimum, maximum. grid_n is
     passed to the finders, which validate it but no longer depend on it.
     """
     kind = NodeKind(kind)
@@ -263,20 +258,17 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
         except ValueError:
             ratio = None
 
-    ts = np.linspace(t_start, t_end, n_samples)
-    reference = cfg.width_a / 2.0
     samples: list[NodeSample] = []
-    for t in ts:
+    for t in np.linspace(t_start, t_end, n_samples):
         t = float(t)
         if kind is NodeKind.ANALYTIC:
             pos = analytic_node_position(cfg, ratio, t)
         elif kind is NodeKind.REAL_PART_ZERO:
-            pos = _nearest(find_real_part_zeros(cfg, state, t, grid_n), reference)
+            zeros = find_real_part_zeros(cfg, state, t, grid_n)
+            pos = zeros[0] if zeros else None
         else:
             minima = find_density_minima(cfg, state, t, grid_n)
-            pos = _nearest([x for x, _ in minima], reference)
+            pos = minima[0][0] if minima else None
         samples.append(NodeSample(t=t, position=pos, kind=kind))
-        if pos is not None:
-            reference = pos
     return NodeTrajectory(samples=tuple(samples), config=cfg, state=state,
                           kind=kind, ratio=ratio)

@@ -1,7 +1,9 @@
 """Small numerical kernels: Simpson quadrature and golden-section search.
 
 These are deliberately plain implementations with fixed, documented tolerances
-so results are reproducible bit for bit across runs.
+so results are reproducible bit for bit across runs. golden_min has no caller
+in the package; it is the independent oracle the acceptance tests check the
+closed-form node positions against.
 """
 
 from __future__ import annotations

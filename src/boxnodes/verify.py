@@ -1,6 +1,7 @@
 """Self-check battery: every library-level invariant measured in one pass.
 
-Each check reports the worst observed error against a fixed tolerance.
+Each check reports the worst observed error against a fixed tolerance that
+scales like the quantity it bounds (positions with a, densities with 1/a).
 Randomized checks draw from a seeded generator, so a given seed always
 produces the same printout.
 """
@@ -86,8 +87,9 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
 
     # beat frequency against the closed form
     expected_dw = 3.0 * math.pi**2 * cfg.hbar / (2.0 * cfg.mass_m * a**2)
-    add("delta-omega-formula", f"delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2)",
-        abs(dw - expected_dw), 1e-12)
+    add("delta-omega-formula",
+        f"delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2), relative",
+        abs(dw - expected_dw) / expected_dw, 1e-12)
 
     # wavefunction is exactly zero on the walls
     worst = 0.0
@@ -108,7 +110,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
         d2 = density_closed_form(cfg, state, xg[:, None], tg[None, :])
         worst = max(worst, float(np.max(np.abs(d1 - d2))))
     add("closed-form-equivalence", "50 random complex states on a 256x64 grid",
-        worst, 1e-12)
+        worst, 1e-12 / a)
 
     # Simpson norm equals |c1|^2 + |c2|^2 and does not drift in time
     worst_norm = 0.0
@@ -129,7 +131,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
         d1 = density_exact(cfg, state, xg, t)
         d2 = density_exact(cfg, state, xg, t + T)
         worst = max(worst, float(np.max(np.abs(d1 - d2))))
-    add("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", worst, 1e-12)
+    add("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", worst, 1e-12 / a)
 
     # pure eigenstates have static densities
     worst = 0.0
@@ -138,7 +140,8 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
         profiles = np.array([density_exact(cfg, state, xg, t)
                              for t in np.linspace(0.0, T, 7)])
         worst = max(worst, float(np.max(profiles.max(axis=0) - profiles.min(axis=0))))
-    add("stationary-eigenstate", "density variation of pure psi_1 and psi_2", worst, 1e-13)
+    add("stationary-eigenstate", "density variation of pure psi_1 and psi_2", worst,
+        1e-13 / a)
 
     # psi_n has exactly n-1 interior nodes
     mismatches = 0
@@ -157,34 +160,46 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
     x_tT = np.array([analytic_node_position(cfg, ratio, float(t + T)) for t in ts])
     x_half = np.array([analytic_node_position(cfg, ratio, float(t + 0.5 * T)) for t in ts])
     add("trajectory-periodicity", "x(t+T) vs x(t) at A = 0.5",
-        float(np.max(np.abs(x_tT - x_t))), 1e-12)
+        float(np.max(np.abs(x_tT - x_t))), 1e-12 * a)
     add("trajectory-reflection", "x(t) + x(t+T/2) vs a at A = 0.5",
-        float(np.max(np.abs(x_t + x_half - a))), 1e-12)
+        float(np.max(np.abs(x_t + x_half - a))), 1e-12 * a)
 
-    # oscillation amplitude matches (a/pi) arcsin(A)
+    # the Re Psi zeros at t = 0 and T/2 of c1 = 2 A c2 are the turning points
+    # of the node, half an excursion (a/pi) arcsin(A) either side of a/2
     worst = 0.0
     for A in rng.uniform(0.01, 1.0, size=50):
-        predicted = a / math.pi * math.asin(float(A))
-        worst = max(worst, abs(oscillation_amplitude(cfg, float(A)) - predicted))
-    add("amplitude-arcsin", "oscillation amplitude vs (a/pi) arcsin A, 50 draws",
-        worst, 1e-9)
+        state = TwoStateSuperposition(2.0 * float(A), 1.0)
+        turns = [find_real_part_zeros(cfg, state, t, grid_n) for t in (0.0, 0.5 * T)]
+        if not all(turns):
+            worst = math.inf
+            break
+        measured = 0.5 * (turns[0][0] - turns[1][0])
+        worst = max(worst, abs(measured - oscillation_amplitude(cfg, float(A))),
+                    abs(measured - a / math.pi * math.asin(float(A))))
+    add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
+        "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
 
-    # the time-averaged node position is the well center
-    ratios = list(np.linspace(0.05, 0.95, 19)) + [0.99]
-    worst = max(abs(time_avg_node_position(cfg, A) - 0.5 * a) for A in ratios)
-    add("mean-node-position", "time average of x(t) vs a/2 for A up to 0.99",
-        worst, 1e-9)
+    # the time-averaged node position is the well center; an even grid pairs
+    # each instant with its half-period reflection
+    t_even = np.arange(256) * (T / 256)
+    worst = 0.0
+    for A in list(np.linspace(0.05, 0.95, 19)) + [0.99]:
+        sampled = np.mean([analytic_node_position(cfg, float(A), float(t)) for t in t_even])
+        worst = max(worst, abs(sampled - time_avg_node_position(cfg, float(A))))
+    add("mean-node-position", "sampled time average of x(t) vs a/2 for A up to 0.99",
+        worst, 1e-9 * a)
 
-    # time averaging kills the interference term exactly
+    # time averaging kills the interference term exactly: a midpoint rule
+    # over one beat period is exact for a single harmonic
+    t_mid = (np.arange(64) + 0.5) * (T / 64)
     worst = 0.0
     for _ in range(5):
         state = _random_complex_state(rng)
+        sampled = np.mean(density_exact(cfg, state, xg[:, None], t_mid[None, :]), axis=1)
         avg = time_avg_density(cfg, state, xg)
-        static = (abs(state.c1) ** 2 * np.asarray(eigenfunction(cfg, 1, xg)) ** 2
-                  + abs(state.c2) ** 2 * np.asarray(eigenfunction(cfg, 2, xg)) ** 2)
-        worst = max(worst, float(np.max(np.abs(avg - static))))
-    add("time-avg-density-static-part", "averaged density vs stationary profile",
-        worst, 1e-10)
+        worst = max(worst, float(np.max(np.abs(avg - sampled))))
+    add("time-avg-density-static-part", "midpoint time average of the density vs "
+        "stationary profile", worst, 1e-10 / a)
 
     # every heatmap row stays a normalized density profile
     grid = heatmap(cfg, 64, 16, n_samples=256)
@@ -206,8 +221,8 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
         worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
         worst_rho = max(worst_rho, rho_min)
     add("special-time-agreement", "three node definitions at t = 0, T/2, T",
-        worst_pos, 1e-8)
-    add("special-time-zero-depth", "density at the common node", worst_rho, 1e-10)
+        worst_pos, 1e-8 * a)
+    add("special-time-zero-depth", "density at the common node", worst_rho, 1e-10 / a)
 
     # amplitude sweep follows the fitted power law closely; the amplitude is a
     # length, so k scales with a while the exponent p is dimensionless

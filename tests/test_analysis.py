@@ -1,12 +1,17 @@
 """Amplitude scaling, power-law fits, time averages, heatmaps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxnodes
 from boxnodes.analysis import (
     AmplitudeSweep,
     SweepSpec,
@@ -124,6 +129,22 @@ class TestSweepAndFit:
         assert fit.exponent == pytest.approx(1.238436671, abs=1e-6)
         assert 0.0 < fit.rms_log_residual < 0.3
         assert fit.rms_log_residual == pytest.approx(0.216574977, abs=1e-6)
+
+    @pytest.mark.parametrize("width", [1e-3, 1e3])
+    def test_fit_scales_with_well_width(self, width):
+        # the amplitude is a length: k scales with a, p is dimensionless
+        spec = SweepSpec(a_min=0.05, a_max=1.0, count=64)
+        unit = fit_power_law(amplitude_sweep(UNIT, spec))
+        scaled = fit_power_law(amplitude_sweep(WellConfig(width_a=width), spec))
+        assert abs(scaled.exponent - unit.exponent) <= 1e-12
+        assert abs(scaled.coefficient / width - unit.coefficient) <= 1e-12
+
+    def test_reference_protocol_reaches_least_squares_optimum(self):
+        # optimum of sum (k A^p - (1/pi) arcsin A)^2 over the 64-point
+        # protocol, computed independently to 40 digits by variable projection
+        fit = fit_power_law(amplitude_sweep(UNIT, SweepSpec(0.05, 1.0, 64)))
+        assert abs(fit.exponent - 1.238437129223) <= 1e-9
+        assert abs(fit.coefficient - 0.412703945977) <= 1e-9
 
     def test_predict_roundtrip(self):
         fit = fit_power_law(AmplitudeSweep(
@@ -268,3 +289,14 @@ class TestPeakHelpers:
             local_max_positions([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             local_max_positions([0.0, 0.5, 1.0], [1.0, 2.0])
+
+
+def test_import_does_not_load_scipy():
+    # the power-law fit is plain numpy; scipy is not a dependency
+    src = str(Path(boxnodes.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, boxnodes; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -174,6 +174,28 @@ class TestVerifyCommand:
     def test_non_unit_well_passes(self, width):
         assert run_cli(["verify", "--a", width]) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--a", "1e-3"],
+        ["--a", "1e-2"],
+        ["--hbar", "1e3"],
+        ["--a", "1e-3", "--mass", "1e3"],
+    ])
+    def test_tolerances_scale_with_the_well(self, flags):
+        # density tolerances scale as 1/a and delta_omega is compared
+        # relatively, so small or stiff wells pass like the unit well
+        assert run_cli(["verify", *flags]) == 0
+
+    @pytest.mark.parametrize("command,flag", [
+        ("trajectory", "--seed"),
+        ("amplitude-sweep", "--seed"),
+        ("avg-position", "--seed"),
+        ("heatmap", "--seed"),
+        ("amplitude-sweep", "--time-samples"),
+    ])
+    def test_options_without_effect_are_rejected(self, command, flag, tmp_path):
+        # only verify draws random numbers; the amplitude is exact
+        assert run_cli([command, flag, 256, "--out", tmp_path / "x.csv"]) == 2
+
     def test_tampered_tolerance_fails(self):
         stream = io.StringIO()
         run = RunConfig(well=WellConfig())
