@@ -11,14 +11,17 @@ are implemented and can be compared:
 
 Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
 |Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
-closed form and map back through x = (a/pi) arccos(v).
+closed form and map back through x = (a/pi) arccos(v). Trajectories and
+zero-time scans solve all of their instants in one vectorised numpy pass (the
+density cubics of all instants as one stacked eigenvalue problem); the
+single-instant finders run the same code on one instant. The grid_n
+arguments are validated but have no effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 exist only at instants with sin(dw t) = 0; exact_zero_times lists them.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,6 +111,81 @@ def ratio_from_state(state: TwoStateSuperposition) -> float:
     return ratio
 
 
+def _positions(cfg: WellConfig, v: np.ndarray) -> list[float | None]:
+    """Map v = cos(pi x / a) back to x = (a/pi) arccos(v); NaN becomes None.
+
+    math.acos on Python floats, not np.arccos, which can differ from it by an
+    ulp depending on the numpy build; written positions stay byte-stable.
+    """
+    scale = cfg.width_a / math.pi
+    return [None if math.isnan(u) else scale * math.acos(u) for u in v.tolist()]
+
+
+def _instant(t: float) -> np.ndarray:
+    """A single time as the one-element array the batched helpers take."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t!r}")
+    return np.array([t])
+
+
+def _analytic_v(cfg: WellConfig, ratio: float, ts: np.ndarray) -> np.ndarray:
+    """v = -A cos(dw t) at every time in ts, NaN where |v| > 1."""
+    v = -ratio * np.cos(delta_omega(cfg) * ts)
+    return np.where(np.abs(v) > 1.0, np.nan, v)
+
+
+def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> np.ndarray:
+    """v = -c1 cos(w1 t) / (2 c2 cos(w2 t)) at every time in ts, NaN outside (-1, 1).
+
+    A zero denominator gives +-inf or NaN, which the range test rejects.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = -c1 * np.cos(omega(cfg, 1) * ts) / (2.0 * c2 * np.cos(omega(cfg, 2) * ts))
+    return np.where((v > -1.0) & (v < 1.0), v, np.nan)
+
+
+def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
+                     ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Interior extrema of |Psi|^2 at every time in ts, in the variable v = cos(pi x / a).
+
+    |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
+    alpha = |c1|^2, beta = 4 |c2|^2, gamma = 4 Re(c1 conj(c2) e^{i dw t}); only
+    gamma depends on t. The extrema are the real roots in (-1, 1) of the cubic
+    f'(v), found for all instants at once as the eigenvalues of stacked 3x3
+    companion matrices (what np.roots does for one polynomial), and split by
+    the sign of f''. Returns (v, curvature, f) of shape (len(ts), 3): roots
+    sorted ascending with NaN in place of rejected ones, f''(v) and f(v).
+    Since x -> v is strictly monotone inside the well, extrema in v are
+    extrema in x.
+    """
+    alpha, beta = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2
+    if beta == 0.0:
+        # pure psi_1: f = alpha (1 - v^2) has one extremum, a maximum at v = 0
+        v = np.full((ts.size, 3), np.nan)
+        v[:, 0] = 0.0
+        return v, 0.0 * v - 2.0 * alpha, alpha * (1.0 - v * v)
+    cross = state.c1 * state.c2.conjugate()
+    phase = delta_omega(cfg) * ts
+    gamma = (4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase)))[:, None]
+    # f' = d0 v^3 + d1 v^2 + d2 v + d3, with the coefficients of np.polyder(f)
+    d0, d1, d2, d3 = -beta * 4.0, -gamma * 3.0, (beta - alpha) * 2.0, gamma
+    companion = np.zeros((ts.size, 3, 3))
+    companion[:, 0] = -np.hstack((d1, np.full_like(d1, d2), d3)) / d0
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
+    v = np.sort(np.where(roots.imag == 0.0, roots.real, np.nan), axis=1)
+    # A double root of f' (an inflection of f, e.g. a zero of |Psi|^2 that
+    # reaches a wall) comes out as two real roots ~1e-8 apart or as a complex
+    # pair; either way it is not an extremum.
+    close = np.diff(v, axis=1) < 1e-6
+    drop = np.pad(close, ((0, 0), (0, 1))) | np.pad(close, ((0, 0), (1, 0)))
+    v[drop | ~((v > -1.0) & (v < 1.0))] = np.nan
+    curvature = (d0 * 3.0 * v + d1 * 2.0) * v + d2
+    f = (((-beta * v - gamma) * v + (beta - alpha)) * v + gamma) * v + alpha
+    return v, curvature, f
+
+
 def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | None:
     """Closed-form node position (a/pi) arccos(-A cos(dw t)).
 
@@ -116,10 +194,7 @@ def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | N
     """
     if not math.isfinite(ratio):
         raise ValueError("ratio must be finite")
-    u = -ratio * math.cos(delta_omega(cfg) * t)
-    if abs(u) > 1.0:
-        return None
-    return cfg.width_a / math.pi * math.acos(u)
+    return _positions(cfg, _analytic_v(cfg, ratio, _instant(t)))[0]
 
 
 def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition, t: float,
@@ -136,40 +211,8 @@ def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition, t: float
     c1, c2 = _require_real(state)
     if grid_n < 16:
         raise ValueError("grid_n too small to isolate zeros")
-    t = float(t)
-    q = 2.0 * c2 * math.cos(omega(cfg, 2) * t)
-    if q == 0.0:
-        return []
-    v = -c1 * math.cos(omega(cfg, 1) * t) / q
-    if not -1.0 < v < 1.0:
-        return []
-    return [cfg.width_a / math.pi * math.acos(v)]
-
-
-def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
-                     t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior extrema of |Psi|^2 at time t, in the variable v = cos(pi x / a).
-
-    |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
-    alpha = |c1|^2, beta = 4 |c2|^2, gamma = 4 Re(c1 conj(c2) e^{i dw t}).
-    Returns (v_min, v_max, f): the real roots of f' in (-1, 1) split by the
-    sign of f'', and the coefficients of f for np.polyval. Since x -> v is
-    strictly monotone inside the well, extrema in v are extrema in x.
-    """
-    cross = state.c1 * state.c2.conjugate() * cmath.exp(1j * delta_omega(cfg) * t)
-    alpha, beta, gamma = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2, 4.0 * cross.real
-    f = np.array([-beta, -gamma, beta - alpha, gamma, alpha])
-    df = np.polyder(f)
-    roots = np.roots(df)
-    v = np.sort(roots[roots.imag == 0.0].real)
-    # A double root of f' (an inflection of f, e.g. a zero of |Psi|^2 that
-    # reaches a wall) comes out of np.roots as two real roots ~1e-8 apart or
-    # as a complex pair; either way it is not an extremum.
-    close = np.diff(v) < 1e-6
-    v = v[~(np.append(close, False) | np.insert(close, 0, False))]
-    v = v[(v > -1.0) & (v < 1.0)]
-    curvature = np.polyval(np.polyder(df), v)
-    return v[curvature > 0.0], v[curvature < 0.0], f
+    x = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(t)))[0]
+    return [] if x is None else [x]
 
 
 def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition, t: float,
@@ -184,10 +227,9 @@ def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition, t: float,
     """
     if grid_n < 16:
         raise ValueError("grid_n too small to isolate minima")
-    t = float(t)
-    v_min, _, _ = _density_extrema(cfg, state, t)
-    xs = sorted(cfg.width_a / math.pi * math.acos(float(v)) for v in v_min)
-    return [(x, float(density_exact(cfg, state, x, t))) for x in xs]
+    v, curvature, _ = _density_extrema(cfg, state, _instant(t))
+    xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]))
+    return [(x, float(density_exact(cfg, state, x, float(t)))) for x in xs]
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
@@ -198,11 +240,12 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     The coefficients must be real. A sampled time (samples_per_period per
     beat period) qualifies when the deepest interior density minimum is at
     most rel_threshold of the highest interior maximum; this is how the
-    permanent node of pure psi_2 shows up at every sample. For 0 < |A| < 1,
-    A = c1/(2 c2), the zeros at t = k T/2 are added exactly, so they are
-    found whatever the sampling. For |A| >= 1 the list is empty: at |A| = 1
-    the zero touches a wall, which is not an interior zero. grid_n is
-    validated but no longer affects the result.
+    permanent node of pure psi_2 shows up at every sample. All samples are
+    solved in one vectorised pass. For 0 < |A| < 1, A = c1/(2 c2), the zeros
+    at t = k T/2 are added exactly, so they are found whatever the sampling.
+    For |A| >= 1 the list is empty: at |A| = 1 the zero touches a wall, which
+    is not an interior zero. grid_n is validated but no longer affects the
+    result.
     """
     c1, c2 = _require_real(state)
     if period_count < 1:
@@ -211,12 +254,11 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
         raise ValueError("scan resolution too small")
     T = beat_period(cfg)
 
-    times = []
-    for t in np.linspace(0.0, period_count * T, period_count * samples_per_period + 1):
-        v_min, v_max, f = _density_extrema(cfg, state, float(t))
-        if v_min.size and v_max.size and \
-                np.polyval(f, v_min).min() <= rel_threshold * np.polyval(f, v_max).max():
-            times.append(float(t))
+    ts = np.linspace(0.0, period_count * T, period_count * samples_per_period + 1)
+    _, curvature, f = _density_extrema(cfg, state, ts)
+    deepest = np.fmin.reduce(np.where(curvature > 0.0, f, np.nan), axis=1)
+    highest = np.fmax.reduce(np.where(curvature < 0.0, f, np.nan), axis=1)
+    times = ts[deepest <= rel_threshold * highest].tolist()
     if c1 != 0.0 and abs(c1) < 2.0 * abs(c2):
         times.extend(k * 0.5 * T for k in range(2 * period_count + 1))
     times.sort()
@@ -238,37 +280,39 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     kind is rejected here. Every kind has at most one node per instant, so
     the samples form a single curve without any continuity rule: Re Psi is
     linear in v, and |Psi|^2 >= 0 vanishes at both walls, so its interior
-    critical points are one maximum or maximum, minimum, maximum. grid_n is
-    passed to the finders, which validate it but no longer depend on it.
+    critical points are one maximum or maximum, minimum, maximum. All
+    instants are solved in one vectorised pass, by the same helpers as the
+    single-instant finders, so every sample equals what those return at its
+    instant. grid_n is validated for the numeric kinds but has no effect.
     """
     kind = NodeKind(kind)
     if kind is NodeKind.TRUE_ZERO:
         raise ValueError("true-zero events are found by exact_zero_times, not tracked")
-    if not t_end > t_start:
-        raise ValueError("need t_end > t_start")
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
+        raise ValueError("need finite t_start < t_end")
     if n_samples < 2:
         raise ValueError("need at least two samples")
 
     ratio: float | None
+    ts = np.linspace(t_start, t_end, n_samples)
     if kind is NodeKind.ANALYTIC:
         ratio = ratio_from_state(state)  # propagate the error: formula needs A
+        v = _analytic_v(cfg, ratio, ts)
     else:
+        if grid_n < 16:
+            raise ValueError("grid_n too small to isolate nodes")
         try:
             ratio = ratio_from_state(state)
         except ValueError:
             ratio = None
-
-    samples: list[NodeSample] = []
-    for t in np.linspace(t_start, t_end, n_samples):
-        t = float(t)
-        if kind is NodeKind.ANALYTIC:
-            pos = analytic_node_position(cfg, ratio, t)
-        elif kind is NodeKind.REAL_PART_ZERO:
-            zeros = find_real_part_zeros(cfg, state, t, grid_n)
-            pos = zeros[0] if zeros else None
+        if kind is NodeKind.REAL_PART_ZERO:
+            v = _real_part_zero_v(cfg, *_require_real(state), ts)
         else:
-            minima = find_density_minima(cfg, state, t, grid_n)
-            pos = minima[0][0] if minima else None
-        samples.append(NodeSample(t=t, position=pos, kind=kind))
-    return NodeTrajectory(samples=tuple(samples), config=cfg, state=state,
-                          kind=kind, ratio=ratio)
+            # the minimum nearest x = 0 (largest v), as find_density_minima(...)[0]
+            vs, curvature, _ = _density_extrema(cfg, state, ts)
+            v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
+
+    samples = tuple(NodeSample(t=t, position=x, kind=kind)
+                    for t, x in zip(ts.tolist(), _positions(cfg, v)))
+    return NodeTrajectory(samples=samples, config=cfg, state=state, kind=kind,
+                          ratio=ratio)

@@ -23,10 +23,12 @@ from .analysis import (
     heatmap,
 )
 from .nodes import (
+    NodeKind,
     analytic_node_position,
     find_density_minima,
     find_real_part_zeros,
     ratio_from_state,
+    track_trajectory,
 )
 from .well import (
     TwoStateSuperposition,
@@ -154,11 +156,16 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
     add("eigenfunction-node-count", "sign changes of psi_n, n = 1..6", mismatches, 0.0)
 
     # analytic trajectory: beat periodicity and half-period reflection
-    ratio = 0.5
-    ts = np.linspace(0.0, T, time_samples)
-    x_t = np.array([analytic_node_position(cfg, ratio, float(t)) for t in ts])
-    x_tT = np.array([analytic_node_position(cfg, ratio, float(t + T)) for t in ts])
-    x_half = np.array([analytic_node_position(cfg, ratio, float(t + 0.5 * T)) for t in ts])
+    def analytic_track(A: float, t_start: float, t_end: float, n: int) -> np.ndarray:
+        state = TwoStateSuperposition(2.0 * A, 1.0)
+        return track_trajectory(cfg, state, NodeKind.ANALYTIC, t_start, t_end, n).positions()
+
+    # a track has at least two instants; the first of linspace(0, T, 2) is
+    # the single instant of linspace(0, T, 1)
+    n = max(time_samples, 2)
+    x_t = analytic_track(0.5, 0.0, T, n)[:time_samples]
+    x_tT = analytic_track(0.5, T, 2.0 * T, n)[:time_samples]
+    x_half = analytic_track(0.5, 0.5 * T, 1.5 * T, n)[:time_samples]
     add("trajectory-periodicity", "x(t+T) vs x(t) at A = 0.5",
         float(np.max(np.abs(x_tT - x_t))), 1e-12 * a)
     add("trajectory-reflection", "x(t) + x(t+T/2) vs a at A = 0.5",
@@ -179,12 +186,12 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
     add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
         "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
 
-    # the time-averaged node position is the well center; an even grid pairs
-    # each instant with its half-period reflection
-    t_even = np.arange(256) * (T / 256)
+    # the time-averaged node position is the well center; an even grid of 256
+    # instants (one period, end point dropped) pairs each instant with its
+    # half-period reflection
     worst = 0.0
     for A in list(np.linspace(0.05, 0.95, 19)) + [0.99]:
-        sampled = np.mean([analytic_node_position(cfg, float(A), float(t)) for t in t_even])
+        sampled = np.mean(analytic_track(float(A), 0.0, T, 257)[:-1])
         worst = max(worst, abs(sampled - time_avg_node_position(cfg, float(A))))
     add("mean-node-position", "sampled time average of x(t) vs a/2 for A up to 0.99",
         worst, 1e-9 * a)

@@ -1,5 +1,6 @@
 """Node finders and trajectory tracking, checked against closed forms."""
 
+import cmath
 import math
 
 import numpy as np
@@ -290,6 +291,96 @@ class TestExactZeroTimes:
     def test_bad_period_count(self):
         with pytest.raises(ValueError):
             exact_zero_times(UNIT, EQUAL_MIX, period_count=0)
+
+
+def _loop_density_minimum(cfg, state, t):
+    """Smallest-x interior minimum of |Psi|^2 at one instant, by np.roots."""
+    cross = state.c1 * state.c2.conjugate() * cmath.exp(1j * delta_omega(cfg) * t)
+    alpha, beta, gamma = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2, 4.0 * cross.real
+    df = np.polyder(np.array([-beta, -gamma, beta - alpha, gamma, alpha]))
+    roots = np.roots(df)
+    v = np.sort(roots[roots.imag == 0.0].real)
+    close = np.diff(v) < 1e-6
+    v = v[~(np.append(close, False) | np.insert(close, 0, False))]
+    v = v[(v > -1.0) & (v < 1.0)]
+    v_min = v[np.polyval(np.polyder(df), v) > 0.0]
+    return cfg.width_a / math.pi * math.acos(v_min.max()) if v_min.size else None
+
+
+class TestOneEngine:
+    """A trajectory solves all of its instants in one vectorised pass; every
+    sample must be exactly what the single-instant finder returns there."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(404)
+        cases = []
+        for _ in range(40):
+            cfg = WellConfig(*np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            cases.append((cfg, TwoStateSuperposition(c[0], c[1])))
+            c1, c2 = rng.standard_normal(2) * [1.0, 0.5]
+            cases.append((cfg, TwoStateSuperposition(float(c1), float(c2))))
+        # pure psi_2, pure psi_1, |A| = 1 both signs, and gamma = 0 at t = 0
+        edge = [(0.0, 1.0), (1.0, 0.0), (2.0, 1.0), (-2.0, 1.0), (1.0j, 1.0)]
+        cases += [(UNIT, TwoStateSuperposition(*c)) for c in edge]
+        return cases
+
+    def test_trajectory_samples_equal_the_single_instant_finders(self):
+        counts = {"present": 0, "absent": 0}
+        for cfg, state in self._cases():
+            real = state.c1.imag == 0.0 and state.c2.imag == 0.0
+            kinds = [NodeKind.DENSITY_MINIMUM]
+            if real:
+                kinds.append(NodeKind.REAL_PART_ZERO)
+                if state.c2 != 0.0:
+                    kinds.append(NodeKind.ANALYTIC)
+            for kind in kinds:
+                traj = track_trajectory(cfg, state, kind, 0.0, 1.5 * beat_period(cfg), 48)
+                for s in traj.samples:
+                    if kind is NodeKind.ANALYTIC:
+                        want = analytic_node_position(cfg, traj.ratio, s.t)
+                    elif kind is NodeKind.REAL_PART_ZERO:
+                        zeros = find_real_part_zeros(cfg, state, s.t)
+                        want = zeros[0] if zeros else None
+                    else:
+                        minima = find_density_minima(cfg, state, s.t)
+                        want = minima[0][0] if minima else None
+                    assert s.position == want, (cfg, state, kind, s.t)
+                    counts["absent" if want is None else "present"] += 1
+        assert counts["present"] > 1000 and counts["absent"] > 100
+
+    def test_minimum_track_matches_a_per_instant_np_roots_loop(self):
+        """Reference: one np.roots call per instant on the same cubic f'(v).
+
+        Real states share all arithmetic with the loop and must agree
+        exactly; complex states take e^{i dw t} from numpy instead of cmath.
+        """
+        for cfg, state in self._cases():
+            traj = track_trajectory(cfg, state, NodeKind.DENSITY_MINIMUM,
+                                    0.0, 1.5 * beat_period(cfg), 48)
+            real = state.c1.imag == 0.0 and state.c2.imag == 0.0
+            tol = 0.0 if real else 1e-14 * cfg.width_a
+            for s in traj.samples:
+                want = _loop_density_minimum(cfg, state, s.t)
+                assert (s.position is None) == (want is None), (cfg, state, s.t)
+                if want is not None:
+                    assert abs(s.position - want) <= tol, (cfg, state, s.t)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_time_rejected(self, t):
+        for finder in (lambda: analytic_node_position(UNIT, 0.5, t),
+                       lambda: find_real_part_zeros(UNIT, EQUAL_MIX, t),
+                       lambda: find_density_minima(UNIT, EQUAL_MIX, t),
+                       lambda: track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC,
+                                                0.0, t, 4)):
+            with pytest.raises(ValueError, match="finite"):
+                finder()
+
+    def test_pure_excited_zero_times_over_two_periods(self):
+        found = exact_zero_times(UNIT, TwoStateSuperposition(0.0, 1.0), period_count=2)
+        assert len(found) == 2 * 512 + 1
+        assert found[-1] == pytest.approx(2.0 * T, abs=1e-12)
 
 
 class TestTrackTrajectory:
