@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,16 +21,7 @@ from .output import OutputSpec, write_json_object, write_rows
 from .verify import run_verification
 from .well import TwoStateSuperposition, WellConfig, beat_period
 
-__all__ = [
-    "RunConfig",
-    "cmd_trajectory",
-    "cmd_amplitude_sweep",
-    "cmd_avg_position",
-    "cmd_heatmap",
-    "cmd_verify",
-    "build_parser",
-    "main",
-]
+__all__ = ["build_parser", "main"]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -42,39 +32,31 @@ _KIND_BY_FLAG = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run parameters resolved from the command line."""
-
-    well: WellConfig
-    c1: float = _INV_SQRT2
-    c2: float = _INV_SQRT2
-    t_start: float = 0.0
-    t_end: float | None = None  # None means one beat period past t_start
-    time_samples: int = 256
-    grid_n: int = 2048
-    seed: int = 0
-
-    def resolved_t_end(self) -> float:
-        if self.t_end is not None:
-            return self.t_end
-        return self.t_start + beat_period(self.well)
+def _well(args: argparse.Namespace) -> WellConfig:
+    return WellConfig(width_a=args.a, mass_m=args.mass, hbar=args.hbar)
 
 
-def cmd_trajectory(run: RunConfig, kind: NodeKind, out: OutputSpec) -> int:
-    state = TwoStateSuperposition(run.c1, run.c2)
-    traj = track_trajectory(run.well, state, kind, run.t_start, run.resolved_t_end(),
-                            run.time_samples, run.grid_n)
+def _out(args: argparse.Namespace) -> OutputSpec:
+    return OutputSpec.from_cli(args.out, args.format)
+
+
+def _trajectory(args: argparse.Namespace) -> int:
+    well, out = _well(args), _out(args)
+    state = TwoStateSuperposition(args.c1, args.c2)
+    t_end = args.t_start + beat_period(well) if args.t_end is None else args.t_end
+    traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
+                            args.time_samples, args.grid)
     rows = [{"t": s.t, "position": s.position, "kind": s.kind.value}
             for s in traj.samples]
     write_rows(out, ["t", "position", "kind"], rows)
     return 0
 
 
-def cmd_amplitude_sweep(run: RunConfig, spec: SweepSpec, out: OutputSpec) -> int:
-    if spec.count < 3:
-        raise ValueError("need at least 3 sweep points to fit a power law")
-    sweep = amplitude_sweep(run.well, spec)
+def _amplitude_sweep(args: argparse.Namespace) -> int:
+    well, out = _well(args), _out(args)
+    spacing = "logarithmic" if args.log_spacing else "linear"
+    sweep = amplitude_sweep(well, SweepSpec(a_min=args.a_min, a_max=args.a_max,
+                                            count=args.a_count, spacing=spacing))
     fit = fit_power_law(sweep)
     rows = [{"ratio": A, "amplitude": amp} for A, amp in sweep.entries]
     fit_fields = {
@@ -91,22 +73,25 @@ def cmd_amplitude_sweep(run: RunConfig, spec: SweepSpec, out: OutputSpec) -> int
     return 0
 
 
-def cmd_avg_position(run: RunConfig, ratios: list[float], out: OutputSpec) -> int:
-    if not ratios:
-        raise ValueError("no ratio values to average")
+def _avg_position(args: argparse.Namespace) -> int:
+    well, out = _well(args), _out(args)
+    if args.a_count < 1:
+        raise ValueError("need at least one ratio value")
+    space = np.geomspace if args.log_spacing else np.linspace
+    ratios = [float(A) for A in space(args.a_min, args.a_max, args.a_count)]
     for A in ratios:
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
-    rows = [{"ratio": float(A),
-             "mean_position": time_avg_node_position(run.well, float(A),
-                                                     run.time_samples)}
+    rows = [{"ratio": A,
+             "mean_position": time_avg_node_position(well, A, args.time_samples)}
             for A in ratios]
     write_rows(out, ["ratio", "mean_position"], rows)
     return 0
 
 
-def cmd_heatmap(run: RunConfig, x_count: int, mix_count: int, out: OutputSpec) -> int:
-    grid = heatmap(run.well, x_count, mix_count, run.time_samples)
+def _heatmap(args: argparse.Namespace) -> int:
+    well, out = _well(args), _out(args)
+    grid = heatmap(well, args.grid, args.mix_count, args.time_samples)
     rows = []
     for i, theta in enumerate(grid.mix_values):
         for j, x in enumerate(grid.x_values):
@@ -116,15 +101,13 @@ def cmd_heatmap(run: RunConfig, x_count: int, mix_count: int, out: OutputSpec) -
     return 0
 
 
-def cmd_verify(run: RunConfig, tolerances: dict[str, float] | None = None,
-               stream=None) -> int:
-    stream = stream if stream is not None else sys.stdout
-    results = run_verification(run.well, seed=run.seed, grid_n=run.grid_n,
-                               time_samples=run.time_samples, tolerances=tolerances)
+def _verify(args: argparse.Namespace) -> int:
+    results = run_verification(_well(args), seed=args.seed, grid_n=args.grid,
+                               time_samples=args.time_samples)
     for result in results:
-        print(result.format_line(), file=stream)
+        print(result.format_line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed", file=stream)
+    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
 
 
@@ -132,13 +115,6 @@ def _add_well_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--a", type=float, default=1.0, help="well width (default 1)")
     parser.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
     parser.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1)")
-
-
-def _add_state_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--c1", type=float, default=_INV_SQRT2,
-                        help="real coefficient on psi_1 (default 1/sqrt(2))")
-    parser.add_argument("--c2", type=float, default=_INV_SQRT2,
-                        help="real coefficient on psi_2 (default 1/sqrt(2))")
 
 
 def _add_out_args(parser: argparse.ArgumentParser) -> None:
@@ -168,7 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trajectory", help="track the node over a time window")
     _add_well_args(p)
-    _add_state_args(p)
+    p.add_argument("--c1", type=float, default=_INV_SQRT2,
+                   help="real coefficient on psi_1 (default 1/sqrt(2))")
+    p.add_argument("--c2", type=float, default=_INV_SQRT2,
+                   help="real coefficient on psi_2 (default 1/sqrt(2))")
     _add_out_args(p)
     p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-end", type=float, default=None,
@@ -178,14 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checked to be at least 16; the closed-form finders "
                         "no longer use it")
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="analytic")
-    p.set_defaults(handler=_handle_trajectory)
+    p.set_defaults(handler=_trajectory)
 
     p = sub.add_parser("amplitude-sweep",
                        help="oscillation amplitude vs ratio A, with power-law fit")
     _add_well_args(p)
     _add_out_args(p)
     _add_sweep_args(p, a_max_default=1.0, count_default=64, log_default=True)
-    p.set_defaults(handler=_handle_amplitude_sweep)
+    p.set_defaults(handler=_amplitude_sweep)
 
     p = sub.add_parser("avg-position", help="time-averaged node position vs ratio A")
     _add_well_args(p)
@@ -193,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_args(p, a_max_default=0.95, count_default=19, log_default=False)
     p.add_argument("--time-samples", type=int, default=1024,
                    help="checked to be even and at least 2; the mean is exact")
-    p.set_defaults(handler=_handle_avg_position)
+    p.set_defaults(handler=_avg_position)
 
     p = sub.add_parser("heatmap",
                        help="time-averaged density over mixing angles in [0, pi/2]")
@@ -204,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of mixing angles (default 64)")
     p.add_argument("--time-samples", type=int, default=1024,
                    help="checked to be at least 2; the average is exact")
-    p.set_defaults(handler=_handle_heatmap)
+    p.set_defaults(handler=_heatmap)
 
     p = sub.add_parser("verify", help="run the invariant battery and report pass/fail")
     _add_well_args(p)
@@ -212,61 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for randomized checks (default 0)")
     p.add_argument("--grid", type=int, default=2048)
     p.add_argument("--time-samples", type=int, default=256)
-    p.set_defaults(handler=_handle_verify)
+    p.set_defaults(handler=_verify)
 
     return parser
-
-
-def _run_from_args(args: argparse.Namespace) -> RunConfig:
-    well = WellConfig(width_a=args.a, mass_m=args.mass, hbar=args.hbar)
-    return RunConfig(
-        well=well,
-        c1=getattr(args, "c1", _INV_SQRT2),
-        c2=getattr(args, "c2", _INV_SQRT2),
-        t_start=getattr(args, "t_start", 0.0),
-        t_end=getattr(args, "t_end", None),
-        time_samples=getattr(args, "time_samples", 256),
-        grid_n=getattr(args, "grid", 2048),
-        seed=getattr(args, "seed", 0),
-    )
-
-
-def _handle_trajectory(args: argparse.Namespace) -> int:
-    run = _run_from_args(args)
-    out = OutputSpec.from_cli(args.out, args.format)
-    return cmd_trajectory(run, _KIND_BY_FLAG[args.kind], out)
-
-
-def _handle_amplitude_sweep(args: argparse.Namespace) -> int:
-    run = _run_from_args(args)
-    out = OutputSpec.from_cli(args.out, args.format)
-    spacing = "logarithmic" if args.log_spacing else "linear"
-    spec = SweepSpec(a_min=args.a_min, a_max=args.a_max, count=args.a_count,
-                     spacing=spacing)
-    return cmd_amplitude_sweep(run, spec, out)
-
-
-def _handle_avg_position(args: argparse.Namespace) -> int:
-    run = _run_from_args(args)
-    out = OutputSpec.from_cli(args.out, args.format)
-    if args.a_count < 1:
-        raise ValueError("need at least one ratio value")
-    if args.log_spacing:
-        ratios = list(np.geomspace(args.a_min, args.a_max, args.a_count))
-    else:
-        ratios = list(np.linspace(args.a_min, args.a_max, args.a_count))
-    return cmd_avg_position(run, [float(A) for A in ratios], out)
-
-
-def _handle_heatmap(args: argparse.Namespace) -> int:
-    run = _run_from_args(args)
-    out = OutputSpec.from_cli(args.out, args.format)
-    return cmd_heatmap(run, args.grid, args.mix_count, out)
-
-
-def _handle_verify(args: argparse.Namespace) -> int:
-    run = _run_from_args(args)
-    return cmd_verify(run)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -58,7 +58,6 @@ class NodeKind(str, Enum):
     ANALYTIC = "analytic-formula"
     REAL_PART_ZERO = "real-part-zero"
     DENSITY_MINIMUM = "density-minimum"
-    TRUE_ZERO = "true-zero"
 
 
 @dataclass(frozen=True)
@@ -276,8 +275,8 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     """Sample the node position on a uniform time grid.
 
     kind selects among analytic-formula, real-part-zero and density-minimum;
-    true zeros are isolated events in time, not a trackable curve, so that
-    kind is rejected here. Every kind has at most one node per instant, so
+    true zeros are isolated events in time, not a trackable curve, and are
+    listed by exact_zero_times. Every kind has at most one node per instant, so
     the samples form a single curve without any continuity rule: Re Psi is
     linear in v, and |Psi|^2 >= 0 vanishes at both walls, so its interior
     critical points are one maximum or maximum, minimum, maximum. All
@@ -286,8 +285,6 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     instant. grid_n is validated for the numeric kinds but has no effect.
     """
     kind = NodeKind(kind)
-    if kind is NodeKind.TRUE_ZERO:
-        raise ValueError("true-zero events are found by exact_zero_times, not tracked")
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("need finite t_start < t_end")
     if n_samples < 2:

@@ -1,12 +1,12 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
-import io
 import json
 import math
 
 import pytest
 
-from boxnodes.cli import RunConfig, cmd_verify, main
+from boxnodes import cli
+from boxnodes.cli import main
 from boxnodes.output import OutputSpec, write_rows
 from boxnodes.well import WellConfig, beat_period
 
@@ -157,11 +157,9 @@ class TestHeatmapCommand:
 
 
 class TestVerifyCommand:
-    def test_passes_and_prints_delta_omega(self, tmp_path):
-        stream = io.StringIO()
-        run = RunConfig(well=WellConfig())
-        assert cmd_verify(run, stream=stream) == 0
-        text = stream.getvalue()
+    def test_passes_and_prints_delta_omega(self, capsys):
+        assert run_cli(["verify"]) == 0
+        text = capsys.readouterr().out
         assert "delta_omega = 14.804406601634037" in text
         lines = [ln for ln in text.splitlines() if ln.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 15
@@ -196,13 +194,68 @@ class TestVerifyCommand:
         # only verify draws random numbers; the amplitude is exact
         assert run_cli([command, flag, 256, "--out", tmp_path / "x.csv"]) == 2
 
-    def test_tampered_tolerance_fails(self):
-        stream = io.StringIO()
-        run = RunConfig(well=WellConfig())
-        code = cmd_verify(run, tolerances={"closed-form-equivalence": -1.0},
-                          stream=stream)
-        assert code == 1
-        assert "FAIL closed-form-equivalence" in stream.getvalue()
+    def test_reference_beyond_float_range_fails_its_check(self, capsys):
+        # 2 m a^2 overflows, so 3 pi^2 hbar / (2 m a^2) cannot confirm delta_omega
+        assert run_cli(["verify", "--a", "1e154"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL delta-omega-formula" in captured.out
+        assert captured.err == ""
+
+    def test_tampered_tolerance_fails(self, monkeypatch, capsys):
+        real = cli.run_verification
+
+        def tampered(cfg, **kwargs):
+            kwargs["tolerances"] = {"closed-form-equivalence": -1.0}
+            return real(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_verification", tampered)
+        assert run_cli(["verify"]) == 1
+        assert "FAIL closed-form-equivalence" in capsys.readouterr().out
+
+
+# Edge argv for every subcommand, with a word the error must contain. The
+# test adds --out with a file path where a line gives none and puts an
+# existing directory for DIR, an I/O failure (3); the rest are bad input (2).
+_WELL_EDGES = [("--a inf", "width"), ("--a 1e-200", "delta_omega"),
+               ("--a 1e-300", "delta_omega"), ("--mass nan", "mass"),
+               ("--mass=-inf", "mass"), ("--hbar 1e300", "delta_omega"),
+               ("--hbar 1e-300", "delta_omega")]
+_OUT_COMMANDS = ("trajectory", "amplitude-sweep", "avg-position", "heatmap")
+_EDGE_ARGV = [
+    *((f"{cmd} {flags}", named) for cmd in (*_OUT_COMMANDS, "verify")
+      for flags, named in _WELL_EDGES),
+    ("trajectory --c1 inf", "c1"),
+    ("trajectory --c2 nan", "c2"),
+    ("trajectory --c1 0 --c2 0", "zero state"),
+    ("trajectory --c1 1e308 --c2 1e-308", "overflows"),
+    ("trajectory --c1 1e200 --c2 1e200 --kind minimum", "overflows"),
+    ("trajectory --c1 1e200 --c2 1e200 --kind repart", "overflows"),
+    ("trajectory --t-start 1 --t-end 0", "t_end"),
+    ("trajectory --t-start 0.5 --t-end 0.5", "t_end"),
+    ("trajectory --t-end nan", "t_end"),
+    ("trajectory --t-start inf", "t_end"),
+    ("trajectory --t-start 1e308", "t_end"),
+    ("trajectory --time-samples 1", "samples"),
+    ("trajectory --kind minimum --grid 8", "grid_n"),
+    ("trajectory --kind true-zero", "true-zero"),
+    ("amplitude-sweep --a-count 2", "points"),
+    ("amplitude-sweep --a-min 0 --a-max 0.5", "a_min"),
+    ("amplitude-sweep --a-min nan", "a_min"),
+    ("avg-position --a-count 0", "ratio"),
+    ("avg-position --a-max 1.0", "|A|"),
+    ("avg-position --time-samples 1", "n_samples"),
+    ("heatmap --grid 4", "8 points"),
+    ("heatmap --mix-count 4", "8 points"),
+    ("heatmap --time-samples 1", "time samples"),
+    ("verify --time-samples 0", "time_samples"),
+    ("verify --time-samples -1", "time_samples"),
+    ("verify --grid 8", "grid_n"),
+    ("verify --seed -1", "non-negative"),
+    ("verify --a 1.5e154", "2T"),
+    ("verify --a 1e160", "2T"),
+    *((f"{cmd} --format xml", "--format") for cmd in _OUT_COMMANDS),
+    *((f"{cmd} --out DIR", "directory") for cmd in _OUT_COMMANDS),
+]
 
 
 class TestExitCodes:
@@ -239,6 +292,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, named", _EDGE_ARGV)
+    def test_edge_argv(self, line, named, tmp_path, capsys):
+        argv = [str(tmp_path) if w == "DIR" else w for w in line.split()]
+        if argv[0] != "verify" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "x.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == (3 if "DIR" in line else 2)
+        assert "error" in err and named in err
         assert "Traceback" not in err
 
 

@@ -452,7 +452,7 @@ class TestTrackTrajectory:
 
     def test_true_zero_kind_rejected(self):
         with pytest.raises(ValueError, match="true-zero"):
-            track_trajectory(UNIT, EQUAL_MIX, NodeKind.TRUE_ZERO, 0.0, T, 4)
+            track_trajectory(UNIT, EQUAL_MIX, "true-zero", 0.0, T, 4)
 
     def test_degenerate_analytic_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
