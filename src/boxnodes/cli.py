@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
     time_avg_node_position
 from .nodes import NodeKind, track_trajectory
-from .output import OutputSpec, write_json_object, write_rows
+from .output import OutputSpec, write_columns, write_json_object
 from .verify import run_verification
 from .well import TwoStateSuperposition, WellConfig, beat_period
 
@@ -46,9 +46,10 @@ def _trajectory(args: argparse.Namespace) -> int:
     t_end = args.t_start + beat_period(well) if args.t_end is None else args.t_end
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples, args.grid)
-    rows = [{"t": s.t, "position": s.position, "kind": s.kind.value}
-            for s in traj.samples]
-    write_rows(out, ["t", "position", "kind"], rows)
+    samples = traj.samples
+    write_columns(out, {"t": [s.t for s in samples],
+                        "position": [s.position for s in samples],
+                        "kind": [traj.kind.value] * len(samples)})
     return 0
 
 
@@ -58,17 +59,16 @@ def _amplitude_sweep(args: argparse.Namespace) -> int:
     sweep = amplitude_sweep(well, SweepSpec(a_min=args.a_min, a_max=args.a_max,
                                             count=args.a_count, spacing=spacing))
     fit = fit_power_law(sweep)
-    rows = [{"ratio": A, "amplitude": amp} for A, amp in sweep.entries]
     fit_fields = {
         "coefficient": fit.coefficient,
         "exponent": fit.exponent,
         "rms_log_residual": fit.rms_log_residual,
     }
-    if out.format == "csv":
-        trailer = ["# fit " + " ".join(f"{k}={v!r}" for k, v in fit_fields.items())]
-        write_rows(out, ["ratio", "amplitude"], rows, trailer_comments=trailer)
-    else:
-        write_rows(out, ["ratio", "amplitude"], rows)
+    trailer = ["# fit " + " ".join(f"{k}={v!r}" for k, v in fit_fields.items())]
+    ratios, amps = zip(*sweep.entries)
+    write_columns(out, {"ratio": list(ratios), "amplitude": list(amps)},
+                  trailer_comments=trailer)
+    if out.format == "json":
         write_json_object(out.path.with_suffix(".fit.json"), fit_fields)
     return 0
 
@@ -78,26 +78,22 @@ def _avg_position(args: argparse.Namespace) -> int:
     if args.a_count < 1:
         raise ValueError("need at least one ratio value")
     space = np.geomspace if args.log_spacing else np.linspace
-    ratios = [float(A) for A in space(args.a_min, args.a_max, args.a_count)]
+    ratios = space(args.a_min, args.a_max, args.a_count).tolist()
     for A in ratios:
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
-    rows = [{"ratio": A,
-             "mean_position": time_avg_node_position(well, A, args.time_samples)}
-            for A in ratios]
-    write_rows(out, ["ratio", "mean_position"], rows)
+    means = [time_avg_node_position(well, A, args.time_samples) for A in ratios]
+    write_columns(out, {"ratio": ratios, "mean_position": means})
     return 0
 
 
 def _heatmap(args: argparse.Namespace) -> int:
     well, out = _well(args), _out(args)
     grid = heatmap(well, args.grid, args.mix_count, args.time_samples)
-    rows = []
-    for i, theta in enumerate(grid.mix_values):
-        for j, x in enumerate(grid.x_values):
-            rows.append({"theta": float(theta), "x": float(x),
-                         "avg_density": float(grid.values[i, j])})
-    write_rows(out, ["theta", "x", "avg_density"], rows)
+    n_mix, n_x = grid.values.shape
+    write_columns(out, {"theta": np.repeat(grid.mix_values, n_x).tolist(),
+                        "x": np.tile(grid.x_values, n_mix).tolist(),
+                        "avg_density": grid.values.ravel().tolist()})
     return 0
 
 

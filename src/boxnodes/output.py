@@ -1,7 +1,10 @@
 """Deterministic CSV and JSON emission for the command line tools.
 
-Floats are written with repr (shortest round-trip form), so rerunning a
-command with identical inputs produces byte-identical files.
+A table is a mapping from column name to a list of cells, each a Python
+float, str or None. CSV writes None as an empty cell and any other cell with
+str, which for a float is repr (the shortest round-trip form); JSON writes a
+list of row objects with None as null. Rerunning a command with identical
+inputs therefore produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,9 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-__all__ = ["OutputSpec", "write_rows", "write_json_object"]
+__all__ = ["OutputSpec", "write_columns", "write_json_object"]
 
 _FORMATS = ("csv", "json")
 
@@ -38,57 +39,33 @@ class OutputSpec:
         return cls(path=p, format=fmt)
 
 
-def _clean(value):
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, (int,)):
-        return int(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return str(value)
+def _dump_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_columns(spec: OutputSpec, columns: dict[str, list],
+                  trailer_comments: list[str] | None = None) -> None:
+    """Write equal-length columns as CSV (with optional trailing # comment
+    lines) or as a JSON array of row objects.
 
-
-def write_rows(spec: OutputSpec, fieldnames: list[str], rows: list[dict],
-               trailer_comments: list[str] | None = None) -> None:
-    """Write rows as CSV (with optional trailing # comment lines) or a JSON array.
-
-    Absent values (None) become empty CSV cells or JSON nulls. JSON output
-    ignores trailer_comments; JSON metadata lives in sidecar files instead.
+    JSON output ignores trailer_comments; JSON metadata lives in sidecar
+    files instead.
     """
-    cleaned = [{k: _clean(row.get(k)) for k in fieldnames} for row in rows]
+    names = list(columns)
+    rows = zip(*columns.values(), strict=True)
+    if spec.format == "json":
+        _dump_json(spec.path, [dict(zip(names, row)) for row in rows])
+        return
+    lines = [",".join(names)]
+    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
+    lines.extend(trailer_comments or ())
     spec.path.parent.mkdir(parents=True, exist_ok=True)
-    if spec.format == "csv":
-        lines = [",".join(fieldnames)]
-        for row in cleaned:
-            lines.append(",".join(_format_cell(row[k]) for k in fieldnames))
-        if trailer_comments:
-            lines.extend(trailer_comments)
-        spec.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
-        with open(spec.path, "w", encoding="utf-8") as fh:
-            json.dump(cleaned, fh, indent=2)
-            fh.write("\n")
+    spec.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_json_object(path: Path, mapping: dict) -> None:
     """Write one flat mapping as a JSON object (used for fit sidecars)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    cleaned = {k: _clean(v) for k, v in mapping.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cleaned, fh, indent=2)
-        fh.write("\n")
+    _dump_json(Path(path), mapping)

@@ -19,14 +19,12 @@ from .numerics import composite_simpson
 __all__ = [
     "WellConfig",
     "TwoStateSuperposition",
-    "GeneralSuperposition",
     "eigenfunction",
     "energy",
     "omega",
     "delta_omega",
     "beat_period",
     "evaluate_psi",
-    "evaluate_psi_general",
     "density_exact",
     "density_closed_form",
     "norm_integral",
@@ -79,35 +77,16 @@ class TwoStateSuperposition:
             object.__setattr__(self, label, c)
         try:
             norm_sq = self.norm_sq()
-        except OverflowError:
+        except OverflowError:  # a single |c|^2 overflows
+            norm_sq = math.inf
+        if not math.isfinite(norm_sq):  # or only their sum does
             raise ValueError(f"|c1|^2 + |c2|^2 overflows for c1={self.c1!r}, "
-                             f"c2={self.c2!r}") from None
+                             f"c2={self.c2!r}")
         if norm_sq == 0.0:
             raise ValueError("zero state: need |c1|^2 + |c2|^2 > 0")
 
     def norm_sq(self) -> float:
         return abs(self.c1) ** 2 + abs(self.c2) ** 2
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-
-@dataclass(frozen=True)
-class GeneralSuperposition:
-    """Finite superposition over arbitrary eigenstates, as (index, coefficient) terms."""
-
-    terms: tuple[tuple[int, complex], ...]
-
-    def __post_init__(self) -> None:
-        cleaned = tuple((int(n), complex(c)) for n, c in self.terms)
-        if not cleaned:
-            raise ValueError("superposition needs at least one term")
-        indices = [n for n, _ in cleaned]
-        if any(n < 1 for n in indices):
-            raise ValueError("eigenstate indices start at 1")
-        if len(set(indices)) != len(indices):
-            raise ValueError("eigenstate indices must be distinct")
-        object.__setattr__(self, "terms", cleaned)
 
 
 def _check_index(n: int) -> int:
@@ -171,16 +150,6 @@ def evaluate_psi(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     ts = np.asarray(t, dtype=float)
     out = state.c1 * eigenfunction(cfg, 1, x) * np.exp(-1j * omega(cfg, 1) * ts)
     out = out + state.c2 * eigenfunction(cfg, 2, x) * np.exp(-1j * omega(cfg, 2) * ts)
-    return _ret(out)
-
-
-def evaluate_psi_general(cfg: WellConfig, state: GeneralSuperposition, x, t):
-    """Wavefunction of an arbitrary finite superposition, same conventions as evaluate_psi."""
-    ts = np.asarray(t, dtype=float)
-    out = None
-    for n, c in state.terms:
-        term = c * eigenfunction(cfg, n, x) * np.exp(-1j * omega(cfg, n) * ts)
-        out = term if out is None else out + term
     return _ret(out)
 
 

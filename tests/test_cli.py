@@ -3,14 +3,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from boxnodes import cli
+from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
+    time_avg_node_position
 from boxnodes.cli import main
-from boxnodes.output import OutputSpec, write_rows
-from boxnodes.well import WellConfig, beat_period
+from boxnodes.nodes import track_trajectory
+from boxnodes.output import OutputSpec, write_columns
+from boxnodes.well import TwoStateSuperposition, WellConfig, beat_period
 
-T = beat_period(WellConfig())
+UNIT = WellConfig()
+T = beat_period(UNIT)
 
 
 def run_cli(args):
@@ -230,6 +235,8 @@ _EDGE_ARGV = [
     ("trajectory --c1 1e308 --c2 1e-308", "overflows"),
     ("trajectory --c1 1e200 --c2 1e200 --kind minimum", "overflows"),
     ("trajectory --c1 1e200 --c2 1e200 --kind repart", "overflows"),
+    ("trajectory --c1 1e154 --c2 1e154 --kind minimum", "overflows"),
+    ("trajectory --c1 1e154 --c2 1e154 --kind analytic", "overflows"),
     ("trajectory --t-start 1 --t-end 0", "t_end"),
     ("trajectory --t-start 0.5 --t-end 0.5", "t_end"),
     ("trajectory --t-end nan", "t_end"),
@@ -315,7 +322,7 @@ class TestOutputSpec:
     def test_explicit_format_wins(self, tmp_path):
         out = tmp_path / "data.json"
         spec = OutputSpec.from_cli(str(out), "csv")
-        write_rows(spec, ["x"], [{"x": 1.5}])
+        write_columns(spec, {"x": [1.5]})
         assert out.read_text() == "x\n1.5\n"
 
     def test_bad_format_rejected(self):
@@ -325,14 +332,80 @@ class TestOutputSpec:
     def test_float_repr_roundtrip(self, tmp_path):
         spec = OutputSpec(tmp_path / "r.csv", "csv")
         value = 1.0 / 3.0
-        write_rows(spec, ["v"], [{"v": value}])
+        write_columns(spec, {"v": [value]})
         line = (tmp_path / "r.csv").read_text().splitlines()[1]
         assert float(line) == value
 
     def test_creates_parent_dirs(self, tmp_path):
         spec = OutputSpec(tmp_path / "deep" / "nested" / "f.csv", "csv")
-        write_rows(spec, ["v"], [{"v": 1.0}])
+        write_columns(spec, {"v": [1.0]})
         assert (tmp_path / "deep" / "nested" / "f.csv").exists()
+
+
+def _assert_table(path, fmt, header, rows, trailer=()):
+    """The file holds rows in the documented format: repr per float cell
+    and an empty cell for None in CSV, a list of row objects in JSON."""
+    if fmt == "csv":
+        def cell(v):
+            return "" if v is None else v if isinstance(v, str) else repr(v)
+        lines = [",".join(header), *(",".join(map(cell, row)) for row in rows), *trailer]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    else:
+        assert json.loads(path.read_text()) == [dict(zip(header, row)) for row in rows]
+
+
+class TestOutputFormat:
+    """Each subcommand writes exactly the library result, rendered here."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("c1, c2", [(0.6, 0.8), (2.0, 0.5)])
+    @pytest.mark.parametrize("flag, kind", [("analytic", "analytic-formula"),
+                                            ("repart", "real-part-zero"),
+                                            ("minimum", "density-minimum")])
+    def test_trajectory(self, tmp_path, fmt, c1, c2, flag, kind):
+        out = tmp_path / f"t.{fmt}"
+        assert run_cli(["trajectory", "--c1", c1, "--c2", c2, "--kind", flag,
+                        "--time-samples", 33, "--out", out]) == 0
+        traj = track_trajectory(UNIT, TwoStateSuperposition(c1, c2), kind, 0.0, T, 33)
+        rows = [(s.t, s.position, kind) for s in traj.samples]
+        if c1 == 2.0:  # A = 2: the instants without a node are gaps
+            assert any(pos is None for _, pos, _ in rows)
+        _assert_table(out, fmt, ["t", "position", "kind"], rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_amplitude_sweep(self, tmp_path, fmt):
+        out = tmp_path / f"s.{fmt}"
+        assert run_cli(["amplitude-sweep", "--a-min", 0.05, "--a-max", 1.0,
+                        "--a-count", 16, "--out", out]) == 0
+        sweep = amplitude_sweep(UNIT, SweepSpec(0.05, 1.0, 16, spacing="logarithmic"))
+        fit = fit_power_law(sweep)
+        fields = {"coefficient": fit.coefficient, "exponent": fit.exponent,
+                  "rms_log_residual": fit.rms_log_residual}
+        if fmt == "csv":
+            trailer = ["# fit " + " ".join(f"{k}={v!r}" for k, v in fields.items())]
+            _assert_table(out, fmt, ["ratio", "amplitude"], sweep.entries, trailer)
+        else:
+            _assert_table(out, fmt, ["ratio", "amplitude"], sweep.entries)
+            assert json.loads((tmp_path / "s.fit.json").read_text()) == fields
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_avg_position(self, tmp_path, fmt):
+        out = tmp_path / f"a.{fmt}"
+        assert run_cli(["avg-position", "--a-min", 0.05, "--a-max", 0.95,
+                        "--a-count", 7, "--no-log-spacing", "--out", out]) == 0
+        rows = [(float(A), time_avg_node_position(UNIT, float(A)))
+                for A in np.linspace(0.05, 0.95, 7)]
+        _assert_table(out, fmt, ["ratio", "mean_position"], rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_heatmap(self, tmp_path, fmt):
+        out = tmp_path / f"h.{fmt}"
+        assert run_cli(["heatmap", "--grid", 16, "--mix-count", 9, "--out", out]) == 0
+        grid = heatmap(UNIT, 16, 9)
+        rows = [(float(theta), float(x), float(grid.values[i, j]))
+                for i, theta in enumerate(grid.mix_values)
+                for j, x in enumerate(grid.x_values)]
+        _assert_table(out, fmt, ["theta", "x", "avg_density"], rows)
 
 
 class TestDeterminism:
