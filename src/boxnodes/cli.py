@@ -45,7 +45,7 @@ def _trajectory(args: argparse.Namespace) -> int:
     state = TwoStateSuperposition(args.c1, args.c2)
     t_end = args.t_start + beat_period(well) if args.t_end is None else args.t_end
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
-                            args.time_samples, args.grid)
+                            args.time_samples)
     samples = traj.samples
     write_columns(out, {"t": [s.t for s in samples],
                         "position": [s.position for s in samples],
@@ -82,14 +82,20 @@ def _avg_position(args: argparse.Namespace) -> int:
     for A in ratios:
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
-    means = [time_avg_node_position(well, A, args.time_samples) for A in ratios]
+    means = [time_avg_node_position(well, A) for A in ratios]
+    # the mean is exact: --time-samples is only checked, after the ratios
+    if args.time_samples < 2 or args.time_samples % 2:
+        raise ValueError("n_samples must be even and at least 2")
     write_columns(out, {"ratio": ratios, "mean_position": means})
     return 0
 
 
 def _heatmap(args: argparse.Namespace) -> int:
     well, out = _well(args), _out(args)
-    grid = heatmap(well, args.grid, args.mix_count, args.time_samples)
+    grid = heatmap(well, args.grid, args.mix_count)
+    # the average is exact: --time-samples is only checked, after the grid
+    if args.time_samples < 2:
+        raise ValueError("need at least two time samples")
     n_mix, n_x = grid.values.shape
     write_columns(out, {"theta": np.repeat(grid.mix_values, n_x).tolist(),
                         "x": np.tile(grid.x_values, n_mix).tolist(),
@@ -98,7 +104,7 @@ def _heatmap(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    results = run_verification(_well(args), seed=args.seed, grid_n=args.grid,
+    results = run_verification(_well(args), seed=args.seed,
                                time_samples=args.time_samples)
     for result in results:
         print(result.format_line())
@@ -149,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=None,
                    help="end time (default: one beat period after t-start)")
     p.add_argument("--time-samples", type=int, default=256)
-    p.add_argument("--grid", type=int, default=2048,
-                   help="checked to be at least 16; the closed-form finders "
-                        "no longer use it")
     p.add_argument("--kind", choices=sorted(_KIND_BY_FLAG), default="analytic")
     p.set_defaults(handler=_trajectory)
 
@@ -185,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_well_args(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized checks (default 0)")
-    p.add_argument("--grid", type=int, default=2048)
     p.add_argument("--time-samples", type=int, default=256)
     p.set_defaults(handler=_verify)
 

@@ -15,7 +15,8 @@ closed form and map back through x = (a/pi) arccos(v). Trajectories and
 zero-time scans solve all of their instants in one vectorised numpy pass (the
 density cubics of all instants as one stacked eigenvalue problem); the
 single-instant finders run the same code on one instant. The grid_n
-arguments are validated but have no effect on results.
+arguments of track_trajectory and exact_zero_times are validated but have no
+effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 exist only at instants with sin(dw t) = 0; exact_zero_times lists them.
@@ -53,6 +54,10 @@ __all__ = [
 # stops counting as real
 _REAL_TOL = 1e-14
 
+# exact_zero_times counts a sampled instant as a zero when its deepest
+# interior density minimum is at most this fraction of the highest maximum
+_ZERO_DEPTH_RATIO = 1e-10
+
 
 class NodeKind(str, Enum):
     ANALYTIC = "analytic-formula"
@@ -66,7 +71,6 @@ class NodeSample:
 
     t: float
     position: float | None
-    kind: NodeKind
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,8 @@ def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | N
     return _positions(cfg, _analytic_v(cfg, ratio, _instant(t)))[0]
 
 
-def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition, t: float,
-                         grid_n: int = 2048) -> list[float]:
+def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition,
+                         t: float) -> list[float]:
     """Interior zeros of Re Psi(x, t) for a real-coefficient state.
 
     Re Psi = sqrt(2/a) sin(pi x / a) [c1 cos(w1 t) + 2 c2 cos(w2 t) v] with
@@ -205,40 +209,34 @@ def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition, t: float
     (2 c2 cos(w2 t)) when that lies in (-1, 1). Wall zeros are structural and
     are not reported. At instants where 2 c2 cos(w2 t) = 0, Re Psi either
     vanishes identically (no isolated zeros) or has no interior zero, and the
-    list is empty. grid_n is validated but no longer affects the result.
+    list is empty.
     """
     c1, c2 = _require_real(state)
-    if grid_n < 16:
-        raise ValueError("grid_n too small to isolate zeros")
     x = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(t)))[0]
     return [] if x is None else [x]
 
 
-def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition, t: float,
-                        grid_n: int = 2048) -> list[tuple[float, float]]:
+def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
+                        t: float) -> list[tuple[float, float]]:
     """Interior local minima of |Psi|^2 at time t, as (position, density) pairs.
 
     The minima are the roots in (-1, 1) of the cubic d/dv of the density in
     v = cos(pi x / a) with positive curvature, mapped back through
     x = (a/pi) arccos(v); complex coefficients are allowed. The walls, where
-    the density always vanishes, are never reported. grid_n is validated but
-    no longer affects the result.
+    the density always vanishes, are never reported.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n too small to isolate minima")
     v, curvature, _ = _density_extrema(cfg, state, _instant(t))
     xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]))
     return [(x, float(density_exact(cfg, state, x, float(t)))) for x in xs]
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
-                     grid_n: int = 1024, samples_per_period: int = 512,
-                     rel_threshold: float = 1e-10) -> list[float]:
+                     grid_n: int = 1024, samples_per_period: int = 512) -> list[float]:
     """Times in [0, period_count * T] at which |Psi|^2 has a genuine interior zero.
 
     The coefficients must be real. A sampled time (samples_per_period per
     beat period) qualifies when the deepest interior density minimum is at
-    most rel_threshold of the highest interior maximum; this is how the
+    most a fixed 1e-10 of the highest interior maximum; this is how the
     permanent node of pure psi_2 shows up at every sample. All samples are
     solved in one vectorised pass. For 0 < |A| < 1, A = c1/(2 c2), the zeros
     at t = k T/2 are added exactly, so they are found whatever the sampling.
@@ -257,7 +255,7 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     _, curvature, f = _density_extrema(cfg, state, ts)
     deepest = np.fmin.reduce(np.where(curvature > 0.0, f, np.nan), axis=1)
     highest = np.fmax.reduce(np.where(curvature < 0.0, f, np.nan), axis=1)
-    times = ts[deepest <= rel_threshold * highest].tolist()
+    times = ts[deepest <= _ZERO_DEPTH_RATIO * highest].tolist()
     if c1 != 0.0 and abs(c1) < 2.0 * abs(c2):
         times.extend(k * 0.5 * T for k in range(2 * period_count + 1))
     times.sort()
@@ -309,7 +307,7 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
             vs, curvature, _ = _density_extrema(cfg, state, ts)
             v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
 
-    samples = tuple(NodeSample(t=t, position=x, kind=kind)
+    samples = tuple(NodeSample(t=t, position=x)
                     for t, x in zip(ts.tolist(), _positions(cfg, v)))
     return NodeTrajectory(samples=samples, config=cfg, state=state, kind=kind,
                           ratio=ratio)

@@ -67,14 +67,12 @@ def _random_complex_state(rng: np.random.Generator) -> TwoStateSuperposition:
     return normalize(TwoStateSuperposition(c[0], c[1]))
 
 
-def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
-                     time_samples: int = 256,
+def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
                      tolerances: dict[str, float] | None = None) -> list[CheckResult]:
     """Run every invariant check and return one result per check.
 
     tolerances overrides the default tolerance of individual checks by name;
-    this exists so tests can prove a failing check actually fails. grid_n is
-    passed to the node finders, which validate it but no longer depend on it.
+    this exists so tests can prove a failing check actually fails.
     """
     if time_samples < 1:
         raise ValueError(f"time_samples must be at least 1, got {time_samples!r}")
@@ -184,7 +182,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
     worst = 0.0
     for A in rng.uniform(0.01, 1.0, size=50):
         state = TwoStateSuperposition(2.0 * float(A), 1.0)
-        turns = [find_real_part_zeros(cfg, state, t, grid_n) for t in (0.0, 0.5 * T)]
+        turns = [find_real_part_zeros(cfg, state, t) for t in (0.0, 0.5 * T)]
         if not all(turns):
             worst = math.inf
             break
@@ -217,7 +215,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
         "stationary profile", worst, 1e-10 / a)
 
     # every heatmap row stays a normalized density profile
-    grid = heatmap(cfg, 64, 16, n_samples=256)
+    grid = heatmap(cfg, 64, 16)
     row_norms = np.trapezoid(grid.values, grid.x_values, axis=1)
     add("heatmap-row-normalization", "trapezoid integral of 16 rows",
         float(np.max(np.abs(row_norms - 1.0))), 1e-6)
@@ -229,8 +227,8 @@ def run_verification(cfg: WellConfig, seed: int = 0, grid_n: int = 2048,
     worst_rho = 0.0
     for t in (0.0, 0.5 * T, T):
         x_formula = analytic_node_position(cfg, A, t)
-        re_zeros = find_real_part_zeros(cfg, state, t, grid_n)
-        minima = find_density_minima(cfg, state, t, grid_n)
+        re_zeros = find_real_part_zeros(cfg, state, t)
+        minima = find_density_minima(cfg, state, t)
         x_re = min(re_zeros, key=lambda x: abs(x - x_formula))
         x_min, rho_min = min(minima, key=lambda pair: abs(pair[0] - x_formula))
         worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))

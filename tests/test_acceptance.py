@@ -17,9 +17,7 @@ from boxnodes.analysis import (
     amplitude_sweep,
     fit_power_law,
     heatmap,
-    local_max_positions,
     oscillation_extrema,
-    peak_separation,
     time_avg_node_position,
 )
 from boxnodes.cli import main
@@ -34,6 +32,7 @@ from boxnodes.well import (
     eigenfunction,
     norm_integral,
 )
+from peaks import local_max_positions, peak_separation
 
 CFG = WellConfig()
 T = beat_period(CFG)
@@ -108,7 +107,7 @@ def test_03_mean_node_position_centered():
     def body():
         ratios = [0.05 * k for k in range(1, 20)] + [0.99, 0.999999]
         for ratio in ratios:
-            mean = time_avg_node_position(CFG, ratio, n_samples=1024)
+            mean = time_avg_node_position(CFG, ratio)
             assert abs(mean - 0.5) <= 1e-9
             for k in range(128):
                 t = k * (T / 256)

@@ -78,7 +78,7 @@ class TestTrajectoryCommand:
     def test_repart_kind(self, tmp_path):
         out = tmp_path / "re.csv"
         assert run_cli(["trajectory", "--kind", "repart", "--time-samples", 8,
-                        "--grid", 512, "--out", out]) == 0
+                        "--out", out]) == 0
         _, rows, _ = read_csv(out)
         assert rows[0][2] == "real-part-zero"
         assert float(rows[0][1]) == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -182,10 +182,13 @@ class TestVerifyCommand:
         ["--a", "1e-2"],
         ["--hbar", "1e3"],
         ["--a", "1e-3", "--mass", "1e3"],
+        ["--a", "1e15"],
+        ["--a", "1e-15"],
     ])
     def test_tolerances_scale_with_the_well(self, flags):
-        # density tolerances scale as 1/a and delta_omega is compared
-        # relatively, so small or stiff wells pass like the unit well
+        # density tolerances scale as 1/a, delta_omega is compared
+        # relatively and the fit runs on amplitudes scaled by a power of two,
+        # so small, large or stiff wells pass like the unit well
         assert run_cli(["verify", *flags]) == 0
 
     @pytest.mark.parametrize("command,flag", [
@@ -194,10 +197,17 @@ class TestVerifyCommand:
         ("avg-position", "--seed"),
         ("heatmap", "--seed"),
         ("amplitude-sweep", "--time-samples"),
+        ("trajectory", "--grid"),
+        ("verify", "--grid"),
     ])
-    def test_options_without_effect_are_rejected(self, command, flag, tmp_path):
-        # only verify draws random numbers; the amplitude is exact
-        assert run_cli([command, flag, 256, "--out", tmp_path / "x.csv"]) == 2
+    def test_options_without_effect_are_rejected(self, command, flag, tmp_path, capsys):
+        # only verify draws random numbers; the amplitude is exact, and the
+        # node finders are closed form, with no grid
+        argv = [command, flag, 256]
+        if command != "verify":
+            argv += ["--out", tmp_path / "x.csv"]
+        assert run_cli(argv) == 2
+        assert f"unrecognized arguments: {flag} 256" in capsys.readouterr().err
 
     def test_reference_beyond_float_range_fails_its_check(self, capsys):
         # 2 m a^2 overflows, so 3 pi^2 hbar / (2 m a^2) cannot confirm delta_omega
@@ -243,7 +253,10 @@ _EDGE_ARGV = [
     ("trajectory --t-start inf", "t_end"),
     ("trajectory --t-start 1e308", "t_end"),
     ("trajectory --time-samples 1", "samples"),
-    ("trajectory --kind minimum --grid 8", "grid_n"),
+    # the two --grid rows keep the ids they had when the flag existed and
+    # its minimum was checked as grid_n
+    pytest.param("trajectory --kind minimum --grid 8", "unrecognized",
+                 id="trajectory --kind minimum --grid 8-grid_n"),
     ("trajectory --kind true-zero", "true-zero"),
     ("amplitude-sweep --a-count 2", "points"),
     ("amplitude-sweep --a-min 0 --a-max 0.5", "a_min"),
@@ -256,7 +269,7 @@ _EDGE_ARGV = [
     ("heatmap --time-samples 1", "time samples"),
     ("verify --time-samples 0", "time_samples"),
     ("verify --time-samples -1", "time_samples"),
-    ("verify --grid 8", "grid_n"),
+    pytest.param("verify --grid 8", "unrecognized", id="verify --grid 8-grid_n"),
     ("verify --seed -1", "non-negative"),
     ("verify --a 1.5e154", "2T"),
     ("verify --a 1e160", "2T"),
@@ -411,8 +424,7 @@ class TestOutputFormat:
 class TestDeterminism:
     def test_trajectory_reruns_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        flags = ["trajectory", "--kind", "minimum", "--time-samples", 8,
-                 "--grid", 256]
+        flags = ["trajectory", "--kind", "minimum", "--time-samples", 8]
         assert run_cli([*flags, "--out", a]) == 0
         assert run_cli([*flags, "--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()

@@ -133,10 +133,6 @@ class TestRealPartZeros:
         with pytest.raises(ValueError, match="real"):
             find_real_part_zeros(UNIT, TwoStateSuperposition(1.0j, 1.0), 0.0)
 
-    def test_tiny_grid_rejected(self):
-        with pytest.raises(ValueError):
-            find_real_part_zeros(UNIT, EQUAL_MIX, 0.0, grid_n=4)
-
     @given(st.floats(min_value=-2.0, max_value=2.0),
            st.floats(min_value=0.05, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
