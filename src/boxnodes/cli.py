@@ -46,10 +46,10 @@ def _trajectory(args: argparse.Namespace) -> int:
     t_end = args.t_start + beat_period(well) if args.t_end is None else args.t_end
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples)
-    samples = traj.samples
-    write_columns(out, {"t": [s.t for s in samples],
-                        "position": [s.position for s in samples],
-                        "kind": [traj.kind.value] * len(samples)})
+    positions = traj.positions.tolist()
+    write_columns(out, {"t": traj.times.tolist(),
+                        "position": [None if math.isnan(x) else x for x in positions],
+                        "kind": [traj.kind.value] * len(positions)})
     return 0
 
 
@@ -85,7 +85,8 @@ def _avg_position(args: argparse.Namespace) -> int:
     means = [time_avg_node_position(well, A) for A in ratios]
     # the mean is exact: --time-samples is only checked, after the ratios
     if args.time_samples < 2 or args.time_samples % 2:
-        raise ValueError("n_samples must be even and at least 2")
+        raise ValueError(f"--time-samples must be even and at least 2, "
+                         f"got {args.time_samples}")
     write_columns(out, {"ratio": ratios, "mean_position": means})
     return 0
 

@@ -73,24 +73,23 @@ class NodeSample:
     position: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeTrajectory:
-    """A sequence of node samples for one state, plus the ratio A when defined."""
+    """Node positions (NaN where no node exists) of one state at the instants
+    times, both float arrays, plus the ratio A when defined."""
 
-    samples: tuple[NodeSample, ...]
+    times: np.ndarray
+    positions: np.ndarray
     config: WellConfig
     state: TwoStateSuperposition
     kind: NodeKind
     ratio: float | None
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def positions(self) -> np.ndarray:
-        """Positions as an array with NaN standing in for absent samples."""
-        return np.array(
-            [math.nan if s.position is None else s.position for s in self.samples]
-        )
+    @property
+    def samples(self) -> tuple[NodeSample, ...]:
+        """One NodeSample per instant, None for NaN; kept while perfbench/ reads it."""
+        return tuple(NodeSample(t, None if math.isnan(x) else x)
+                     for t, x in zip(self.times.tolist(), self.positions.tolist()))
 
 
 def _require_real(state: TwoStateSuperposition) -> tuple[float, float]:
@@ -114,14 +113,13 @@ def ratio_from_state(state: TwoStateSuperposition) -> float:
     return ratio
 
 
-def _positions(cfg: WellConfig, v: np.ndarray) -> list[float | None]:
-    """Map v = cos(pi x / a) back to x = (a/pi) arccos(v); NaN becomes None.
+def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
+    """Map v = cos(pi x / a) back to x = (a/pi) arccos(v); NaN stays NaN.
 
     math.acos on Python floats, not np.arccos, which can differ from it by an
     ulp depending on the numpy build; written positions stay byte-stable.
     """
-    scale = cfg.width_a / math.pi
-    return [None if math.isnan(u) else scale * math.acos(u) for u in v.tolist()]
+    return (cfg.width_a / math.pi) * np.array(list(map(math.acos, v.tolist())), dtype=float)
 
 
 def _instant(t: float) -> np.ndarray:
@@ -197,7 +195,8 @@ def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | N
     """
     if not math.isfinite(ratio):
         raise ValueError("ratio must be finite")
-    return _positions(cfg, _analytic_v(cfg, ratio, _instant(t)))[0]
+    x, = _positions(cfg, _analytic_v(cfg, ratio, _instant(t))).tolist()
+    return None if math.isnan(x) else x
 
 
 def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition,
@@ -212,8 +211,8 @@ def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition,
     list is empty.
     """
     c1, c2 = _require_real(state)
-    x = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(t)))[0]
-    return [] if x is None else [x]
+    x, = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(t))).tolist()
+    return [] if math.isnan(x) else [x]
 
 
 def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
@@ -226,7 +225,7 @@ def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
     the density always vanishes, are never reported.
     """
     v, curvature, _ = _density_extrema(cfg, state, _instant(t))
-    xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]))
+    xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]).tolist())
     return [(x, float(density_exact(cfg, state, x, float(t)))) for x in xs]
 
 
@@ -279,8 +278,9 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     linear in v, and |Psi|^2 >= 0 vanishes at both walls, so its interior
     critical points are one maximum or maximum, minimum, maximum. All
     instants are solved in one vectorised pass, by the same helpers as the
-    single-instant finders, so every sample equals what those return at its
-    instant. grid_n is validated for the numeric kinds but has no effect.
+    single-instant finders, so every position equals what those return at
+    its instant (NaN where they return None or an empty list). grid_n is
+    validated for the numeric kinds but has no effect.
     """
     kind = NodeKind(kind)
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
@@ -307,7 +307,5 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
             vs, curvature, _ = _density_extrema(cfg, state, ts)
             v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
 
-    samples = tuple(NodeSample(t=t, position=x)
-                    for t, x in zip(ts.tolist(), _positions(cfg, v)))
-    return NodeTrajectory(samples=samples, config=cfg, state=state, kind=kind,
-                          ratio=ratio)
+    return NodeTrajectory(times=ts, positions=_positions(cfg, v), config=cfg,
+                          state=state, kind=kind, ratio=ratio)

@@ -100,12 +100,12 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
         f"delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2), relative", dw_err, 1e-12)
 
     # wavefunction is exactly zero on the walls
+    walls = np.array([0.0, a])
     worst = 0.0
     for _ in range(10):
         state = _random_complex_state(rng)
         t = float(rng.uniform(0.0, 2.0 * T))
-        worst = max(worst, abs(evaluate_psi(cfg, state, 0.0, t)),
-                    abs(evaluate_psi(cfg, state, a, t)))
+        worst = max(worst, float(np.max(np.abs(evaluate_psi(cfg, state, walls, t)))))
     add("wall-boundary-zeros", "psi(0) and psi(a) for random states", worst, 0.0)
 
     # closed-form density equals the complex-arithmetic density
@@ -125,9 +125,9 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
     worst_spread = 0.0
     for _ in range(20):
         state = _random_complex_state(rng)
-        norms = [norm_integral(cfg, state, t) for t in np.linspace(0.0, T, 10)]
-        worst_norm = max(worst_norm, max(abs(v - state.norm_sq()) for v in norms))
-        worst_spread = max(worst_spread, max(norms) - min(norms))
+        norms = norm_integral(cfg, state, np.linspace(0.0, T, 10))
+        worst_norm = max(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
+        worst_spread = max(worst_spread, float(np.max(norms) - np.min(norms)))
     add("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", worst_norm, 1e-8)
     add("norm-constancy", "norm spread over 10 times per state", worst_spread, 1e-10)
 
@@ -136,8 +136,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
     for _ in range(10):
         state = _random_complex_state(rng)
         t = float(rng.uniform(0.0, T))
-        d1 = density_exact(cfg, state, xg, t)
-        d2 = density_exact(cfg, state, xg, t + T)
+        d1, d2 = density_exact(cfg, state, xg, np.array([[t], [t + T]]))
         worst = max(worst, float(np.max(np.abs(d1 - d2))))
     add("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", worst, 1e-12 / a)
 
@@ -145,8 +144,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
     worst = 0.0
     for coeffs in ((1.0, 0.0), (0.0, 1.0)):
         state = TwoStateSuperposition(*coeffs)
-        profiles = np.array([density_exact(cfg, state, xg, t)
-                             for t in np.linspace(0.0, T, 7)])
+        profiles = density_exact(cfg, state, xg, np.linspace(0.0, T, 7)[:, None])
         worst = max(worst, float(np.max(profiles.max(axis=0) - profiles.min(axis=0))))
     add("stationary-eigenstate", "density variation of pure psi_1 and psi_2", worst,
         1e-13 / a)
@@ -164,7 +162,7 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
     # analytic trajectory: beat periodicity and half-period reflection
     def analytic_track(A: float, t_start: float, t_end: float, n: int) -> np.ndarray:
         state = TwoStateSuperposition(2.0 * A, 1.0)
-        return track_trajectory(cfg, state, NodeKind.ANALYTIC, t_start, t_end, n).positions()
+        return track_trajectory(cfg, state, NodeKind.ANALYTIC, t_start, t_end, n).positions
 
     # a track has at least two instants; the first of linspace(0, T, 2) is
     # the single instant of linspace(0, T, 1)

@@ -173,20 +173,21 @@ def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     return _ret(out)
 
 
-def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t: float = 0.0) -> float:
+def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
     """Integral of |Psi|^2 over the well by composite Simpson on 2048 intervals.
 
-    Time evolution is unitary, so the result equals |c1|^2 + |c2|^2 at any t
-    up to quadrature error (~1e-10). The sum runs in a fixed order, so the
-    result is reproducible bit for bit.
+    t may be a scalar (giving a float) or an array (giving its shape). Time
+    evolution is unitary, so the result equals |c1|^2 + |c2|^2 at any t up to
+    quadrature error (~1e-10). The sum runs in a fixed order, so the result is
+    reproducible bit for bit, and an array gives each instant's scalar bits.
     """
     n_intervals = 2048
     xs = np.linspace(0.0, cfg.width_a, n_intervals + 1)
-    rho = density_exact(cfg, state, xs, float(t))
-    odd = rho[1:-1:2].sum()
-    even = rho[2:-1:2].sum()
+    rho = density_exact(cfg, state, xs, np.asarray(t, dtype=float)[..., None])
+    odd = rho[..., 1:-1:2].sum(axis=-1)
+    even = rho[..., 2:-1:2].sum(axis=-1)
     h = cfg.width_a / n_intervals
-    return float((h / 3.0) * (rho[0] + rho[-1] + 4.0 * odd + 2.0 * even))
+    return _ret((h / 3.0) * (rho[..., 0] + rho[..., -1] + 4.0 * odd + 2.0 * even))
 
 
 def normalize(state: TwoStateSuperposition) -> TwoStateSuperposition:

@@ -333,16 +333,17 @@ class TestOneEngine:
                     kinds.append(NodeKind.ANALYTIC)
             for kind in kinds:
                 traj = track_trajectory(cfg, state, kind, 0.0, 1.5 * beat_period(cfg), 48)
-                for s in traj.samples:
+                for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
                     if kind is NodeKind.ANALYTIC:
-                        want = analytic_node_position(cfg, traj.ratio, s.t)
+                        want = analytic_node_position(cfg, traj.ratio, t)
                     elif kind is NodeKind.REAL_PART_ZERO:
-                        zeros = find_real_part_zeros(cfg, state, s.t)
+                        zeros = find_real_part_zeros(cfg, state, t)
                         want = zeros[0] if zeros else None
                     else:
-                        minima = find_density_minima(cfg, state, s.t)
+                        minima = find_density_minima(cfg, state, t)
                         want = minima[0][0] if minima else None
-                    assert s.position == want, (cfg, state, kind, s.t)
+                    assert x == want if want is not None else math.isnan(x), \
+                        (cfg, state, kind, t)
                     counts["absent" if want is None else "present"] += 1
         assert counts["present"] > 1000 and counts["absent"] > 100
 
@@ -357,11 +358,11 @@ class TestOneEngine:
                                     0.0, 1.5 * beat_period(cfg), 48)
             real = state.c1.imag == 0.0 and state.c2.imag == 0.0
             tol = 0.0 if real else 1e-14 * cfg.width_a
-            for s in traj.samples:
-                want = _loop_density_minimum(cfg, state, s.t)
-                assert (s.position is None) == (want is None), (cfg, state, s.t)
+            for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
+                want = _loop_density_minimum(cfg, state, t)
+                assert math.isnan(x) == (want is None), (cfg, state, t)
                 if want is not None:
-                    assert abs(s.position - want) <= tol, (cfg, state, s.t)
+                    assert abs(x - want) <= tol, (cfg, state, t)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_nonfinite_time_rejected(self, t):
@@ -383,7 +384,7 @@ class TestTrackTrajectory:
     def test_analytic_equal_mix(self):
         traj = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 9)
         assert traj.ratio == pytest.approx(0.5, abs=1e-15)
-        xs = traj.positions()
+        xs = traj.positions
         assert xs[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert xs[4] == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert xs[-1] == pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -396,11 +397,10 @@ class TestTrackTrajectory:
         # A = 1.5: node exists only while |cos(dw t)| <= 2/3
         state = TwoStateSuperposition(0.9, 0.3)
         traj = track_trajectory(UNIT, state, NodeKind.ANALYTIC, 0.0, T, 64)
-        present = [s.position for s in traj.samples if s.position is not None]
-        absent = [s for s in traj.samples if s.position is None]
-        assert absent and present
-        assert traj.samples[0].position is None  # t = 0 is a gap for A > 1
-        assert all(0.0 <= x <= 1.0 for x in present)
+        present = traj.positions[~np.isnan(traj.positions)]
+        assert 0 < present.size < traj.positions.size
+        assert math.isnan(traj.positions[0])  # t = 0 is a gap for A > 1
+        assert np.all((present >= 0.0) & (present <= 1.0))
 
     def test_real_part_kind_agrees_at_special_times(self):
         # Re Psi = 0 tracks cos(w1 t)/cos(w2 t), not cos(dw t); the curves
@@ -408,7 +408,7 @@ class TestTrackTrajectory:
         analytic = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 33)
         numeric = track_trajectory(UNIT, EQUAL_MIX, NodeKind.REAL_PART_ZERO,
                                    0.0, T, 33)
-        diff = np.abs(analytic.positions() - numeric.positions())
+        diff = np.abs(analytic.positions - numeric.positions)
         assert diff[0] <= 1e-8 and diff[16] <= 1e-8 and diff[32] <= 1e-8
         assert np.nanmax(diff) > 1e-3
 
@@ -416,14 +416,14 @@ class TestTrackTrajectory:
         analytic = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 17)
         minima = track_trajectory(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM,
                                   0.0, T, 17)
-        diff = np.abs(analytic.positions() - minima.positions())
+        diff = np.abs(analytic.positions - minima.positions)
         # they coincide at the ends (true zeros) but not in between
         assert diff[0] <= 1e-8 and diff[-1] <= 1e-8
         assert np.nanmax(diff) > 1e-4
 
     def test_minimum_track_is_continuous(self):
         traj = track_trajectory(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM, 0.0, T, 64)
-        xs = traj.positions()
+        xs = traj.positions
         steps = np.abs(np.diff(xs))
         assert np.all(np.isfinite(xs))
         assert np.nanmax(steps) < 0.05
@@ -432,14 +432,13 @@ class TestTrackTrajectory:
         traj = track_trajectory(UNIT, TwoStateSuperposition(0.0, 1.0),
                                 NodeKind.DENSITY_MINIMUM, 0.0, T, 8)
         assert traj.ratio == 0.0  # A = 0/(2 c2): the formula also predicts a/2
-        for s in traj.samples:
-            assert s.position == pytest.approx(0.5, abs=1e-8)
+        assert np.all(np.abs(traj.positions - 0.5) <= 1e-8)
 
     def test_complex_state_minimum_kind_works(self):
         state = TwoStateSuperposition(1.0j / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         traj = track_trajectory(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0, T, 8)
         assert traj.ratio is None
-        assert any(s.position is not None for s in traj.samples)
+        assert not np.all(np.isnan(traj.positions))
 
     def test_complex_state_real_part_kind_rejected(self):
         state = TwoStateSuperposition(1.0j, 1.0)
@@ -461,8 +460,32 @@ class TestTrackTrajectory:
         with pytest.raises(ValueError):
             track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 1)
 
+    @pytest.mark.parametrize("state", [TwoStateSuperposition(2.0, 0.5),
+                                       TwoStateSuperposition(0.48 + 0.36j, 0.5)],
+                             ids=["gaps", "complex"])
+    def test_arrays(self, state):
+        real = state.c1.imag == 0.0 and state.c2.imag == 0.0
+        kinds = [NodeKind.REAL_PART_ZERO, NodeKind.DENSITY_MINIMUM] if real else \
+            [NodeKind.DENSITY_MINIMUM]
+        gaps = []
+        for kind in kinds:
+            traj = track_trajectory(UNIT, state, kind, 0.0, 1.5 * T, 61)
+            for arr in (traj.times, traj.positions):
+                assert arr.dtype == np.float64 and arr.shape == (61,)
+            absent = [s.position is None for s in traj.samples]
+            assert np.array_equal(np.isnan(traj.positions), absent)
+            assert [s.t for s in traj.samples] == traj.times.tolist()
+            for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
+                if kind is NodeKind.REAL_PART_ZERO:
+                    want = find_real_part_zeros(UNIT, state, t)
+                else:
+                    want = [pos for pos, _ in find_density_minima(UNIT, state, t)[:1]]
+                assert want == ([] if math.isnan(x) else [x]), (kind, t)
+            gaps += absent
+        assert 0 < sum(gaps) < len(gaps)  # both NaN and finite positions occur
+
     def test_times_helper(self):
         traj = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 5)
-        ts = traj.times()
+        ts = traj.times
         assert ts[0] == 0.0
         assert ts[-1] == pytest.approx(T, rel=1e-15)

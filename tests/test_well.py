@@ -197,8 +197,31 @@ class TestDensity:
         assert grid[3, 2] == pytest.approx(
             density_exact(UNIT, EQUAL_MIX, float(xs[3]), float(ts[2])), rel=1e-14)
 
+    @pytest.mark.parametrize("cfg", [UNIT, WellConfig(3.0, 0.2, 5.0)])
+    def test_time_column_matches_per_instant_calls(self, cfg):
+        # verify stacks its instants into one call and prints the errors, so
+        # a stacked call must give the bits of one call per instant
+        state = TwoStateSuperposition(0.3 - 0.8j, 1.1 + 0.2j)
+        xs = np.linspace(0.0, cfg.width_a, 256)
+        ts = np.linspace(0.0, 2.0 * beat_period(cfg), 13)
+        stacked = density_exact(cfg, state, xs, ts[:, None])
+        assert stacked.shape == (13, 256)
+        for row, t in zip(stacked, ts.tolist()):
+            assert np.array_equal(row, density_exact(cfg, state, xs, t))
+
 
 class TestNorm:
+    @pytest.mark.parametrize("cfg", [UNIT, WellConfig(3.0, 0.2, 5.0)])
+    def test_array_of_times_matches_per_instant_calls(self, cfg):
+        state = TwoStateSuperposition(0.3 - 0.8j, 1.1 + 0.2j)
+        ts = np.linspace(0.0, beat_period(cfg), 10)
+        per_instant = [norm_integral(cfg, state, t) for t in ts.tolist()]
+        assert all(type(v) is float for v in per_instant)
+        batch = norm_integral(cfg, state, ts)
+        assert batch.shape == (10,) and batch.tolist() == per_instant
+        assert norm_integral(cfg, state, ts.reshape(2, 5)).ravel().tolist() == per_instant
+        assert type(norm_integral(cfg, state, ts[3])) is float
+
     def test_unnormalized_state(self):
         state = TwoStateSuperposition(3.0, 4.0)
         assert norm_integral(UNIT, state) == pytest.approx(25.0, abs=1e-6)
