@@ -105,8 +105,7 @@ def _heatmap(args: argparse.Namespace) -> int:
 
 
 def _verify(args: argparse.Namespace) -> int:
-    results = run_verification(_well(args), seed=args.seed,
-                               time_samples=args.time_samples)
+    results = run_verification(_well(args), seed=args.seed)
     for result in results:
         print(result.format_line())
     failed = [r for r in results if not r.passed]
@@ -189,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_well_args(p)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized checks (default 0)")
-    p.add_argument("--time-samples", type=int, default=256)
     p.set_defaults(handler=_verify)
 
     return parser

@@ -11,15 +11,15 @@ are implemented and can be compared:
 
 Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
 |Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
-closed form and map back through x = (a/pi) arccos(v). Trajectories and
-zero-time scans solve all of their instants in one vectorised numpy pass (the
-density cubics of all instants as one stacked eigenvalue problem); the
-single-instant finders run the same code on one instant. The grid_n
-arguments of track_trajectory and exact_zero_times are validated but have no
-effect on results.
+closed form and map back through x = (a/pi) arccos(v). Trajectories solve
+all of their instants in one vectorised numpy pass (the density cubics of all
+instants as one stacked eigenvalue problem); the single-instant finders run
+the same code on one instant. The grid_n arguments of track_trajectory and
+exact_zero_times are validated but have no effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
-exist only at instants with sin(dw t) = 0; exact_zero_times lists them.
+need c1 + 2 c2 v e^{-i dw t} = 0, so they exist only where sin(dw t) = 0, and
+only for 0 < |A| < 1 or c1 = 0; exact_zero_times lists them by that formula.
 """
 from __future__ import annotations
 
@@ -53,10 +53,6 @@ __all__ = [
 # fraction of |c| that the imaginary part may reach before a coefficient
 # stops counting as real
 _REAL_TOL = 1e-14
-
-# exact_zero_times counts a sampled instant as a zero when its deepest
-# interior density minimum is at most this fraction of the highest maximum
-_ZERO_DEPTH_RATIO = 1e-10
 
 
 class NodeKind(str, Enum):
@@ -147,7 +143,7 @@ def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> 
 
 
 def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
-                     ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interior extrema of |Psi|^2 at every time in ts, in the variable v = cos(pi x / a).
 
     |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
@@ -155,8 +151,8 @@ def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
     gamma depends on t. The extrema are the real roots in (-1, 1) of the cubic
     f'(v), found for all instants at once as the eigenvalues of stacked 3x3
     companion matrices (what np.roots does for one polynomial), and split by
-    the sign of f''. Returns (v, curvature, f) of shape (len(ts), 3): roots
-    sorted ascending with NaN in place of rejected ones, f''(v) and f(v).
+    the sign of f''. Returns (v, curvature) of shape (len(ts), 3): roots
+    sorted ascending with NaN in place of rejected ones, and f''(v).
     Since x -> v is strictly monotone inside the well, extrema in v are
     extrema in x.
     """
@@ -165,7 +161,7 @@ def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
         # pure psi_1: f = alpha (1 - v^2) has one extremum, a maximum at v = 0
         v = np.full((ts.size, 3), np.nan)
         v[:, 0] = 0.0
-        return v, 0.0 * v - 2.0 * alpha, alpha * (1.0 - v * v)
+        return v, 0.0 * v - 2.0 * alpha
     cross = state.c1 * state.c2.conjugate()
     phase = delta_omega(cfg) * ts
     gamma = (4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase)))[:, None]
@@ -183,8 +179,7 @@ def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
     drop = np.pad(close, ((0, 0), (0, 1))) | np.pad(close, ((0, 0), (1, 0)))
     v[drop | ~((v > -1.0) & (v < 1.0))] = np.nan
     curvature = (d0 * 3.0 * v + d1 * 2.0) * v + d2
-    f = (((-beta * v - gamma) * v + (beta - alpha)) * v + gamma) * v + alpha
-    return v, curvature, f
+    return v, curvature
 
 
 def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | None:
@@ -224,7 +219,7 @@ def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
     x = (a/pi) arccos(v); complex coefficients are allowed. The walls, where
     the density always vanishes, are never reported.
     """
-    v, curvature, _ = _density_extrema(cfg, state, _instant(t))
+    v, curvature = _density_extrema(cfg, state, _instant(t))
     xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]).tolist())
     return [(x, float(density_exact(cfg, state, x, float(t)))) for x in xs]
 
@@ -233,15 +228,12 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
                      grid_n: int = 1024, samples_per_period: int = 512) -> list[float]:
     """Times in [0, period_count * T] at which |Psi|^2 has a genuine interior zero.
 
-    The coefficients must be real. A sampled time (samples_per_period per
-    beat period) qualifies when the deepest interior density minimum is at
-    most a fixed 1e-10 of the highest interior maximum; this is how the
-    permanent node of pure psi_2 shows up at every sample. All samples are
-    solved in one vectorised pass. For 0 < |A| < 1, A = c1/(2 c2), the zeros
-    at t = k T/2 are added exactly, so they are found whatever the sampling.
-    For |A| >= 1 the list is empty: at |A| = 1 the zero touches a wall, which
-    is not an interior zero. grid_n is validated but no longer affects the
-    result.
+    The coefficients must be real. A zero needs c1 + 2 c2 v e^{-i dw t} = 0
+    with v = cos(pi x / a) in (-1, 1). For c1 = 0 (pure psi_2) the node at a/2
+    is permanent, and the samples_per_period instants per period are returned.
+    For 0 < |A| < 1, A = c1 / (2 c2), the zeros are the instants k T/2, where
+    sin(dw t) = 0. Otherwise the list is empty: at |A| = 1 the zero touches a
+    wall, which is not interior. grid_n is validated but has no effect.
     """
     c1, c2 = _require_real(state)
     if period_count < 1:
@@ -249,21 +241,12 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     if grid_n < 16 or samples_per_period < 16:
         raise ValueError("scan resolution too small")
     T = beat_period(cfg)
-
-    ts = np.linspace(0.0, period_count * T, period_count * samples_per_period + 1)
-    _, curvature, f = _density_extrema(cfg, state, ts)
-    deepest = np.fmin.reduce(np.where(curvature > 0.0, f, np.nan), axis=1)
-    highest = np.fmax.reduce(np.where(curvature < 0.0, f, np.nan), axis=1)
-    times = ts[deepest <= _ZERO_DEPTH_RATIO * highest].tolist()
-    if c1 != 0.0 and abs(c1) < 2.0 * abs(c2):
-        times.extend(k * 0.5 * T for k in range(2 * period_count + 1))
-    times.sort()
-
-    deduped: list[float] = []
-    for t in times:
-        if not deduped or t - deduped[-1] > 1e-9 * T:
-            deduped.append(t)
-    return deduped
+    if c1 == 0.0:
+        return np.linspace(0.0, period_count * T,
+                           period_count * samples_per_period + 1).tolist()
+    if abs(c1) < 2.0 * abs(c2):
+        return [k * 0.5 * T for k in range(2 * period_count + 1)]
+    return []
 
 
 def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
@@ -304,7 +287,7 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
             v = _real_part_zero_v(cfg, *_require_real(state), ts)
         else:
             # the minimum nearest x = 0 (largest v), as find_density_minima(...)[0]
-            vs, curvature, _ = _density_extrema(cfg, state, ts)
+            vs, curvature = _density_extrema(cfg, state, ts)
             v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
 
     return NodeTrajectory(times=ts, positions=_positions(cfg, v), config=cfg,

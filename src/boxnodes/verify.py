@@ -67,15 +67,8 @@ def _random_complex_state(rng: np.random.Generator) -> TwoStateSuperposition:
     return normalize(TwoStateSuperposition(c[0], c[1]))
 
 
-def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
-                     tolerances: dict[str, float] | None = None) -> list[CheckResult]:
-    """Run every invariant check and return one result per check.
-
-    tolerances overrides the default tolerance of individual checks by name;
-    this exists so tests can prove a failing check actually fails.
-    """
-    if time_samples < 1:
-        raise ValueError(f"time_samples must be at least 1, got {time_samples!r}")
+def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
+    """Run every invariant check and return one result per check."""
     rng = np.random.default_rng(seed)
     a = cfg.width_a
     T = beat_period(cfg)
@@ -86,8 +79,6 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
     results: list[CheckResult] = []
 
     def add(name: str, detail: str, error: float, tol: float) -> None:
-        if tolerances and name in tolerances:
-            tol = tolerances[name]
         results.append(CheckResult(name=name, detail=detail, error=float(error), tol=tol))
 
     # beat frequency against the closed form
@@ -164,12 +155,9 @@ def run_verification(cfg: WellConfig, seed: int = 0, time_samples: int = 256,
         state = TwoStateSuperposition(2.0 * A, 1.0)
         return track_trajectory(cfg, state, NodeKind.ANALYTIC, t_start, t_end, n).positions
 
-    # a track has at least two instants; the first of linspace(0, T, 2) is
-    # the single instant of linspace(0, T, 1)
-    n = max(time_samples, 2)
-    x_t = analytic_track(0.5, 0.0, T, n)[:time_samples]
-    x_tT = analytic_track(0.5, T, 2.0 * T, n)[:time_samples]
-    x_half = analytic_track(0.5, 0.5 * T, 1.5 * T, n)[:time_samples]
+    x_t = analytic_track(0.5, 0.0, T, 256)
+    x_tT = analytic_track(0.5, T, 2.0 * T, 256)
+    x_half = analytic_track(0.5, 0.5 * T, 1.5 * T, 256)
     add("trajectory-periodicity", "x(t+T) vs x(t) at A = 0.5",
         float(np.max(np.abs(x_tT - x_t))), 1e-12 * a)
     add("trajectory-reflection", "x(t) + x(t+T/2) vs a at A = 0.5",

@@ -46,10 +46,7 @@ class WellConfig:
                              ("hbar", self.hbar)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{label} must be positive and finite, got {value!r}")
-        try:
-            dw = delta_omega(self)
-        except OverflowError:  # E_n = (n pi hbar / a)^2 / 2m exceeds the float range
-            dw = math.inf
+        dw = delta_omega(self)
         if not (dw > 0.0 and math.isfinite(dw)):
             raise ValueError(
                 f"beat frequency delta_omega = {dw!r} is not positive and finite for "
@@ -120,19 +117,23 @@ def eigenfunction(cfg: WellConfig, n: int, x):
 
 
 def energy(cfg: WellConfig, n: int) -> float:
-    """E_n = n^2 pi^2 hbar^2 / (2 m a^2)."""
-    n = _check_index(n)
-    return (n * math.pi * cfg.hbar / cfg.width_a) ** 2 / (2.0 * cfg.mass_m)
+    """E_n = n^2 pi^2 hbar^2 / (2 m a^2), computed as hbar omega_n."""
+    return cfg.hbar * omega(cfg, n)
 
 
 def omega(cfg: WellConfig, n: int) -> float:
-    """Angular frequency E_n / hbar of the n-th stationary phase."""
-    return energy(cfg, n) / cfg.hbar
+    """Angular frequency E_n / hbar = n^2 delta_omega / 3 of the n-th phase."""
+    n = _check_index(n)
+    return n * n * delta_omega(cfg) / 3.0
 
 
 def delta_omega(cfg: WellConfig) -> float:
-    """Beat frequency omega_2 - omega_1 = 3 pi^2 hbar / (2 m a^2)."""
-    return omega(cfg, 2) - omega(cfg, 1)
+    """Beat frequency omega_2 - omega_1 = 3 pi^2 hbar / (2 m a^2).
+
+    Evaluated as 1.5 pi (pi hbar / a) / (m a), with no square, so it stays
+    accurate wherever the result is a normal float.
+    """
+    return 1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a) / (cfg.mass_m * cfg.width_a)
 
 
 def beat_period(cfg: WellConfig) -> float:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from boxnodes import cli
+from boxnodes import verify as verify_module
 from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
     time_avg_node_position
 from boxnodes.cli import main
@@ -184,11 +184,15 @@ class TestVerifyCommand:
         ["--a", "1e-3", "--mass", "1e3"],
         ["--a", "1e15"],
         ["--a", "1e-15"],
+        ["--hbar", "1e300"],
+        ["--hbar", "1e-300"],
+        ["--hbar", "1e-160"],
     ])
     def test_tolerances_scale_with_the_well(self, flags):
         # density tolerances scale as 1/a, delta_omega is compared
         # relatively and the fit runs on amplitudes scaled by a power of two,
-        # so small, large or stiff wells pass like the unit well
+        # so small, large or stiff wells pass like the unit well; delta_omega
+        # squares nothing, so it keeps full precision at extreme hbar
         assert run_cli(["verify", *flags]) == 0
 
     @pytest.mark.parametrize("command,flag", [
@@ -199,10 +203,12 @@ class TestVerifyCommand:
         ("amplitude-sweep", "--time-samples"),
         ("trajectory", "--grid"),
         ("verify", "--grid"),
+        ("verify", "--time-samples"),
     ])
     def test_options_without_effect_are_rejected(self, command, flag, tmp_path, capsys):
-        # only verify draws random numbers; the amplitude is exact, and the
-        # node finders are closed form, with no grid
+        # only verify draws random numbers; the amplitude is exact, the node
+        # finders are closed form, with no grid, and verify's sample counts
+        # are fixed
         argv = [command, flag, 256]
         if command != "verify":
             argv += ["--out", tmp_path / "x.csv"]
@@ -217,13 +223,13 @@ class TestVerifyCommand:
         assert captured.err == ""
 
     def test_tampered_tolerance_fails(self, monkeypatch, capsys):
-        real = cli.run_verification
+        # a closed-form density off by 1e-9 must fail its 1e-12 check
+        real = verify_module.density_closed_form
 
-        def tampered(cfg, **kwargs):
-            kwargs["tolerances"] = {"closed-form-equivalence": -1.0}
-            return real(cfg, **kwargs)
+        def tampered(*args):
+            return real(*args) + 1e-9
 
-        monkeypatch.setattr(cli, "run_verification", tampered)
+        monkeypatch.setattr(verify_module, "density_closed_form", tampered)
         assert run_cli(["verify"]) == 1
         assert "FAIL closed-form-equivalence" in capsys.readouterr().out
 
@@ -231,14 +237,18 @@ class TestVerifyCommand:
 # Edge argv for every subcommand, with a word the error must contain. The
 # test adds --out with a file path where a line gives none and puts an
 # existing directory for DIR, an I/O failure (3); the rest are bad input (2).
-_WELL_EDGES = [("--a inf", "width"), ("--a 1e-200", "delta_omega"),
-               ("--a 1e-300", "delta_omega"), ("--mass nan", "mass"),
-               ("--mass=-inf", "mass"), ("--hbar 1e300", "delta_omega"),
-               ("--hbar 1e-300", "delta_omega")]
+# The last two rows keep the ids of the --hbar 1e300 and 1e-300 wells they
+# replace, which are valid since delta_omega squares nothing; with these
+# masses delta_omega overflows to inf and underflows to 0.
+_WELL_EDGES = [("--a inf", "width", None), ("--a 1e-200", "delta_omega", None),
+               ("--a 1e-300", "delta_omega", None), ("--mass nan", "mass", None),
+               ("--mass=-inf", "mass", None),
+               ("--hbar 1e308 --mass 1e-10", "delta_omega", "--hbar 1e300"),
+               ("--hbar 1e-300 --mass 1e30", "delta_omega", "--hbar 1e-300")]
 _OUT_COMMANDS = ("trajectory", "amplitude-sweep", "avg-position", "heatmap")
 _EDGE_ARGV = [
-    *((f"{cmd} {flags}", named) for cmd in (*_OUT_COMMANDS, "verify")
-      for flags, named in _WELL_EDGES),
+    *(pytest.param(f"{cmd} {flags}", named, id=f"{cmd} {id_flags or flags}-{named}")
+      for cmd in (*_OUT_COMMANDS, "verify") for flags, named, id_flags in _WELL_EDGES),
     ("trajectory --c1 inf", "c1"),
     ("trajectory --c2 nan", "c2"),
     ("trajectory --c1 0 --c2 0", "zero state"),
@@ -269,8 +279,11 @@ _EDGE_ARGV = [
     ("heatmap --grid 4", "8 points"),
     ("heatmap --mix-count 4", "8 points"),
     ("heatmap --time-samples 1", "time samples"),
-    ("verify --time-samples 0", "time_samples"),
-    ("verify --time-samples -1", "time_samples"),
+    # the two --time-samples rows keep the ids they had when the flag existed
+    pytest.param("verify --time-samples 0", "unrecognized",
+                 id="verify --time-samples 0-time_samples"),
+    pytest.param("verify --time-samples -1", "unrecognized",
+                 id="verify --time-samples -1-time_samples"),
     pytest.param("verify --grid 8", "unrecognized", id="verify --grid 8-grid_n"),
     ("verify --seed -1", "non-negative"),
     ("verify --a 1.5e154", "2T"),
@@ -306,7 +319,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, named", [
         (["--a", "inf"], "width"),
         (["--mass", "inf"], "mass"),
-        (["--hbar", "1e-300"], "hbar"),
+        (["--hbar", "1e-300", "--mass", "1e30"], "hbar"),
         (["--c1", "nan"], "c1"),
     ])
     def test_nonfinite_input_is_usage_error(self, tmp_path, capsys, flags, named):

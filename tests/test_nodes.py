@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxnodes.nodes import (
@@ -17,6 +17,7 @@ from boxnodes.nodes import (
     ratio_from_state,
     track_trajectory,
 )
+from boxnodes.verify import run_verification
 from boxnodes.well import (
     TwoStateSuperposition,
     WellConfig,
@@ -242,12 +243,21 @@ class TestExactZeroTimes:
         assert found[-1] == pytest.approx(2.0 * T, abs=1e-9)
 
     def test_dip_between_samples_is_refined(self):
-        # an odd sample count puts T/2 exactly midway between two samples,
-        # forcing the golden-section refinement path to recover it
+        # an odd sample count puts T/2 exactly midway between two samples;
+        # the zeros come from the formula, so no sample is needed there
         found = exact_zero_times(UNIT, EQUAL_MIX, period_count=1,
                                  samples_per_period=511)
         assert len(found) == 3
         assert found[1] == pytest.approx(0.5 * T, abs=1e-9)
+
+    @pytest.mark.parametrize("c1", [1e-300, 1e-8, 1e-5, 1e-4])
+    @pytest.mark.parametrize("kwargs", [{}, {"samples_per_period": 64}],
+                             ids=["default", "64-samples"])
+    def test_small_ratio_has_only_the_half_period_zeros(self, c1, kwargs):
+        # near pure psi_2 the density is almost zero at a/2 at every instant,
+        # but it vanishes only where sin(dw t) = 0
+        found = exact_zero_times(UNIT, TwoStateSuperposition(c1, 1.0), **kwargs)
+        assert found == [0.0, 0.5 * T, T]
 
     def test_zero_positions_follow_formula(self):
         # at sin(dw t) = 0 the zero sits at (a/pi) arccos(-+A)
@@ -378,6 +388,28 @@ class TestOneEngine:
         found = exact_zero_times(UNIT, TwoStateSuperposition(0.0, 1.0), period_count=2)
         assert len(found) == 2 * 512 + 1
         assert found[-1] == pytest.approx(2.0 * T, abs=1e-12)
+
+
+class TestScaleFree:
+    """The physics depends on (a, m, hbar) only through a and dw, so every
+    well whose dw and 2T are normal floats behaves like the unit well."""
+
+    @given(st.floats(min_value=-100.0, max_value=100.0),
+           st.floats(min_value=-100.0, max_value=100.0),
+           st.floats(min_value=-100.0, max_value=100.0))
+    @settings(max_examples=25, deadline=None)
+    def test_well_range(self, log_a, log_m, log_hbar):
+        log_dw = math.log10(1.5 * math.pi**2) + log_hbar - log_m - 2.0 * log_a
+        assume(-300.0 < log_dw < 300.0)
+        assume(-300.0 < math.log10(4.0 * math.pi) - log_dw < 300.0)
+        cfg = WellConfig(width_a=10.0**log_a, mass_m=10.0**log_m, hbar=10.0**log_hbar)
+        failed = [r.format_line() for r in run_verification(cfg) if not r.passed]
+        assert failed == []
+        state = TwoStateSuperposition(0.6, 0.8)
+        for kind in (NodeKind.ANALYTIC, NodeKind.DENSITY_MINIMUM):
+            scaled = track_trajectory(cfg, state, kind, 0.0, beat_period(cfg), 64)
+            unit = track_trajectory(UNIT, state, kind, 0.0, T, 64)
+            assert np.max(np.abs(scaled.positions / cfg.width_a - unit.positions)) <= 1e-12
 
 
 class TestTrackTrajectory:
