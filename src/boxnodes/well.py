@@ -130,10 +130,13 @@ def omega(cfg: WellConfig, n: int) -> float:
 def delta_omega(cfg: WellConfig) -> float:
     """Beat frequency omega_2 - omega_1 = 3 pi^2 hbar / (2 m a^2).
 
-    Evaluated as 1.5 pi (pi hbar / a) / (m a), with no square, so it stays
-    accurate wherever the result is a normal float.
+    Evaluated as 1.5 pi (pi hbar / a) / m / a, with no square and only
+    divisions by positive finite floats, so it never raises: a step that
+    leaves the float range gives 0 or inf, which WellConfig rejects. The
+    result is accurate while every intermediate stays a normal float, as it
+    does for |log10 a|, |log10 m|, |log10 hbar| <= 100 (tests/test_nodes.py).
     """
-    return 1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a) / (cfg.mass_m * cfg.width_a)
+    return 1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a) / cfg.mass_m / cfg.width_a
 
 
 def beat_period(cfg: WellConfig) -> float:

@@ -244,7 +244,8 @@ _WELL_EDGES = [("--a inf", "width", None), ("--a 1e-200", "delta_omega", None),
                ("--a 1e-300", "delta_omega", None), ("--mass nan", "mass", None),
                ("--mass=-inf", "mass", None),
                ("--hbar 1e308 --mass 1e-10", "delta_omega", "--hbar 1e300"),
-               ("--hbar 1e-300 --mass 1e30", "delta_omega", "--hbar 1e-300")]
+               ("--hbar 1e-300 --mass 1e30", "delta_omega", "--hbar 1e-300"),
+               ("--a 1e-170 --mass 1e-170", "delta_omega", None)]
 _OUT_COMMANDS = ("trajectory", "amplitude-sweep", "avg-position", "heatmap")
 _EDGE_ARGV = [
     *(pytest.param(f"{cmd} {flags}", named, id=f"{cmd} {id_flags or flags}-{named}")
