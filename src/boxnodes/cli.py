@@ -9,6 +9,7 @@ arguments or state, 3 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -43,7 +44,13 @@ def _out(args: argparse.Namespace) -> OutputSpec:
 def _trajectory(args: argparse.Namespace) -> int:
     well, out = _well(args), _out(args)
     state = TwoStateSuperposition(args.c1, args.c2)
-    t_end = args.t_start + beat_period(well) if args.t_end is None else args.t_end
+    t_end = args.t_end
+    if t_end is None:
+        T = beat_period(well)
+        if not math.isfinite(T):
+            raise ValueError(f"the beat period T = {T!r} is not finite for a={well.width_a!r}, "
+                             f"m={well.mass_m!r}, hbar={well.hbar!r}; pass --t-end")
+        t_end = args.t_start + T
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples)
     positions = traj.positions.tolist()
@@ -193,10 +200,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on its first call, reused after that.
+
+    Building it costs about as much as a small job, and parse_args keeps no
+    state between calls, so one parser serves every call in a process.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:

@@ -168,16 +168,21 @@ def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
     # f' = d0 v^3 + d1 v^2 + d2 v + d3, with the coefficients of np.polyder(f)
     d0, d1, d2, d3 = -beta * 4.0, -gamma * 3.0, (beta - alpha) * 2.0, gamma
     companion = np.zeros((ts.size, 3, 3))
-    companion[:, 0] = -np.hstack((d1, np.full_like(d1, d2), d3)) / d0
+    companion[:, 0, 0] = -d1[:, 0] / d0
+    companion[:, 0, 1] = -d2 / d0
+    companion[:, 0, 2] = -d3[:, 0] / d0
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     roots = np.linalg.eigvals(companion)
-    v = np.sort(np.where(roots.imag == 0.0, roots.real, np.nan), axis=1)
+    v = np.where(roots.imag == 0.0, roots.real, np.nan)
+    v.sort(axis=1)
     # A double root of f' (an inflection of f, e.g. a zero of |Psi|^2 that
     # reaches a wall) comes out as two real roots ~1e-8 apart or as a complex
     # pair; either way it is not an extremum.
     close = np.diff(v, axis=1) < 1e-6
-    drop = np.pad(close, ((0, 0), (0, 1))) | np.pad(close, ((0, 0), (1, 0)))
-    v[drop | ~((v > -1.0) & (v < 1.0))] = np.nan
+    drop = ~((v > -1.0) & (v < 1.0))
+    drop[:, 1:] |= close
+    drop[:, :-1] |= close
+    v[drop] = np.nan
     curvature = (d0 * 3.0 * v + d1 * 2.0) * v + d2
     return v, curvature
 

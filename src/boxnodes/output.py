@@ -55,13 +55,15 @@ def write_columns(spec: OutputSpec, columns: dict[str, list],
     files instead.
     """
     names = list(columns)
-    rows = zip(*columns.values(), strict=True)
     if spec.format == "json":
+        rows = zip(*columns.values(), strict=True)
         _dump_json(spec.path, [dict(zip(names, row)) for row in rows])
         return
-    lines = [",".join(names)]
-    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
-    lines.extend(trailer_comments or ())
+    # format by column: only a column holding None needs the per-cell test
+    cells = [["" if v is None else str(v) for v in col] if None in col else list(map(str, col))
+             for col in columns.values()]
+    lines = [",".join(names), *map(",".join, zip(*cells, strict=True)),
+             *(trailer_comments or ())]
     spec.path.parent.mkdir(parents=True, exist_ok=True)
     spec.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

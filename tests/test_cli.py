@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from boxnodes import cli
 from boxnodes import verify as verify_module
 from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
     time_avg_node_position
-from boxnodes.cli import main
+from boxnodes.cli import build_parser, main
 from boxnodes.nodes import track_trajectory
 from boxnodes.output import OutputSpec, write_columns
 from boxnodes.well import TwoStateSuperposition, WellConfig, beat_period
@@ -263,6 +264,8 @@ _EDGE_ARGV = [
     ("trajectory --t-end nan", "t_end"),
     ("trajectory --t-start inf", "t_end"),
     ("trajectory --t-start 1e308", "t_end"),
+    # dw = 1.5e-309 is subnormal, so the default window of one beat period is inf
+    ("trajectory --a 1e155", "beat period"),
     ("trajectory --time-samples 1", "samples"),
     # the two --grid rows keep the ids they had when the flag existed and
     # its minimum was checked as grid_n
@@ -370,6 +373,20 @@ class TestOutputSpec:
         write_columns(spec, {"v": [1.0]})
         assert (tmp_path / "deep" / "nested" / "f.csv").exists()
 
+    def test_exact_csv_bytes(self, tmp_path):
+        spec = OutputSpec(tmp_path / "e.csv", "csv")
+        write_columns(spec, {"x": [0.0, -0.0, 1e-05, 1e16, math.inf, math.nan, None],
+                             "k": ["a"] * 7}, trailer_comments=["# note k=1"])
+        assert spec.path.read_bytes() == (b"x,k\n0.0,a\n-0.0,a\n1e-05,a\n1e+16,a\n"
+                                          b"inf,a\nnan,a\n,a\n# note k=1\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_rejected(self, tmp_path, fmt):
+        spec = OutputSpec(tmp_path / f"u.{fmt}", fmt)
+        with pytest.raises(ValueError):
+            write_columns(spec, {"x": [1.0, 2.0], "y": [1.0]})
+        assert not spec.path.exists()
+
 
 def _assert_table(path, fmt, header, rows, trailer=()):
     """The file holds rows in the documented format: repr per float cell
@@ -454,3 +471,33 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.fit.json").read_bytes() == \
             (tmp_path / "b.fit.json").read_bytes()
+
+
+class TestSharedParser:
+    """main parses every call with one parser, which must carry nothing over."""
+
+    def test_main_builds_the_parser_once(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for name in ("a.csv", "b.csv"):
+            assert run_cli(["trajectory", "--time-samples", 4, "--out", tmp_path / name]) == 0
+        assert len(built) <= 1
+
+    def test_no_state_between_calls(self, tmp_path, capsys):
+        assert build_parser() is not build_parser()
+        assert run_cli(["trajectory", "--kind", "repart", "--c1", 0.6, "--c2", 0.8,
+                        "--out", tmp_path / "r.csv"]) == 0
+        assert run_cli(["trajectory", "--bogus", 1, "--out", tmp_path / "b.csv"]) == 2
+        assert run_cli(["verify"]) == 0
+        shared, fresh = tmp_path / "shared.csv", tmp_path / "fresh.csv"
+        assert run_cli(["trajectory", "--out", shared]) == 0
+        _, rows, _ = read_csv(shared)
+        assert {row[2] for row in rows} == {"analytic-formula"}
+        args = build_parser().parse_args(["trajectory", "--out", str(fresh)])
+        assert args.handler(args) == 0
+        assert shared.read_bytes() == fresh.read_bytes()
