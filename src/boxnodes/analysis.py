@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .well import TwoStateSuperposition, WellConfig, eigenfunction, _ret
+from .well import TwoStateSuperposition, WellConfig, _modes, _ret
 
 __all__ = [
     "SweepSpec",
@@ -178,8 +178,7 @@ def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x):
     The interference term oscillates at dw and averages to zero, which leaves
     |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2.
     """
-    p1 = np.asarray(eigenfunction(cfg, 1, x))
-    p2 = np.asarray(eigenfunction(cfg, 2, x))
+    p1, p2 = _modes(cfg, x)
     return _ret(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2)
 
 
@@ -194,7 +193,6 @@ def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
         raise ValueError("heatmap grid needs at least 8 points per axis")
     xs = np.linspace(0.0, cfg.width_a, x_count)
     thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
-    p1 = np.asarray(eigenfunction(cfg, 1, xs))
-    p2 = np.asarray(eigenfunction(cfg, 2, xs))
+    p1, p2 = _modes(cfg, xs)
     values = np.outer(np.cos(thetas) ** 2, p1**2) + np.outer(np.sin(thetas) ** 2, p2**2)
     return HeatmapGrid(x_values=xs, mix_values=thetas, values=values)

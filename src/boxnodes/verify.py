@@ -81,11 +81,16 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     def add(name: str, detail: str, error: float, tol: float) -> None:
         results.append(CheckResult(name=name, detail=detail, error=float(error), tol=tol))
 
-    # beat frequency against the closed form
+    # beat frequency against the closed form, in exact rationals rounded
+    # once, so no intermediate such as a^2 can leave the float range;
+    # imported here because fractions (with decimal) adds about 4 ms to
+    # every import of the package, and only verify needs it
+    from fractions import Fraction
     try:
-        expected_dw = 3.0 * math.pi**2 * cfg.hbar / (2.0 * cfg.mass_m * a**2)
+        expected_dw = float(Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(cfg.hbar)
+                            / (Fraction(cfg.mass_m) * Fraction(a) ** 2))
         dw_err = abs(dw - expected_dw) / expected_dw
-    except (OverflowError, ZeroDivisionError):  # the reference leaves the float range
+    except OverflowError:  # the exact value rounds past the largest float
         dw_err = math.inf
     add("delta-omega-formula",
         f"delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2), relative", dw_err, 1e-12)

@@ -42,8 +42,12 @@ class WellConfig:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        for label, value in (("well width a", self.width_a), ("mass m", self.mass_m),
-                             ("hbar", self.hbar)):
+        for field, label in (("width_a", "well width a"), ("mass_m", "mass m"),
+                             ("hbar", "hbar")):
+            # a plain float, so delta_omega below runs in Python floats and a
+            # numpy scalar cannot raise an overflow warning before the check
+            value = float(getattr(self, field))
+            object.__setattr__(self, field, value)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{label} must be positive and finite, got {value!r}")
         dw = delta_omega(self)
@@ -90,10 +94,31 @@ def _check_index(n: int) -> int:
     return int(n)
 
 
-def _check_position(cfg: WellConfig, x) -> None:
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > cfg.width_a):
+def _check_position(cfg: WellConfig, x) -> np.ndarray:
+    """x as a float array, once it is known to lie in [0, a]."""
+    xs = np.asarray(x, dtype=float)
+    # count_nonzero takes half the time of .any() on the small arrays the
+    # kernels see; NaN compares false, so it passes as before
+    if np.count_nonzero(xs < 0.0) or np.count_nonzero(xs > cfg.width_a):
         raise ValueError(f"position outside the well [0, {cfg.width_a}]")
+    return xs
+
+
+def _walls(cfg: WellConfig, xs: np.ndarray) -> np.ndarray:
+    return (xs == 0.0) | (xs == cfg.width_a)
+
+
+def _mode(cfg: WellConfig, n: int, xs: np.ndarray, walls: np.ndarray) -> np.ndarray:
+    """sqrt(2/a) sin(n pi x / a) on checked positions, exactly 0.0 on the walls."""
+    a = cfg.width_a
+    return np.where(walls, 0.0, math.sqrt(2.0 / a) * np.sin(n * math.pi * xs / a))
+
+
+def _modes(cfg: WellConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """psi_1 and psi_2 at x, with one position check and one wall mask."""
+    xs = _check_position(cfg, x)
+    walls = _walls(cfg, xs)
+    return _mode(cfg, 1, xs, walls), _mode(cfg, 2, xs, walls)
 
 
 def _ret(values):
@@ -109,11 +134,8 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     exactly 0.0, not a rounded sin(n pi).
     """
     n = _check_index(n)
-    _check_position(cfg, x)
-    a = cfg.width_a
-    xs = np.asarray(x, dtype=float)
-    raw = math.sqrt(2.0 / a) * np.sin(n * math.pi * xs / a)
-    return _ret(np.where((xs == 0.0) | (xs == a), 0.0, raw))
+    xs = _check_position(cfg, x)
+    return _ret(_mode(cfg, n, xs, _walls(cfg, xs)))
 
 
 def energy(cfg: WellConfig, n: int) -> float:
@@ -150,8 +172,9 @@ def evaluate_psi(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     x and t may be scalars or broadcastable arrays.
     """
     ts = np.asarray(t, dtype=float)
-    out = state.c1 * eigenfunction(cfg, 1, x) * np.exp(-1j * omega(cfg, 1) * ts)
-    out = out + state.c2 * eigenfunction(cfg, 2, x) * np.exp(-1j * omega(cfg, 2) * ts)
+    p1, p2 = _modes(cfg, x)
+    out = state.c1 * p1 * np.exp(-1j * omega(cfg, 1) * ts)
+    out = out + state.c2 * p2 * np.exp(-1j * omega(cfg, 2) * ts)
     return _ret(out)
 
 
@@ -169,8 +192,7 @@ def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     Matches density_exact to near machine precision; the interference term
     carries the only time dependence, at the beat frequency dw.
     """
-    p1 = np.asarray(eigenfunction(cfg, 1, x))
-    p2 = np.asarray(eigenfunction(cfg, 2, x))
+    p1, p2 = _modes(cfg, x)
     cross = state.c1 * np.conj(state.c2)
     osc = np.real(cross * np.exp(1j * delta_omega(cfg) * np.asarray(t, dtype=float)))
     out = abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2 + 2.0 * p1 * p2 * osc

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxnodes.analysis import heatmap, time_avg_density
 from boxnodes.well import (
     TwoStateSuperposition,
     WellConfig,
@@ -52,6 +54,18 @@ class TestConfig:
         # each |c|^2 is finite, only their sum overflows
         with pytest.raises(ValueError, match="overflows"):
             TwoStateSuperposition(1e154, 1e154)
+
+    def test_numpy_scalars_stored_as_floats(self):
+        cfg = WellConfig(np.float64(2.0), np.float32(0.5), np.int64(3))
+        assert [type(v) for v in (cfg.width_a, cfg.mass_m, cfg.hbar)] == [float] * 3
+        assert cfg == WellConfig(2.0, 0.5, 3.0)
+
+    def test_numpy_scalar_well_raises_only_its_value_error(self):
+        # delta_omega overflows; in numpy float64 it also warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beat frequency"):
+                WellConfig(np.float64(1e-200), 1, 1)
 
 
 class TestEigenfunction:
@@ -257,3 +271,121 @@ class TestNorm:
         # the coefficient ratio is untouched by rescaling
         if abs(c2) > 1e-6:
             assert out.c1 / out.c2 == pytest.approx(c1 / c2, rel=1e-10)
+
+
+# The kernels as they were written before they shared one validated pair of
+# modes: each mode validated and evaluated on its own.
+def _scalar_or_array(values):
+    out = np.asarray(values)
+    return out.item() if out.ndim == 0 else out
+
+
+def _ref_eigenfunction(cfg, n, x):
+    a = cfg.width_a
+    xs = np.asarray(x, dtype=float)
+    raw = math.sqrt(2.0 / a) * np.sin(n * math.pi * xs / a)
+    return _scalar_or_array(np.where((xs == 0.0) | (xs == a), 0.0, raw))
+
+
+def _ref_evaluate_psi(cfg, state, x, t):
+    ts = np.asarray(t, dtype=float)
+    out = state.c1 * _ref_eigenfunction(cfg, 1, x) * np.exp(-1j * omega(cfg, 1) * ts)
+    out = out + state.c2 * _ref_eigenfunction(cfg, 2, x) * np.exp(-1j * omega(cfg, 2) * ts)
+    return _scalar_or_array(out)
+
+
+def _ref_density_exact(cfg, state, x, t):
+    psi = np.asarray(_ref_evaluate_psi(cfg, state, x, t))
+    return _scalar_or_array(psi.real**2 + psi.imag**2)
+
+
+def _ref_density_closed_form(cfg, state, x, t):
+    p1 = np.asarray(_ref_eigenfunction(cfg, 1, x))
+    p2 = np.asarray(_ref_eigenfunction(cfg, 2, x))
+    cross = state.c1 * np.conj(state.c2)
+    osc = np.real(cross * np.exp(1j * delta_omega(cfg) * np.asarray(t, dtype=float)))
+    return _scalar_or_array(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2
+                            + 2.0 * p1 * p2 * osc)
+
+
+def _ref_time_avg_density(cfg, state, x):
+    p1 = np.asarray(_ref_eigenfunction(cfg, 1, x))
+    p2 = np.asarray(_ref_eigenfunction(cfg, 2, x))
+    return _scalar_or_array(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2)
+
+
+def _ref_heatmap_values(cfg, x_count, mix_count):
+    xs = np.linspace(0.0, cfg.width_a, x_count)
+    thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
+    p1 = np.asarray(_ref_eigenfunction(cfg, 1, xs))
+    p2 = np.asarray(_ref_eigenfunction(cfg, 2, xs))
+    return np.outer(np.cos(thetas) ** 2, p1**2) + np.outer(np.sin(thetas) ** 2, p2**2)
+
+
+def _same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+KERNEL_WELLS = [UNIT, WellConfig(1.3, 0.7, 2.0)]
+KERNEL_STATE = TwoStateSuperposition(0.6 - 0.3j, -0.5 + 0.55j)
+
+
+def _kernel_positions(cfg):
+    a = cfg.width_a
+    rng = np.random.default_rng(11)
+    return [rng.uniform(0.0, a, 97), np.array([0.0, -0.0, a, math.nan, 0.5 * a]),
+            0.3 * a, -0.0, a, math.nan, np.asarray(0.7 * a), np.array([]),
+            np.linspace(0.0, a, 256)[:, None]]
+
+
+class TestKernelBits:
+    @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
+    def test_position_kernels_keep_their_bits(self, cfg):
+        ts = np.linspace(0.0, 2.0 * beat_period(cfg), 64)
+        for x in _kernel_positions(cfg):
+            # times along the other axis: (256, 1) x (1, 64), or (64, 1) x (n,)
+            t = ts[None, :] if np.ndim(x) == 2 else ts[:, None]
+            for n in (1, 2):
+                _same_bits(eigenfunction(cfg, n, x), _ref_eigenfunction(cfg, n, x))
+            _same_bits(time_avg_density(cfg, KERNEL_STATE, x),
+                       _ref_time_avg_density(cfg, KERNEL_STATE, x))
+            for tt in (0.37, t):
+                for got, want in ((evaluate_psi, _ref_evaluate_psi),
+                                  (density_exact, _ref_density_exact),
+                                  (density_closed_form, _ref_density_closed_form)):
+                    _same_bits(got(cfg, KERNEL_STATE, x, tt),
+                               want(cfg, KERNEL_STATE, x, tt))
+
+    @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
+    def test_heatmap_keeps_its_bits(self, cfg):
+        _same_bits(heatmap(cfg, 64, 64).values, _ref_heatmap_values(cfg, 64, 64))
+
+    def test_scalars_and_walls(self):
+        cfg = KERNEL_WELLS[1]
+        assert type(eigenfunction(cfg, 1, 0.4)) is float
+        assert type(time_avg_density(cfg, KERNEL_STATE, np.asarray(0.4))) is float
+        assert type(density_exact(cfg, KERNEL_STATE, 0.4, 0.1)) is float
+        assert type(evaluate_psi(cfg, KERNEL_STATE, 0.4, 0.1)) is complex
+        for n in (1, 2):
+            assert math.copysign(1.0, eigenfunction(cfg, n, -0.0)) == 1.0
+        assert not np.signbit(time_avg_density(cfg, KERNEL_STATE, -0.0))
+
+    @pytest.mark.parametrize("x", [-1e-300, np.nextafter(1.3, 2.0), [math.nan, -1.0],
+                                   np.array([[0.5], [1.4]])])
+    def test_every_kernel_rejects_the_same_position(self, x):
+        cfg = KERNEL_WELLS[1]
+        kernels = [lambda: eigenfunction(cfg, 1, x), lambda: eigenfunction(cfg, 2, x),
+                   lambda: evaluate_psi(cfg, KERNEL_STATE, x, 0.0),
+                   lambda: density_exact(cfg, KERNEL_STATE, x, 0.0),
+                   lambda: density_closed_form(cfg, KERNEL_STATE, x, 0.0),
+                   lambda: time_avg_density(cfg, KERNEL_STATE, x)]
+        for kernel in kernels:
+            with pytest.raises(ValueError, match=r"^position outside the well \[0, 1\.3\]$"):
+                kernel()
+
+    def test_index_is_checked_before_position(self):
+        with pytest.raises(ValueError, match="eigenstate index"):
+            eigenfunction(UNIT, 0, -1.0)
