@@ -1,80 +1,15 @@
 """Two-state superpositions in a 1D box and their oscillating quasi-nodes."""
 
-from .well import (
-    WellConfig,
-    TwoStateSuperposition,
-    eigenfunction,
-    energy,
-    omega,
-    delta_omega,
-    beat_period,
-    evaluate_psi,
-    density_exact,
-    density_closed_form,
-    norm_integral,
-    normalize,
-)
-from .nodes import (
-    NodeKind,
-    NodeSample,
-    NodeTrajectory,
-    ratio_from_state,
-    analytic_node_position,
-    find_real_part_zeros,
-    find_density_minima,
-    exact_zero_times,
-    track_trajectory,
-)
-from .analysis import (
-    SweepSpec,
-    AmplitudeSweep,
-    PowerLawFit,
-    HeatmapGrid,
-    oscillation_extrema,
-    oscillation_amplitude,
-    amplitude_sweep,
-    fit_power_law,
-    time_avg_node_position,
-    time_avg_density,
-    heatmap,
-)
-from .verify import CheckResult, run_verification
+from . import analysis, nodes, verify, well
+from .well import *
+from .nodes import *
+from .analysis import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "WellConfig",
-    "TwoStateSuperposition",
-    "eigenfunction",
-    "energy",
-    "omega",
-    "delta_omega",
-    "beat_period",
-    "evaluate_psi",
-    "density_exact",
-    "density_closed_form",
-    "norm_integral",
-    "normalize",
-    "NodeKind",
-    "NodeSample",
-    "NodeTrajectory",
-    "ratio_from_state",
-    "analytic_node_position",
-    "find_real_part_zeros",
-    "find_density_minima",
-    "exact_zero_times",
-    "track_trajectory",
-    "SweepSpec",
-    "AmplitudeSweep",
-    "PowerLawFit",
-    "HeatmapGrid",
-    "oscillation_extrema",
-    "oscillation_amplitude",
-    "amplitude_sweep",
-    "fit_power_law",
-    "time_avg_node_position",
-    "time_avg_density",
-    "heatmap",
-    "CheckResult",
-    "run_verification",
-]
+__all__ = []
+__all__ += well.__all__
+__all__ += nodes.__all__
+__all__ += analysis.__all__
+__all__ += verify.__all__

@@ -76,8 +76,6 @@ class NodeTrajectory:
 
     times: np.ndarray
     positions: np.ndarray
-    config: WellConfig
-    state: TwoStateSuperposition
     kind: NodeKind
     ratio: float | None
 
@@ -135,9 +133,10 @@ def _analytic_v(cfg: WellConfig, ratio: float, ts: np.ndarray) -> np.ndarray:
 def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> np.ndarray:
     """v = -c1 cos(w1 t) / (2 c2 cos(w2 t)) at every time in ts, NaN outside (-1, 1).
 
-    A zero denominator gives +-inf or NaN, which the range test rejects.
+    A zero denominator or an overflowing quotient gives +-inf or NaN, which
+    the range test rejects.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = -c1 * np.cos(omega(cfg, 1) * ts) / (2.0 * c2 * np.cos(omega(cfg, 2) * ts))
     return np.where((v > -1.0) & (v < 1.0), v, np.nan)
 
@@ -295,5 +294,4 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
             vs, curvature = _density_extrema(cfg, state, ts)
             v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
 
-    return NodeTrajectory(times=ts, positions=_positions(cfg, v), config=cfg,
-                          state=state, kind=kind, ratio=ratio)
+    return NodeTrajectory(times=ts, positions=_positions(cfg, v), kind=kind, ratio=ratio)

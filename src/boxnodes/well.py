@@ -152,13 +152,22 @@ def omega(cfg: WellConfig, n: int) -> float:
 def delta_omega(cfg: WellConfig) -> float:
     """Beat frequency omega_2 - omega_1 = 3 pi^2 hbar / (2 m a^2).
 
-    Evaluated as 1.5 pi (pi hbar / a) / m / a, with no square and only
-    divisions by positive finite floats, so it never raises: a step that
-    leaves the float range gives 0 or inf, which WellConfig rejects. The
-    result is accurate while every intermediate stays a normal float, as it
-    does for |log10 a|, |log10 m|, |log10 hbar| <= 100 (tests/test_nodes.py).
+    1.5 pi (pi hbar / a) / m / a is evaluated on the math.frexp mantissas
+    of a, m and hbar, where no step leaves the normal range, and their binary
+    exponents are applied once by math.ldexp. Scaling by a power of two is
+    exact, so the bits equal the plain expression's wherever its steps are
+    normal floats, and a normal dw is accurate to a few ulp even where
+    pi hbar / a would overflow or be subnormal. It never raises: a dw beyond
+    the float range gives inf, one below it 0 or a subnormal, and
+    WellConfig rejects 0 and inf.
     """
-    return 1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a) / cfg.mass_m / cfg.width_a
+    ma, ea = math.frexp(cfg.width_a)
+    mm, em = math.frexp(cfg.mass_m)
+    mh, eh = math.frexp(cfg.hbar)
+    try:
+        return math.ldexp(1.5 * math.pi * (math.pi * mh / ma) / mm / ma, eh - em - 2 * ea)
+    except OverflowError:
+        return math.inf
 
 
 def beat_period(cfg: WellConfig) -> float:

@@ -51,6 +51,12 @@ class TestOscillationAmplitude:
         with pytest.raises(ValueError, match="leaves the well"):
             oscillation_amplitude(UNIT, 1.2)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("observable", [oscillation_amplitude, time_avg_node_position])
+    def test_nonfinite_ratio_rejected(self, observable, ratio):
+        with pytest.raises(ValueError, match="ratio must be finite"):
+            observable(UNIT, ratio)
+
     def test_width_scaling(self):
         wide = WellConfig(width_a=2.0)
         assert oscillation_amplitude(wide, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-9)

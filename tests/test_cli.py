@@ -219,10 +219,15 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags", [
         ["--a", "1e154"],
         ["--a", "1e200", "--mass", "1e-300", "--hbar", "1e100"],
-    ], ids=["a1e154", "a1e200-m1e-300-hbar1e100"])
+        ["--a", "0.1", "--mass", "1e12", "--hbar", "1e308"],
+        ["--a", "1e100", "--mass", "1e-300", "--hbar", "1e-220"],
+    ], ids=["a1e154", "a1e200-m1e-300-hbar1e100", "a0.1-m1e12-hbar1e308",
+            "a1e100-m1e-300-hbar1e-220"])
     def test_reference_in_exact_rationals_passes(self, flags, capsys):
-        # 2 m a^2 leaves the float range here; the reference never forms it
-        # as a float, so it still confirms delta_omega
+        # 2 m a^2 leaves the float range in the first two wells, and
+        # pi hbar / a overflows or is subnormal in the last two; neither
+        # the reference nor delta_omega forms these as floats, so dw is
+        # normal and confirmed
         assert run_cli(["verify", *flags]) == 0
         captured = capsys.readouterr()
         assert "PASS delta-omega-formula" in captured.out
@@ -264,6 +269,7 @@ _EDGE_ARGV = [
     ("trajectory --c1 1e200 --c2 1e200 --kind repart", "overflows"),
     ("trajectory --c1 1e154 --c2 1e154 --kind minimum", "overflows"),
     ("trajectory --c1 1e154 --c2 1e154 --kind analytic", "overflows"),
+    ("trajectory --c1 1e150 --c2 1e-200", "ratio overflow"),
     ("trajectory --t-start 1 --t-end 0", "t_end"),
     ("trajectory --t-start 0.5 --t-end 0.5", "t_end"),
     ("trajectory --t-end nan", "t_end"),

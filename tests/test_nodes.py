@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -403,6 +404,10 @@ class TestScaleFree:
         assume(-300.0 < log_dw < 300.0)
         assume(-300.0 < math.log10(4.0 * math.pi) - log_dw < 300.0)
         cfg = WellConfig(width_a=10.0**log_a, mass_m=10.0**log_m, hbar=10.0**log_hbar)
+        # every intermediate of the plain expression is normal here, so the
+        # frexp form keeps its bits
+        assert delta_omega(cfg) == (1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a)
+                                    / cfg.mass_m / cfg.width_a)
         failed = [r.format_line() for r in run_verification(cfg) if not r.passed]
         assert failed == []
         state = TwoStateSuperposition(0.6, 0.8)
@@ -471,6 +476,14 @@ class TestTrackTrajectory:
         traj = track_trajectory(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0, T, 8)
         assert traj.ratio is None
         assert not np.all(np.isnan(traj.positions))
+
+    def test_overflowing_real_part_ratio_is_silent(self):
+        # c1 / c2 overflows to +-inf, which is no zero inside the well
+        state = TwoStateSuperposition(1e150, 1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = track_trajectory(UNIT, state, NodeKind.REAL_PART_ZERO, 0.0, T, 64)
+        assert np.all(np.isnan(traj.positions))
 
     def test_complex_state_real_part_kind_rejected(self):
         state = TwoStateSuperposition(1.0j, 1.0)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,15 @@ class TestSpectrum:
     def test_delta_omega_unit_value(self):
         # 3 pi^2 / 2 for a = m = hbar = 1
         assert delta_omega(UNIT) == pytest.approx(14.804406601634037, abs=1e-12)
+
+    @pytest.mark.parametrize("a, m, hbar", [(0.1, 1e12, 1e308), (1e100, 1e-300, 1e-220)],
+                             ids=["pi-hbar-over-a-overflows", "pi-hbar-over-a-subnormal"])
+    def test_delta_omega_needs_only_a_normal_result(self, a, m, hbar):
+        # 1.5 pi^2 hbar / (m a^2) in exact rationals, float pi as in the code
+        exact = (Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(hbar)
+                 / (Fraction(m) * Fraction(a) ** 2))
+        dw = delta_omega(WellConfig(a, m, hbar))
+        assert abs(Fraction(dw) - exact) <= 2 * Fraction(math.ulp(dw))
 
     def test_beat_period_unit_value(self):
         assert beat_period(UNIT) == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-14)
