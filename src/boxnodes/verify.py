@@ -33,13 +33,14 @@ from .nodes import (
 from .well import (
     TwoStateSuperposition,
     WellConfig,
+    _Grid,
+    _norm_grid,
+    _simpson_norm,
     beat_period,
     delta_omega,
-    density_closed_form,
     density_exact,
     eigenfunction,
     evaluate_psi,
-    norm_integral,
     normalize,
 )
 
@@ -65,6 +66,12 @@ class CheckResult:
 def _random_complex_state(rng: np.random.Generator) -> TwoStateSuperposition:
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return normalize(TwoStateSuperposition(c[0], c[1]))
+
+
+def _density_work(grid: _Grid) -> dict[str, np.ndarray]:
+    """Arrays for grid.density_exact(state, **work), the result in "out"."""
+    return {"out": np.empty(grid.shape), "psi": np.empty(grid.shape, complex),
+            "tmp": np.empty(grid.shape, complex)}
 
 
 def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
@@ -104,28 +111,37 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(evaluate_psi(cfg, state, walls, t)))))
     add("wall-boundary-zeros", "psi(0) and psi(a) for random states", worst, 0.0)
 
-    # closed-form density equals the complex-arithmetic density
+    # closed-form density equals the complex-arithmetic density; this check
+    # and the norm and time-average checks each build one grid and its work
+    # arrays, evaluate every state into them, and let both go before the next
+    # check builds its own
     xg = np.linspace(0.0, a, 256)
-    tg = np.linspace(0.0, T, 64)
+    grid = _Grid(cfg, xg[:, None], np.linspace(0.0, T, 64)[None, :])
+    work = _density_work(grid)
+    d2 = np.empty(grid.shape)
     worst = 0.0
     for _ in range(50):
         state = _random_complex_state(rng)
-        d1 = density_exact(cfg, state, xg[:, None], tg[None, :])
-        d2 = density_closed_form(cfg, state, xg[:, None], tg[None, :])
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
+        d1 = grid.density_exact(state, **work)
+        np.subtract(d1, grid.density_closed_form(state, out=d2), out=d1)
+        worst = max(worst, float(np.max(np.abs(d1, out=d1))))
     add("closed-form-equivalence", "50 random complex states on a 256x64 grid",
         worst, 1e-12 / a)
+    del grid, work, d1, d2
 
     # Simpson norm equals |c1|^2 + |c2|^2 and does not drift in time
+    grid = _norm_grid(cfg, np.linspace(0.0, T, 10))
+    work = _density_work(grid)
     worst_norm = 0.0
     worst_spread = 0.0
     for _ in range(20):
         state = _random_complex_state(rng)
-        norms = norm_integral(cfg, state, np.linspace(0.0, T, 10))
+        norms = _simpson_norm(cfg, grid.density_exact(state, **work))
         worst_norm = max(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
         worst_spread = max(worst_spread, float(np.max(norms) - np.min(norms)))
     add("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", worst_norm, 1e-8)
     add("norm-constancy", "norm spread over 10 times per state", worst_spread, 1e-10)
+    del grid, work
 
     # the density repeats after one beat period
     worst = 0.0
@@ -196,14 +212,17 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     # time averaging kills the interference term exactly: a midpoint rule
     # over one beat period is exact for a single harmonic
     t_mid = (np.arange(64) + 0.5) * (T / 64)
+    grid = _Grid(cfg, xg[:, None], t_mid[None, :])
+    work = _density_work(grid)
     worst = 0.0
     for _ in range(5):
         state = _random_complex_state(rng)
-        sampled = np.mean(density_exact(cfg, state, xg[:, None], t_mid[None, :]), axis=1)
+        sampled = np.mean(grid.density_exact(state, **work), axis=1)
         avg = time_avg_density(cfg, state, xg)
         worst = max(worst, float(np.max(np.abs(avg - sampled))))
     add("time-avg-density-static-part", "midpoint time average of the density vs "
         "stationary profile", worst, 1e-10 / a)
+    del grid, work
 
     # every heatmap row stays a normalized density profile
     grid = heatmap(cfg, 64, 16)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,14 +234,27 @@ class TestVerifyCommand:
         assert "PASS delta-omega-formula" in captured.out
         assert captured.err == ""
 
+    def test_peak_memory_of_one_run(self):
+        # each random-state check lets its grid and work arrays go before the
+        # next check builds its own, so one check's arrays are alive at a
+        # time, at most about 0.8 MiB on the Simpson grid of the norm checks
+        verify_module.run_verification(UNIT)  # its lazy imports stay out of the peak
+        tracemalloc.start()
+        try:
+            verify_module.run_verification(UNIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2**20
+
     def test_tampered_tolerance_fails(self, monkeypatch, capsys):
         # a closed-form density off by 1e-9 must fail its 1e-12 check
-        real = verify_module.density_closed_form
+        real = verify_module._Grid.density_closed_form
 
-        def tampered(*args):
-            return real(*args) + 1e-9
+        def tampered(*args, **kwargs):
+            return real(*args, **kwargs) + 1e-9
 
-        monkeypatch.setattr(verify_module, "density_closed_form", tampered)
+        monkeypatch.setattr(verify_module._Grid, "density_closed_form", tampered)
         assert run_cli(["verify"]) == 1
         assert "FAIL closed-form-equivalence" in capsys.readouterr().out
 

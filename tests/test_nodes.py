@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -395,19 +396,24 @@ class TestScaleFree:
     """The physics depends on (a, m, hbar) only through a and dw, so every
     well whose dw and 2T are normal floats behaves like the unit well."""
 
-    @given(st.floats(min_value=-100.0, max_value=100.0),
-           st.floats(min_value=-100.0, max_value=100.0),
-           st.floats(min_value=-100.0, max_value=100.0))
+    @given(st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-300.0, max_value=300.0))
     @settings(max_examples=25, deadline=None)
     def test_well_range(self, log_a, log_m, log_hbar):
         log_dw = math.log10(1.5 * math.pi**2) + log_hbar - log_m - 2.0 * log_a
         assume(-300.0 < log_dw < 300.0)
         assume(-300.0 < math.log10(4.0 * math.pi) - log_dw < 300.0)
         cfg = WellConfig(width_a=10.0**log_a, mass_m=10.0**log_m, hbar=10.0**log_hbar)
-        # every intermediate of the plain expression is normal here, so the
+        # where every step of the plain expression is a normal float, the
         # frexp form keeps its bits
-        assert delta_omega(cfg) == (1.5 * math.pi * (math.pi * cfg.hbar / cfg.width_a)
-                                    / cfg.mass_m / cfg.width_a)
+        steps = [math.pi * cfg.hbar]
+        steps.append(steps[-1] / cfg.width_a)
+        steps.append(1.5 * math.pi * steps[-1])
+        steps.append(steps[-1] / cfg.mass_m)
+        steps.append(steps[-1] / cfg.width_a)
+        if all(sys.float_info.min <= step <= sys.float_info.max for step in steps):
+            assert delta_omega(cfg) == steps[-1]
         failed = [r.format_line() for r in run_verification(cfg) if not r.passed]
         assert failed == []
         state = TwoStateSuperposition(0.6, 0.8)

@@ -14,6 +14,9 @@ from boxnodes.analysis import heatmap, time_avg_density
 from boxnodes.well import (
     TwoStateSuperposition,
     WellConfig,
+    _Grid,
+    _norm_grid,
+    _simpson_norm,
     beat_period,
     delta_omega,
     density_closed_form,
@@ -399,3 +402,37 @@ class TestKernelBits:
     def test_index_is_checked_before_position(self):
         with pytest.raises(ValueError, match="eigenstate index"):
             eigenfunction(UNIT, 0, -1.0)
+
+
+class TestGridReuse:
+    """verify evaluates its random states on one grid into arrays it reuses;
+    each result must keep the one-shot kernel's bits, whatever the arrays
+    held before."""
+
+    @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
+    @pytest.mark.parametrize("on_norm_grid", [False, True], ids=["256x64", "10x2049"])
+    def test_reused_arrays_keep_the_one_shot_bits(self, cfg, on_norm_grid):
+        a, T = cfg.width_a, beat_period(cfg)
+        if on_norm_grid:  # the Simpson grid of norm-value and norm-constancy
+            x, t = np.linspace(0.0, a, 2049), np.linspace(0.0, T, 10)[:, None]
+            grid = _norm_grid(cfg, t[:, 0])
+        else:  # the grid of closed-form-equivalence
+            x, t = np.linspace(0.0, a, 256)[:, None], np.linspace(0.0, T, 64)[None, :]
+            grid = _Grid(cfg, x, t)
+        psi, tmp = np.full(grid.shape, complex(math.nan, math.nan)), np.empty(grid.shape, complex)
+        rho, closed = np.full(grid.shape, math.nan), np.full(grid.shape, math.nan)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            state = TwoStateSuperposition(c[0], c[1])
+            got = grid.psi(state, out=psi, tmp=tmp)
+            assert got is psi
+            _same_bits(got, evaluate_psi(cfg, state, x, t))
+            got = grid.density_exact(state, out=rho, psi=psi, tmp=tmp)
+            assert got is rho
+            _same_bits(got, density_exact(cfg, state, x, t))
+            if on_norm_grid:
+                _same_bits(_simpson_norm(cfg, rho), norm_integral(cfg, state, t[:, 0]))
+            got = grid.density_closed_form(state, out=closed)
+            assert got is closed
+            _same_bits(got, density_closed_form(cfg, state, x, t))
