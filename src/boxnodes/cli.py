@@ -84,8 +84,15 @@ def _avg_position(args: argparse.Namespace) -> int:
     well, out = _well(args), _out(args)
     if args.a_count < 1:
         raise ValueError("need at least one ratio value")
+    a_min, a_max = args.a_min, args.a_max
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise ValueError(f"a_min and a_max must be finite, got a_min={a_min!r}, "
+                         f"a_max={a_max!r}")
+    if args.log_spacing and not (a_min > 0.0 and a_max > 0.0 or a_min < 0.0 and a_max < 0.0):
+        raise ValueError(f"with --log-spacing, a_min and a_max must be nonzero and of one "
+                         f"sign, got a_min={a_min!r}, a_max={a_max!r}")
     space = np.geomspace if args.log_spacing else np.linspace
-    ratios = space(args.a_min, args.a_max, args.a_count).tolist()
+    ratios = space(a_min, a_max, args.a_count).tolist()
     for A in ratios:
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
@@ -105,13 +112,15 @@ def _heatmap(args: argparse.Namespace) -> int:
     if args.time_samples < 2:
         raise ValueError("need at least two time samples")
     n_mix, n_x = grid.values.shape
-    write_columns(out, {"theta": np.repeat(grid.mix_values, n_x).tolist(),
-                        "x": np.tile(grid.x_values, n_mix).tolist(),
-                        "avg_density": grid.values.ravel().tolist()})
+    write_columns(out, {"theta": np.repeat(grid.mix_values, n_x),
+                        "x": np.tile(grid.x_values, n_mix),
+                        "avg_density": grid.values.ravel()})
     return 0
 
 
 def _verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = run_verification(_well(args), seed=args.seed)
     for result in results:
         print(result.format_line())

@@ -1,21 +1,31 @@
 """Deterministic CSV and JSON emission for the command line tools.
 
-A table is a mapping from column name to a list of cells, each a Python
-float, str or None. CSV writes None as an empty cell and any other cell with
-str, which for a float is repr (the shortest round-trip form); JSON writes a
-list of row objects with None as null. Rerunning a command with identical
-inputs therefore produces byte-identical files.
+A table is a mapping from column name to its cells: either a list of Python
+floats, strs and Nones, or a 1-D float64 ndarray. CSV writes None as an empty
+cell and any other cell with str, which for a float is repr (the shortest
+round-trip form); JSON writes a list of row objects with None as null, and
+assembles its text directly, byte for byte what json.dump(rows, indent=2)
+writes. A float-array column is formatted one distinct value (bit pattern)
+at a time, so a column that repeats few values costs few formatting calls.
+Rerunning a command with identical inputs therefore produces byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 __all__ = ["OutputSpec", "write_columns", "write_json_object"]
 
 _FORMATS = ("csv", "json")
+
+# what json.dump calls on a str, and on any cell that is no float or None
+_encode = json.JSONEncoder().encode
 
 
 @dataclass(frozen=True)
@@ -39,35 +49,86 @@ class OutputSpec:
         return cls(path=p, format=fmt)
 
 
-def _dump_json(path: Path, obj) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    path.write_text(text, encoding="utf-8")
 
 
-def write_columns(spec: OutputSpec, columns: dict[str, list],
+def _format_distinct(col: np.ndarray, fmt) -> list[str]:
+    """fmt of every cell of a float array, called once per distinct value.
+
+    Values are keyed by bit pattern, which keeps -0.0 apart from 0.0 and
+    groups NaNs, where comparing floats would merge the one and split the
+    other.
+    """
+    if col.ndim != 1 or col.dtype != np.float64:
+        raise ValueError(f"an array column must be 1-D float64, got {col.ndim}-D {col.dtype}")
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    tokens = np.array(list(map(fmt, keys.view(np.float64).tolist())), dtype=object)
+    return tokens[inverse].tolist()
+
+
+def _csv_cells(col) -> list[str]:
+    if isinstance(col, np.ndarray):
+        return _format_distinct(col, repr)
+    # only a column holding None needs the per-cell test
+    return ["" if v is None else str(v) for v in col] if None in col else list(map(str, col))
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dump writes it."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_cell(v) -> str:
+    if v is None:
+        return "null"
+    if isinstance(v, float):
+        return _json_float(v)
+    return _encode(v)
+
+
+def _json_cells(col) -> list[str]:
+    if isinstance(col, np.ndarray):
+        return _format_distinct(col, _json_float)
+    return list(map(_json_cell, col))
+
+
+def _json_rows(names: list[str], cells: list[list[str]]) -> str:
+    """The text json.dump(rows, indent=2) writes for these formatted columns."""
+    row = "  {\n" + ",\n".join(f"    {_encode(name).replace('%', '%%')}: %s"
+                               for name in names) + "\n  }"
+    rows = [row % values for values in zip(*cells)]
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
+
+
+def write_columns(spec: OutputSpec, columns: dict[str, list | np.ndarray],
                   trailer_comments: list[str] | None = None) -> None:
     """Write equal-length columns as CSV (with optional trailing # comment
     lines) or as a JSON array of row objects.
 
-    JSON output ignores trailer_comments; JSON metadata lives in sidecar
-    files instead.
+    A column is a list of float, str or None cells, or a 1-D float64 array.
+    Unequal columns raise ValueError before any file is written. JSON output
+    ignores trailer_comments; JSON metadata lives in sidecar files instead.
     """
     names = list(columns)
+    lengths = {name: len(col) for name, col in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns must have equal lengths, got {lengths}")
     if spec.format == "json":
-        rows = zip(*columns.values(), strict=True)
-        _dump_json(spec.path, [dict(zip(names, row)) for row in rows])
+        _write_text(spec.path, _json_rows(names, [_json_cells(c) for c in columns.values()]))
         return
-    # format by column: only a column holding None needs the per-cell test
-    cells = [["" if v is None else str(v) for v in col] if None in col else list(map(str, col))
-             for col in columns.values()]
-    lines = [",".join(names), *map(",".join, zip(*cells, strict=True)),
-             *(trailer_comments or ())]
-    spec.path.parent.mkdir(parents=True, exist_ok=True)
-    spec.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cells = [_csv_cells(col) for col in columns.values()]
+    lines = [",".join(names), *map(",".join, zip(*cells)), *(trailer_comments or ())]
+    _write_text(spec.path, "\n".join(lines) + "\n")
 
 
 def write_json_object(path: Path, mapping: dict) -> None:
     """Write one flat mapping as a JSON object (used for fit sidecars)."""
-    _dump_json(Path(path), mapping)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(mapping, fh, indent=2)
+        fh.write("\n")

@@ -24,6 +24,9 @@ from .analysis import (
 )
 from .nodes import (
     NodeKind,
+    _analytic_v,
+    _positions,
+    _real_part_zero_v,
     analytic_node_position,
     find_density_minima,
     find_real_part_zeros,
@@ -185,27 +188,33 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         float(np.max(np.abs(x_t + x_half - a))), 1e-12 * a)
 
     # the Re Psi zeros at t = 0 and T/2 of c1 = 2 A c2 are the turning points
-    # of the node, half an excursion (a/pi) arcsin(A) either side of a/2
+    # of the node, half an excursion (a/pi) arcsin(A) either side of a/2; all
+    # draws are solved in one pass by the helpers find_real_part_zeros runs
+    draws = rng.uniform(0.01, 1.0, size=50)
+    v = _real_part_zero_v(cfg, 2.0 * draws[:, None], 1.0, np.array([0.0, 0.5 * T]))
+    turns = _positions(cfg, v.ravel()).reshape(v.shape)
     worst = 0.0
-    for A in rng.uniform(0.01, 1.0, size=50):
-        state = TwoStateSuperposition(2.0 * float(A), 1.0)
-        turns = [find_real_part_zeros(cfg, state, t) for t in (0.0, 0.5 * T)]
-        if not all(turns):
+    for A, (x_0, x_half) in zip(draws.tolist(), turns.tolist()):
+        if math.isnan(x_0) or math.isnan(x_half):
             worst = math.inf
             break
-        measured = 0.5 * (turns[0][0] - turns[1][0])
-        worst = max(worst, abs(measured - oscillation_amplitude(cfg, float(A))),
-                    abs(measured - a / math.pi * math.asin(float(A))))
+        measured = 0.5 * (x_0 - x_half)
+        worst = max(worst, abs(measured - oscillation_amplitude(cfg, A)),
+                    abs(measured - a / math.pi * math.asin(A)))
     add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
         "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
 
     # the time-averaged node position is the well center; an even grid of 256
     # instants (one period, end point dropped) pairs each instant with its
-    # half-period reflection
+    # half-period reflection; all ratios are solved in one pass by the
+    # helpers track_trajectory runs
+    ratios = np.append(np.linspace(0.05, 0.95, 19), 0.99)
+    v = _analytic_v(cfg, ratios[:, None], np.linspace(0.0, T, 257))
+    tracks = _positions(cfg, v.ravel()).reshape(v.shape)
     worst = 0.0
-    for A in list(np.linspace(0.05, 0.95, 19)) + [0.99]:
-        sampled = np.mean(analytic_track(float(A), 0.0, T, 257)[:-1])
-        worst = max(worst, abs(sampled - time_avg_node_position(cfg, float(A))))
+    for A, x in zip(ratios.tolist(), tracks):
+        sampled = np.mean(x[:-1])
+        worst = max(worst, abs(sampled - time_avg_node_position(cfg, A)))
     add("mean-node-position", "sampled time average of x(t) vs a/2 for A up to 0.99",
         worst, 1e-9 * a)
 

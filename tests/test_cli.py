@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,9 @@ _EDGE_ARGV = [
     ("amplitude-sweep --a-min 0 --a-max 0.5", "a_min"),
     ("amplitude-sweep --a-min nan", "a_min"),
     ("avg-position --a-count 0", "ratio"),
+    ("avg-position --a-min nan", "a_min"),
+    ("avg-position --log-spacing --a-min 0", "a_min"),
+    ("avg-position --log-spacing --a-min -0.5", "a_min"),
     ("avg-position --a-max 1.0", "|A|"),
     # keeps the id it had when the message named the library's n_samples
     pytest.param("avg-position --time-samples 1", "--time-samples",
@@ -314,7 +318,8 @@ _EDGE_ARGV = [
     pytest.param("verify --time-samples -1", "unrecognized",
                  id="verify --time-samples -1-time_samples"),
     pytest.param("verify --grid 8", "unrecognized", id="verify --grid 8-grid_n"),
-    ("verify --seed -1", "non-negative"),
+    pytest.param("verify --seed -1", "--seed must be non-negative",
+                 id="verify --seed -1-non-negative"),
     ("verify --a 1.5e154", "2T"),
     ("verify --a 1e160", "2T"),
     *((f"{cmd} --format xml", "--format") for cmd in _OUT_COMMANDS),
@@ -363,11 +368,15 @@ class TestExitCodes:
         argv = [str(tmp_path) if w == "DIR" else w for w in line.split()]
         if argv[0] != "verify" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "x.csv")]
-        code = main(argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
         err = capsys.readouterr().err
         assert code == (3 if "DIR" in line else 2)
         assert "error" in err and named in err
         assert "Traceback" not in err
+        # no numpy warning reaches stderr ahead of the error
+        assert not caught and "Warning" not in err
 
 
 class TestOutputSpec:
@@ -405,12 +414,72 @@ class TestOutputSpec:
         assert spec.path.read_bytes() == (b"x,k\n0.0,a\n-0.0,a\n1e-05,a\n1e+16,a\n"
                                           b"inf,a\nnan,a\n,a\n# note k=1\n")
 
+    def test_exact_csv_bytes_of_an_array_column(self, tmp_path):
+        # an array column is formatted one distinct bit pattern at a time:
+        # -0.0 stays apart from 0.0, and NaNs of either sign print alike
+        values = [0.0, -0.0, math.nan, 5e-324, -math.nan, math.inf, 1e16, -math.inf,
+                  -0.0, 0.0, 5e-324, math.nan, 1e16, -math.nan, -math.inf, math.inf]
+        listed = OutputSpec(tmp_path / "l.csv", "csv")
+        arrayed = OutputSpec(tmp_path / "a.csv", "csv")
+        write_columns(listed, {"x": values, "k": ["a"] * 16}, trailer_comments=["# note k=1"])
+        write_columns(arrayed, {"x": np.array(values), "k": ["a"] * 16},
+                      trailer_comments=["# note k=1"])
+        assert arrayed.path.read_bytes() == listed.path.read_bytes()
+        assert listed.path.read_bytes().startswith(
+            b"x,k\n0.0,a\n-0.0,a\nnan,a\n5e-324,a\nnan,a\ninf,a\n1e+16,a\n-inf,a\n")
+
+    _POOL = [0.0, -0.0, 1.5, 1.0 / 3.0, 5e-324, 1e16, 1e-05, -2.5e300, math.nan, -math.nan,
+             math.inf, -math.inf]
+    _STRINGS = ["a", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "caf\u00e9",
+                "line\u2028sep", ""]
+    _NAMES = ["x", "t", 'q"uote', "100%", "%s", "caf\u00e9", "k"]
+
+    def _random_table(self, rng):
+        """Columns of one length drawn from small pools, so values repeat:
+        float arrays, and lists mixing floats, strs and None."""
+        n_rows = int(rng.integers(0, 12))
+        names = rng.choice(self._NAMES, size=int(rng.integers(0, 4)), replace=False)
+        columns = {}
+        for name in names.tolist():
+            if rng.random() < 0.5:
+                columns[name] = np.array(rng.choice(self._POOL, size=n_rows))
+            else:
+                cells = [*self._POOL, *self._STRINGS, None]
+                columns[name] = [cells[i] for i in rng.integers(0, len(cells), size=n_rows)]
+        return columns
+
+    def test_random_tables_match_per_cell_rendering(self, tmp_path):
+        """CSV must equal a per-cell repr rendering, and JSON exactly what
+        json.dump(rows, indent=2) writes, over seeded random tables."""
+        rng = np.random.default_rng(7)
+        seen = set()
+        for i in range(300):
+            columns = self._random_table(rng)
+            listed = {k: v.tolist() if isinstance(v, np.ndarray) else v
+                      for k, v in columns.items()}
+            seen.add((len(columns), len(next(iter(listed.values()), []))))
+            csv_spec = OutputSpec(tmp_path / f"{i}.csv", "csv")
+            write_columns(csv_spec, columns)
+            _assert_table(csv_spec.path, "csv", list(listed), list(zip(*listed.values())))
+            json_spec = OutputSpec(tmp_path / f"{i}.json", "json")
+            write_columns(json_spec, columns)
+            with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+                json.dump([dict(zip(listed, row)) for row in zip(*listed.values())],
+                          fh, indent=2)
+                fh.write("\n")
+            assert json_spec.path.read_bytes() == (tmp_path / "want.json").read_bytes()
+        # the empty table, columns without rows, and full tables all occur
+        assert (0, 0) in seen and any(c and not r for c, r in seen)
+        assert any(c == 3 and r >= 5 for c, r in seen)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected(self, tmp_path, fmt):
         spec = OutputSpec(tmp_path / f"u.{fmt}", fmt)
-        with pytest.raises(ValueError):
-            write_columns(spec, {"x": [1.0, 2.0], "y": [1.0]})
-        assert not spec.path.exists()
+        for x, y in [([1.0, 2.0], [1.0]), (np.array([1.0, 2.0]), [1.0]),
+                     ([1.0, 2.0], np.array([1.0])), (np.array([1.0]), np.array([1.0, 2.0]))]:
+            with pytest.raises(ValueError):
+                write_columns(spec, {"x": x, "y": y})
+            assert not spec.path.exists()
 
 
 def _assert_table(path, fmt, header, rows, trailer=()):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from boxnodes import nodes
 from boxnodes.nodes import (
     NodeKind,
     analytic_node_position,
@@ -375,6 +376,31 @@ class TestOneEngine:
                 assert math.isnan(x) == (want is None), (cfg, state, t)
                 if want is not None:
                     assert abs(x - want) <= tol, (cfg, state, t)
+
+    @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a137"])
+    def test_broadcast_solves_equal_the_public_finders(self, cfg):
+        """verify solves all its draws at once: ratios down axis 0, instants
+        along axis 1. Every position must have the bits the public finder
+        returns for that one ratio (NaN where it returns none)."""
+        rng = np.random.default_rng(1414)
+        T_cfg = beat_period(cfg)
+        draws = rng.uniform(0.01, 1.0, size=50)
+        for ts in (np.array([0.0, 0.5 * T_cfg]), rng.uniform(0.0, 2.0 * T_cfg, size=2)):
+            v = nodes._real_part_zero_v(cfg, 2.0 * draws[:, None], 1.0, ts)
+            xs = nodes._positions(cfg, v.ravel()).reshape(v.shape)
+            for A, row in zip(draws.tolist(), xs.tolist()):
+                state = TwoStateSuperposition(2.0 * A, 1.0)
+                for t, x in zip(ts.tolist(), row):
+                    want = find_real_part_zeros(cfg, state, t)
+                    assert ([] if math.isnan(x) else [x]) == want, (A, t)
+        ratios = rng.uniform(-1.2, 1.2, size=20)
+        v = nodes._analytic_v(cfg, ratios[:, None], np.linspace(0.0, T_cfg, 257))
+        tracks = nodes._positions(cfg, v.ravel()).reshape(v.shape)
+        assert np.isnan(tracks).any() and not np.isnan(tracks).all()
+        for A, row in zip(ratios.tolist(), tracks):
+            traj = track_trajectory(cfg, TwoStateSuperposition(2.0 * A, 1.0),
+                                    NodeKind.ANALYTIC, 0.0, T_cfg, 257)
+            assert row.tobytes() == traj.positions.tobytes(), A
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_nonfinite_time_rejected(self, t):
