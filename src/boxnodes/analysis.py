@@ -62,10 +62,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class AmplitudeSweep:
-    """Measured (A, oscillation amplitude) pairs for one spec."""
+    """Measured (A, oscillation amplitude) pairs of one sweep."""
 
     entries: tuple[tuple[float, float], ...]
-    spec: SweepSpec
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
 def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
     """Oscillation amplitude at every ratio in the spec."""
     entries = tuple((float(A), oscillation_amplitude(cfg, float(A))) for A in spec.values())
-    return AmplitudeSweep(entries=entries, spec=spec)
+    return AmplitudeSweep(entries=entries)
 
 
 def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:

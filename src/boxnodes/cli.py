@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size numpy cannot allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

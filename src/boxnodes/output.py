@@ -127,8 +127,4 @@ def write_columns(spec: OutputSpec, columns: dict[str, list | np.ndarray],
 
 def write_json_object(path: Path, mapping: dict) -> None:
     """Write one flat mapping as a JSON object (used for fit sidecars)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2)
-        fh.write("\n")
+    _write_text(Path(path), json.dumps(mapping, indent=2) + "\n")

@@ -5,12 +5,13 @@ stationary states are sqrt(2/a) sin(n pi x / a), energies are
 n^2 pi^2 hbar^2 / (2 m a^2), and time evolution of a superposition is a sum
 of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
-The density kernels share one private grid type. It checks the positions
-and evaluates the modes once, and keeps the state-independent factors of
-one (x, t) grid: the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t} and the
-mode products. evaluate_psi, density_exact, density_closed_form and
-norm_integral build one grid per call; verify builds one per check and
-evaluates each random state on it into work arrays it reuses.
+The density kernels share one private grid type. When it is built, it
+checks the positions once and computes every state-independent factor of
+one (x, t) grid: the modes, the phases e^{-i w1 t}, e^{-i w2 t} and
+e^{i dw t}, and the mode products. evaluate_psi, density_exact,
+density_closed_form and norm_integral build one grid per call; verify
+builds one per check and evaluates each random state on it into work arrays
+it reuses.
 """
 
 from __future__ import annotations
@@ -182,77 +183,38 @@ def beat_period(cfg: WellConfig) -> float:
     return 2.0 * math.pi / delta_omega(cfg)
 
 
-class _factor:
-    """A grid factor, computed on first use and then stored on the grid.
-
-    functools.cached_property does the same, but before Python 3.12 it takes
-    a lock on each first use, about 1.5 us per factor against about 20 us for
-    a whole scalar kernel call.
-    """
-
-    def __init__(self, make) -> None:
-        self.make = make
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, grid, owner=None):
-        # a non-data descriptor: once stored, the instance attribute wins
-        value = grid.__dict__[self.name] = self.make(grid)
-        return value
-
-
 class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
-    The position check and the modes run once, when the grid is built; each
-    phase and mode product below is computed on first use and kept, so a
-    one-shot kernel call computes only what it uses, and a loop over states
-    computes each factor once. The methods evaluate one state. Given arrays
-    of the grid's shape (ufunc out=), they write the full-grid result there,
-    so such a loop allocates no full-grid temporary per state; without them,
-    they evaluate the same expressions with numpy's operators, which on 0-d
-    input run numpy's scalar arithmetic, and keep the public kernels' bits.
+    The positions are checked and every factor is computed when the grid is
+    built: the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and
+    the mode products, so a loop over states computes each once. The methods
+    evaluate one state. Given arrays of the grid's shape (ufunc out=), they
+    write the full-grid result there, so such a loop allocates no full-grid
+    temporary per state; without them, the ufuncs allocate the result, except
+    in psi (see there).
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
-        self.cfg = cfg
         self.p1, self.p2 = _modes(cfg, x)
-        self.ts = np.asarray(t, dtype=float)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The shape of every full-grid result, and of the arrays passed as out."""
-        return np.broadcast_shapes(np.shape(self.p1), self.ts.shape)
-
-    @_factor
-    def phase1(self):
-        return np.exp(-1j * omega(self.cfg, 1) * self.ts)
-
-    @_factor
-    def phase2(self):
-        return np.exp(-1j * omega(self.cfg, 2) * self.ts)
-
-    @_factor
-    def beat(self):
-        return np.exp(1j * delta_omega(self.cfg) * self.ts)
-
-    @_factor
-    def p1_sq(self):
-        return self.p1**2
-
-    @_factor
-    def p2_sq(self):
-        return self.p2**2
-
-    @_factor
-    def two_p1p2(self):
-        return 2.0 * self.p1 * self.p2
+        ts = np.asarray(t, dtype=float)
+        # the shape of every full-grid result, and of the arrays passed as out
+        self.shape = np.broadcast_shapes(self.p1.shape, ts.shape)
+        self.phase1 = np.exp(-1j * omega(cfg, 1) * ts)
+        self.phase2 = np.exp(-1j * omega(cfg, 2) * ts)
+        self.beat = np.exp(1j * delta_omega(cfg) * ts)
+        self.p1_sq = self.p1**2
+        self.p2_sq = self.p2**2
+        self.two_p1p2 = 2.0 * self.p1 * self.p2
 
     def psi(self, state: TwoStateSuperposition, out=None, tmp=None):
         """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}; with complex arrays out
         and tmp, the result is written into out and tmp is overwritten."""
         if out is None:
+            # numpy's operators, not its ufuncs: on 0-d input they run numpy's
+            # scalar complex multiply, which differs from the ufunc loop in
+            # the last bit on about 43% of random products (numpy 2.4,
+            # x86-64), and the public kernels keep the scalar bits
             return state.c1 * self.p1 * self.phase1 + state.c2 * self.p2 * self.phase2
         np.multiply(state.c1 * self.p1, self.phase1, out=out)
         return np.add(out, np.multiply(state.c2 * self.p2, self.phase2, out=tmp), out=out)
@@ -261,21 +223,15 @@ class _Grid:
         """|Psi|^2 through the complex wavefunction; with a float array out and
         complex arrays psi and tmp, the result is written into out and the
         other two are overwritten."""
-        if out is None:
-            # a 0-d psi squares as an array, as it always has
-            z = np.asarray(self.psi(state))
-            return z.real**2 + z.imag**2
-        z = self.psi(state, out=psi, tmp=tmp)
-        np.square(z.real, out=out)
-        return np.add(out, np.square(z.imag, out=z.imag), out=out)
+        # a 0-d psi is made an array, so its imaginary part can be written
+        z = np.asarray(self.psi(state, out=psi, tmp=tmp))
+        return np.add(np.square(z.real, out=out), np.square(z.imag, out=z.imag), out=out)
 
     def density_closed_form(self, state: TwoStateSuperposition, out=None):
         """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}];
         with a float array out, the result is written there."""
         osc = np.real(state.c1 * np.conj(state.c2) * self.beat)
         static = abs(state.c1) ** 2 * self.p1_sq + abs(state.c2) ** 2 * self.p2_sq
-        if out is None:
-            return static + self.two_p1p2 * osc
         return np.add(static, np.multiply(self.two_p1p2, osc, out=out), out=out)
 
 

@@ -99,8 +99,7 @@ class TestSweepAndFit:
     def test_fit_recovers_exact_power_law(self):
         ratios = np.geomspace(0.05, 1.0, 40)
         entries = tuple((float(A), float(2.0 * A**1.5)) for A in ratios)
-        fit = fit_power_law(AmplitudeSweep(entries=entries,
-                                           spec=SweepSpec(0.05, 1.0, 40)))
+        fit = fit_power_law(AmplitudeSweep(entries=entries))
         assert fit.coefficient == pytest.approx(2.0, rel=1e-9)
         assert fit.exponent == pytest.approx(1.5, rel=1e-9)
         assert fit.rms_log_residual < 1e-9
@@ -108,20 +107,19 @@ class TestSweepAndFit:
     def test_fit_constant_data_has_zero_exponent(self):
         ratios = np.linspace(0.1, 1.0, 10)
         entries = tuple((float(A), 0.7) for A in ratios)
-        fit = fit_power_law(AmplitudeSweep(entries=entries,
-                                           spec=SweepSpec(0.1, 1.0, 10, "linear")))
+        fit = fit_power_law(AmplitudeSweep(entries=entries))
         assert fit.exponent == pytest.approx(0.0, abs=1e-10)
         assert fit.coefficient == pytest.approx(0.7, rel=1e-10)
 
     def test_fit_needs_three_points(self):
         entries = ((0.1, 0.03), (0.5, 0.17))
         with pytest.raises(ValueError, match="three"):
-            fit_power_law(AmplitudeSweep(entries=entries, spec=SweepSpec(0.1, 0.5, 2)))
+            fit_power_law(AmplitudeSweep(entries=entries))
 
     def test_fit_rejects_nonpositive_amplitudes(self):
         entries = ((0.1, 0.03), (0.5, 0.0), (0.9, 0.2))
         with pytest.raises(ValueError, match="positive"):
-            fit_power_law(AmplitudeSweep(entries=entries, spec=SweepSpec(0.1, 0.9, 3)))
+            fit_power_law(AmplitudeSweep(entries=entries))
 
     def test_reference_protocol_fit(self):
         """The canonical 64-point sweep lands near amplitude ~ 0.42 A^1.32."""
@@ -156,8 +154,7 @@ class TestSweepAndFit:
     def test_predict_roundtrip(self):
         fit = fit_power_law(AmplitudeSweep(
             entries=tuple((float(A), float(0.3 * A**1.1))
-                          for A in np.geomspace(0.1, 1.0, 12)),
-            spec=SweepSpec(0.1, 1.0, 12)))
+                          for A in np.geomspace(0.1, 1.0, 12))))
         assert fit.coefficient == pytest.approx(0.3, rel=1e-8)
         assert fit.exponent == pytest.approx(1.1, rel=1e-8)
 

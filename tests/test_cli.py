@@ -312,6 +312,11 @@ _EDGE_ARGV = [
     ("heatmap --grid 4", "8 points"),
     ("heatmap --mix-count 4", "8 points"),
     ("heatmap --time-samples 1", "time samples"),
+    # sizes numpy refuses before it touches memory
+    ("trajectory --time-samples 1000000000000000", "allocate"),
+    ("amplitude-sweep --a-count 1000000000000000", "allocate"),
+    ("avg-position --a-count 1000000000000000", "allocate"),
+    ("heatmap --grid 1000000000000000", "allocate"),
     # the two --time-samples rows keep the ids they had when the flag existed
     pytest.param("verify --time-samples 0", "unrecognized",
                  id="verify --time-samples 0-time_samples"),
@@ -346,6 +351,16 @@ class TestExitCodes:
     def test_unwritable_output(self):
         assert run_cli(["trajectory", "--time-samples", 4,
                         "--out", "/proc/1/nonexistent/out.csv"]) == 3
+
+    @pytest.mark.parametrize("flags, rows", [
+        (["trajectory", "--c1=-1e-3", "--c2", "1"], 256),
+        (["avg-position", "--a-min=-5e-2", "--a-max", "0.5"], 19),
+    ])
+    def test_negative_exponent_value_after_equals(self, tmp_path, flags, rows):
+        # argparse reads a separate "-1e-3" as a flag; "--c1=-1e-3" is a value
+        out = tmp_path / "x.csv"
+        assert run_cli([*flags, "--out", out]) == 0
+        assert len(read_csv(out)[1]) == rows
 
     def test_invalid_well(self, tmp_path):
         assert run_cli(["trajectory", "--a", -1.0, "--out", tmp_path / "x.csv"]) == 2
