@@ -110,9 +110,12 @@ def oscillation_extrema(cfg: WellConfig, ratio: float) -> tuple[float, float]:
 
 
 def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
-    """Half the peak-to-peak excursion of the node over one beat period."""
-    lo, hi = oscillation_extrema(cfg, ratio)
-    return 0.5 * (hi - lo)
+    """Half the peak-to-peak excursion of the node over one beat period.
+
+    Half the difference of the extrema is (a/pi) arcsin|A|, evaluated as such:
+    the two arccos values near pi/2 would cancel all digits of a small |A|.
+    """
+    return cfg.width_a / math.pi * math.asin(abs(_check_ratio(ratio)))
 
 
 def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:

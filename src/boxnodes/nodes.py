@@ -12,10 +12,11 @@ are implemented and can be compared:
 Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
 |Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
 closed form and map back through x = (a/pi) arccos(v). Trajectories solve
-all of their instants in one vectorised numpy pass (the density cubics of all
-instants as one stacked eigenvalue problem); the single-instant finders run
-the same code on one instant. The grid_n arguments of track_trajectory and
-exact_zero_times are validated but have no effect on results.
+all of their instants in one vectorised numpy pass (the density minimum as
+Viete's trigonometric middle root of the derivative cubic); the
+single-instant finders run the same code on one instant. The grid_n
+arguments of track_trajectory and exact_zero_times are validated but have
+no effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 need c1 + 2 c2 v e^{-i dw t} = 0, so they exist only where sin(dw t) = 0, and
@@ -141,49 +142,46 @@ def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> 
     return np.where((v > -1.0) & (v < 1.0), v, np.nan)
 
 
-def _density_extrema(cfg: WellConfig, state: TwoStateSuperposition,
-                     ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interior extrema of |Psi|^2 at every time in ts, in the variable v = cos(pi x / a).
+def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
+                       ts: np.ndarray) -> np.ndarray:
+    """v = cos(pi x / a) of the interior minimum of |Psi|^2 at each time in ts, or NaN.
 
     |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
     alpha = |c1|^2, beta = 4 |c2|^2, gamma = 4 Re(c1 conj(c2) e^{i dw t}); only
-    gamma depends on t. The extrema are the real roots in (-1, 1) of the cubic
-    f'(v), found for all instants at once as the eigenvalues of stacked 3x3
-    companion matrices (what np.roots does for one polynomial), and split by
-    the sign of f''. Returns (v, curvature) of shape (len(ts), 3): roots
-    sorted ascending with NaN in place of rejected ones, and f''(v).
-    Since x -> v is strictly monotone inside the well, extrema in v are
-    extrema in x.
+    gamma depends on t. f' = -4 beta v^3 - 3 gamma v^2 + 2 (beta - alpha) v +
+    gamma falls at both ends, so with three distinct real roots f has a
+    maximum, a minimum and a maximum, and with one real root (or a double
+    root, an inflection) f has no minimum. With g = gamma/beta, r = alpha/beta
+    and v = y - g/4, f' = 0 becomes y^3 + p y + q = 0 with
+    p = (r - 1)/2 - 3 g^2/16 and q = g (g^2 - 4 r - 4)/32. Three real roots
+    exist exactly when 4p^3 + 27q^2 < 0, that is p < 0 and |u| < 1 with
+    u = (3q/(2p)) sqrt(-3/p), and Viete's middle root is
+    y = -2 sqrt(-p/3) sin(asin(u)/3). The minimum counts when it lies in
+    (-1, 1). Since x -> v is strictly monotone inside the well, it is the
+    minimum in x.
     """
-    alpha, beta = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2
+    # dividing by a power of two is exact and keeps alpha, beta and gamma
+    # normal floats at any scale of the state
+    c1, c2 = state.c1, state.c2
+    scale = 2.0 ** -math.frexp(max(abs(c1.real), abs(c1.imag), abs(c2.real), abs(c2.imag)))[1]
+    c1, c2 = c1 * scale, c2 * scale
+    alpha, beta = abs(c1) ** 2, 4.0 * abs(c2) ** 2
     if beta == 0.0:
-        # pure psi_1: f = alpha (1 - v^2) has one extremum, a maximum at v = 0
-        v = np.full((ts.size, 3), np.nan)
-        v[:, 0] = 0.0
-        return v, 0.0 * v - 2.0 * alpha
-    cross = state.c1 * state.c2.conjugate()
+        # pure psi_1: f = alpha (1 - v^2) has its only extremum, a maximum, at v = 0
+        return np.full(ts.shape, np.nan)
+    cross = c1 * c2.conjugate()
     phase = delta_omega(cfg) * ts
-    gamma = (4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase)))[:, None]
-    # f' = d0 v^3 + d1 v^2 + d2 v + d3, with the coefficients of np.polyder(f)
-    d0, d1, d2, d3 = -beta * 4.0, -gamma * 3.0, (beta - alpha) * 2.0, gamma
-    companion = np.zeros((ts.size, 3, 3))
-    companion[:, 0, 0] = -d1[:, 0] / d0
-    companion[:, 0, 1] = -d2 / d0
-    companion[:, 0, 2] = -d3[:, 0] / d0
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
-    v = np.where(roots.imag == 0.0, roots.real, np.nan)
-    v.sort(axis=1)
-    # A double root of f' (an inflection of f, e.g. a zero of |Psi|^2 that
-    # reaches a wall) comes out as two real roots ~1e-8 apart or as a complex
-    # pair; either way it is not an extremum.
-    close = np.diff(v, axis=1) < 1e-6
-    drop = ~((v > -1.0) & (v < 1.0))
-    drop[:, 1:] |= close
-    drop[:, :-1] |= close
-    v[drop] = np.nan
-    curvature = (d0 * 3.0 * v + d1 * 2.0) * v + d2
-    return v, curvature
+    r = alpha / beta
+    # with one real root (p >= 0 or |u| > 1) u or v is NaN, and so it is where
+    # r, g or g^2 overflow for beta subnormal against alpha, whose middle root
+    # lies far beyond the walls; the mask keeps no NaN
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = (4.0 / beta) * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
+        p = 0.5 * (r - 1.0) - 0.1875 * (g * g)
+        q = g * (g * g - 4.0 * (r + 1.0)) / 32.0
+        u = 1.5 * q / p * np.sqrt(-3.0 / p)
+        v = -2.0 * np.sqrt(-p / 3.0) * np.sin(np.arcsin(u) / 3.0) - 0.25 * g
+    return np.where((np.abs(u) < 1.0) & (v > -1.0) & (v < 1.0), v, np.nan)
 
 
 def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | None:
@@ -218,14 +216,14 @@ def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
                         t: float) -> list[tuple[float, float]]:
     """Interior local minima of |Psi|^2 at time t, as (position, density) pairs.
 
-    The minima are the roots in (-1, 1) of the cubic d/dv of the density in
-    v = cos(pi x / a) with positive curvature, mapped back through
-    x = (a/pi) arccos(v); complex coefficients are allowed. The walls, where
-    the density always vanishes, are never reported.
+    There is at most one: the middle root of the cubic d/dv of the density in
+    v = cos(pi x / a), when the cubic has three distinct real roots and that
+    one lies in (-1, 1), mapped back through x = (a/pi) arccos(v). Complex
+    coefficients are allowed. The walls, where the density always vanishes,
+    are never reported.
     """
-    v, curvature = _density_extrema(cfg, state, _instant(t))
-    xs = sorted(_positions(cfg, v[0][curvature[0] > 0.0]).tolist())
-    return [(x, float(density_exact(cfg, state, x, float(t)))) for x in xs]
+    x, = _positions(cfg, _density_minimum_v(cfg, state, _instant(t))).tolist()
+    return [] if math.isnan(x) else [(x, float(density_exact(cfg, state, x, float(t))))]
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
@@ -290,8 +288,6 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
         if kind is NodeKind.REAL_PART_ZERO:
             v = _real_part_zero_v(cfg, *_require_real(state), ts)
         else:
-            # the minimum nearest x = 0 (largest v), as find_density_minima(...)[0]
-            vs, curvature = _density_extrema(cfg, state, ts)
-            v = np.fmax.reduce(np.where(curvature > 0.0, vs, np.nan), axis=1)
+            v = _density_minimum_v(cfg, state, ts)
 
     return NodeTrajectory(times=ts, positions=_positions(cfg, v), kind=kind, ratio=ratio)

@@ -61,6 +61,13 @@ class TestOscillationAmplitude:
         wide = WellConfig(width_a=2.0)
         assert oscillation_amplitude(wide, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("A", [1e-10, 1e-14, 1e-17, 0.5, 1.0])
+    def test_relative_error_against_asin(self, A):
+        # half the difference of two arccos values near pi/2 cancels the
+        # digits of a small A
+        predicted = math.asin(A) / math.pi
+        assert abs(oscillation_amplitude(UNIT, A) - predicted) <= 1e-15 * predicted
+
     @given(st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_matches_arcsin_oracle(self, A):

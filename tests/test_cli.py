@@ -331,8 +331,29 @@ _EDGE_ARGV = [
     *((f"{cmd} --out DIR", "directory") for cmd in _OUT_COMMANDS),
 ]
 
+# Edge argv that are valid input: each must exit 0 with nothing on stderr and
+# no warning, and write the given number of positive cells in the column.
+_VALID_EDGE_ARGV = [
+    # |c2|^2 is subnormal; at no instant does the density have an interior minimum
+    ("trajectory --kind minimum --c1 1 --c2 1e-160", "position", 0),
+    # amplitudes near 1e-301 keep all their digits, so the fit gets positive data
+    ("amplitude-sweep --a-min 1e-300 --a-max 1e-299", "amplitude", 64),
+]
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("line, column, positive", _VALID_EDGE_ARGV)
+    def test_valid_edge_argv(self, line, column, positive, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*line.split(), "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == "" and not caught
+        header, rows, _ = read_csv(out)
+        cells = [row[header.index(column)] for row in rows]
+        assert sum(cell != "" and float(cell) > 0.0 for cell in cells) == positive
+
     def test_degenerate_analytic_state(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli(["trajectory", "--c2", 0, "--kind", "analytic",

@@ -4,6 +4,7 @@ import cmath
 import math
 import sys
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -316,6 +317,69 @@ def _loop_density_minimum(cfg, state, t):
     return cfg.width_a / math.pi * math.acos(v_min.max()) if v_min.size else None
 
 
+def _exact_minimum_v(alpha, beta, gamma):
+    """Minimum of f(v) = (1 - v^2)(alpha + gamma v + beta v^2) in (-1, 1), in stdlib arithmetic.
+
+    Works on the three floats exactly: the minimum is the middle root
+    of f'(v) = -4 beta v^3 - 3 gamma v^2 + 2 (beta - alpha) v + gamma when its
+    discriminant is positive (three distinct real roots) and that root lies
+    in (-1, 1). Returns it as a Decimal good to about 45 digits, or None.
+    """
+    # over a common power-of-two denominator, which moves no root
+    ratios = [x.as_integer_ratio() for x in (alpha, beta, gamma)]
+    den = max(d for _, d in ratios)
+    al, be, ga = (n * (den // d) for n, d in ratios)
+    a, b, c, d = -4 * be, -3 * ga, 2 * (be - al), ga
+    if a == 0 or (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
+                  - 27 * a * a * d * d) <= 0:
+        return None
+    with localcontext() as ctx:
+        ctx.prec = 60
+        A, B, C, D = map(Decimal, (a, b, c, d))
+
+        def f1(v):
+            return ((A * v + B) * v + C) * v + D
+
+        # f' rises between its two turning points, through the middle root
+        s = (B * B - 3 * A * C).sqrt()
+        lo, hi = sorted(((-B + s) / (3 * A), (-B - s) / (3 * A)))
+        lo, hi = max(lo, Decimal(-1)), min(hi, Decimal(1))
+        if not (lo < hi and f1(lo) < 0 < f1(hi)):
+            return None
+        v = (lo + hi) / 2
+        for _ in range(200):  # Newton, kept inside the shrinking bracket
+            fv = f1(v)
+            if fv < 0:
+                lo = v
+            else:
+                hi = v
+            step = fv / ((3 * A * v + 2 * B) * v + C)
+            if abs(step) < Decimal("1e-45") or hi - lo < Decimal("1e-45"):
+                break
+            v = v - step if lo < v - step < hi else (lo + hi) / 2
+        return v
+
+
+def _exact_density_minima(cfg, state, ts):
+    """_exact_minimum_v at every time in ts, with gamma from numpy's cos and sin
+    as the engine takes it."""
+    cross = state.c1 * state.c2.conjugate()
+    phase = delta_omega(cfg) * ts
+    gammas = 4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
+    alpha, beta = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2
+    return [_exact_minimum_v(alpha, beta, gamma) for gamma in gammas.tolist()]
+
+
+def _position_error(cfg, x, v):
+    """|x - (a/pi) arccos(v)| for a Decimal v, arccos taken to first order
+    around float(v); the neglected terms are below 1e-30 here."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        v_f = float(v)
+        arccos = Decimal(math.acos(v_f)) + (Decimal(v_f) - v) / (1 - v * v).sqrt()
+        return float(abs(Decimal(x) - Decimal(cfg.width_a) / Decimal(math.pi) * arccos))
+
+
 class TestOneEngine:
     """A trajectory solves all of its instants in one vectorised pass; every
     sample must be exactly what the single-instant finder returns there."""
@@ -361,21 +425,44 @@ class TestOneEngine:
         assert counts["present"] > 1000 and counts["absent"] > 100
 
     def test_minimum_track_matches_a_per_instant_np_roots_loop(self):
-        """Reference: one np.roots call per instant on the same cubic f'(v).
+        """Presence: one np.roots call per instant on the same cubic f'(v).
+        Position: the 50-digit middle root of that cubic, within 3e-14 a.
 
-        Real states share all arithmetic with the loop and must agree
-        exactly; complex states take e^{i dw t} from numpy instead of cmath.
+        On these cases companion-matrix eigenvalues, as np.roots takes them,
+        are off by up to 9.5e-14 a, and the trigonometric roots by 7.4e-15 a.
         """
+        worst = 0.0
         for cfg, state in self._cases():
             traj = track_trajectory(cfg, state, NodeKind.DENSITY_MINIMUM,
                                     0.0, 1.5 * beat_period(cfg), 48)
-            real = state.c1.imag == 0.0 and state.c2.imag == 0.0
-            tol = 0.0 if real else 1e-14 * cfg.width_a
-            for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
+            exact = _exact_density_minima(cfg, state, traj.times)
+            for t, x, v in zip(traj.times.tolist(), traj.positions.tolist(), exact):
                 want = _loop_density_minimum(cfg, state, t)
-                assert math.isnan(x) == (want is None), (cfg, state, t)
-                if want is not None:
-                    assert abs(x - want) <= tol, (cfg, state, t)
+                assert math.isnan(x) == (want is None) == (v is None), (cfg, state, t)
+                if v is not None:
+                    worst = max(worst, _position_error(cfg, x, v) / cfg.width_a)
+        assert worst <= 3e-14
+
+    def test_wall_contact_minima_against_exact_roots(self):
+        """|A| = 1 +- 10^-k puts a double root of f' next to a wall at t = k T/2,
+        where floats cannot tell whether the minimum is inside. Count the
+        instants where the engine and the exact middle root disagree on it.
+
+        A rule that drops roots closer than 1e-6 disagrees at 160 instants,
+        all of them minima it misses; the sign of the discriminant disagrees
+        at 64.
+        """
+        disagree = 0
+        for k in range(1, 16):
+            for A in (1.0 + 10.0**-k, 1.0 - 10.0**-k, -1.0 - 10.0**-k, -1.0 + 10.0**-k):
+                state = TwoStateSuperposition(2.0 * A, 1.0)
+                traj = track_trajectory(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0, T, 257)
+                halves = np.arange(5) * (0.5 * T)
+                found = [math.isnan(x) for x in traj.positions.tolist()]
+                found += [not find_density_minima(UNIT, state, t) for t in halves.tolist()]
+                exact = _exact_density_minima(UNIT, state, np.append(traj.times, halves))
+                disagree += sum(absent != (v is None) for absent, v in zip(found, exact))
+        assert disagree <= 80
 
     @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a137"])
     def test_broadcast_solves_equal_the_public_finders(self, cfg):
@@ -447,6 +534,37 @@ class TestScaleFree:
             scaled = track_trajectory(cfg, state, kind, 0.0, beat_period(cfg), 64)
             unit = track_trajectory(UNIT, state, kind, 0.0, T, 64)
             assert np.max(np.abs(scaled.positions / cfg.width_a - unit.positions)) <= 1e-12
+
+    def test_state_scale(self):
+        """Node positions depend on (c1, c2) only up to a common factor. Every
+        power of two 2**k that TwoStateSuperposition accepts keeps the bits
+        of the unscaled state's positions, and raises no numpy warning."""
+        rng = np.random.default_rng(1616)
+        cfg = WellConfig(1.37, 0.6, 1.9)
+        T_cfg = beat_period(cfg)
+        complex_pairs = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        cases = [(NodeKind.DENSITY_MINIMUM, *pair) for pair in complex_pairs.tolist()]
+        cases += [(kind, *pair) for pair in rng.standard_normal((3, 2)).tolist()
+                  for kind in (NodeKind.DENSITY_MINIMUM, NodeKind.REAL_PART_ZERO)]
+        present = 0
+        for kind, c1, c2 in cases:
+            want = track_trajectory(cfg, TwoStateSuperposition(c1, c2), kind,
+                                    0.0, T_cfg, 32).positions
+            present += np.count_nonzero(~np.isnan(want))
+            accepted = 0
+            for k in range(-1074, 1024):
+                scale = math.ldexp(1.0, k)
+                try:
+                    state = TwoStateSuperposition(c1 * scale, c2 * scale)
+                except ValueError:  # a norm that overflows, or underflows to 0
+                    continue
+                accepted += 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = track_trajectory(cfg, state, kind, 0.0, T_cfg, 32).positions
+                assert got.tobytes() == want.tobytes(), (kind, c1, c2, k)
+            assert accepted > 1000
+        assert present > 100
 
 
 class TestTrackTrajectory:
