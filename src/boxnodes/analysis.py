@@ -132,8 +132,11 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     end the way a direct fit to the curve should. The fit runs on the
     amplitudes divided by 2**e, e the binary exponent of the largest one, and
     k is scaled back by the same exact power of two, so the result does not
-    drift with the well width. The quoted residual is the rms of
-    log(data) - log(fit) on the raw amplitudes.
+    drift with the well width. When the largest ratio is below 0.5 the ratios
+    are divided likewise by 2**f, and k is scaled back by 2**(-f p), so a
+    sweep of tiny ratios keeps its log-log seed finite; a sweep whose largest
+    ratio lies in [0.5, 1] is fitted on its raw ratios. The quoted residual
+    is the rms of log(data) - log(fit) on the raw amplitudes.
     """
     entries = np.asarray(sweep.entries, dtype=float)
     if entries.shape[0] < 3:
@@ -146,11 +149,14 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     # ldexp by a binary exponent is exact; unlike 2.0**e it has no overflow at e = 1024
     exp2 = math.frexp(float(amps.max()))[1]
     scaled = np.ldexp(amps, -exp2)
-    log_r = np.log(ratios)
+    r_max = float(ratios.max())
+    exp2_r = math.frexp(r_max)[1] if r_max < 0.5 else 0
+    x = np.ldexp(ratios, -exp2_r)
+    log_r = np.log(x)
     p, log_k = np.polyfit(log_r, np.log(scaled), 1)
     k = math.exp(log_k)
     for _ in range(100):  # converges in under 20 steps from the log-log seed
-        model = k * np.power(ratios, p)
+        model = k * np.power(x, p)
         jac = np.column_stack([model / k, model * log_r])
         (dk, dp), *_ = np.linalg.lstsq(jac, scaled - model, rcond=None)
         k, p = float(k + dk), float(p + dp)
@@ -158,7 +164,9 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
             break
     if not (k > 0.0 and math.isfinite(k) and math.isfinite(p)):
         raise ValueError("power-law fit did not converge to a usable model")
-    k = math.ldexp(k, exp2)
+    # k A**p = k 2**(-exp2_r p) x**p, with the whole part of the exponent applied by ldexp
+    shift = -exp2_r * p
+    k = math.ldexp(k * 2.0 ** (shift - round(shift)), exp2 + round(shift))
     resid = np.log(amps) - np.log(k * np.power(ratios, p))
     return PowerLawFit(coefficient=k, exponent=p,
                        rms_log_residual=float(np.sqrt(np.mean(resid**2))))

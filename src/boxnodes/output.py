@@ -1,52 +1,31 @@
 """Deterministic CSV and JSON emission for the command line tools.
 
-A table is a mapping from column name to its cells: either a list of Python
-floats, strs and Nones, or a 1-D float64 ndarray. CSV writes None as an empty
-cell and any other cell with str, which for a float is repr (the shortest
-round-trip form); JSON writes a list of row objects with None as null, and
-assembles its text directly, byte for byte what json.dump(rows, indent=2)
-writes. A float-array column is formatted one distinct value (bit pattern)
-at a time, so a column that repeats few values costs few formatting calls.
-Rerunning a command with identical inputs therefore produces byte-identical
-files.
+The output path alone picks the format: JSON when its suffix is .json in any
+case, CSV otherwise. A table is a mapping from column name to its cells:
+either a list of Python floats, strs and Nones, or a 1-D float64 ndarray. CSV
+writes None as an empty cell and any other cell with str, which for a float
+is repr (the shortest round-trip form); JSON writes a list of row objects
+with None as null, and assembles its text directly, byte for byte what
+json.dump(rows, indent=2) writes. Metadata such as a power-law fit goes into
+a trailing "# name k=v ..." comment line of the CSV, or into a JSON sidecar
+<stem>.name.json. A float-array column is formatted one distinct value (bit
+pattern) at a time, so a column that repeats few values costs few formatting
+calls. Rerunning a command with identical inputs therefore produces
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["OutputSpec", "write_columns", "write_json_object"]
-
-_FORMATS = ("csv", "json")
+__all__ = ["write_columns", "write_json_object"]
 
 # what json.dump calls on a str, and on any cell that is no float or None
 _encode = json.JSONEncoder().encode
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    """Where and how to write: a path plus 'csv' or 'json'."""
-
-    path: Path
-    format: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", Path(self.path))
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
-
-    @classmethod
-    def from_cli(cls, path: str, fmt: str | None) -> "OutputSpec":
-        """Build a spec, inferring the format from the suffix when not given."""
-        p = Path(path)
-        if fmt is None:
-            fmt = "json" if p.suffix.lower() == ".json" else "csv"
-        return cls(path=p, format=fmt)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -104,27 +83,34 @@ def _json_rows(names: list[str], cells: list[list[str]]) -> str:
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 
-def write_columns(spec: OutputSpec, columns: dict[str, list | np.ndarray],
-                  trailer_comments: list[str] | None = None) -> None:
-    """Write equal-length columns as CSV (with optional trailing # comment
-    lines) or as a JSON array of row objects.
+def write_columns(path: str | Path, columns: dict[str, list | np.ndarray],
+                  metadata: dict[str, dict] | None = None) -> None:
+    """Write equal-length columns as a JSON array of row objects when the
+    suffix of path is .json in any case, and as CSV otherwise.
 
     A column is a list of float, str or None cells, or a 1-D float64 array.
-    Unequal columns raise ValueError before any file is written. JSON output
-    ignores trailer_comments; JSON metadata lives in sidecar files instead.
+    Each metadata entry name: fields becomes the trailing CSV line
+    "# name k=v ..." with v by repr, or, for JSON, the object fields in the
+    sidecar <stem>.name.json. Unequal columns raise ValueError before any
+    file is written.
     """
+    path = Path(path)
     names = list(columns)
     lengths = {name: len(col) for name, col in columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"columns must have equal lengths, got {lengths}")
-    if spec.format == "json":
-        _write_text(spec.path, _json_rows(names, [_json_cells(c) for c in columns.values()]))
+    metadata = metadata or {}
+    if path.suffix.lower() == ".json":
+        _write_text(path, _json_rows(names, [_json_cells(c) for c in columns.values()]))
+        for name, fields in metadata.items():
+            write_json_object(path.with_suffix(f".{name}.json"), fields)
         return
     cells = [_csv_cells(col) for col in columns.values()]
-    lines = [",".join(names), *map(",".join, zip(*cells)), *(trailer_comments or ())]
-    _write_text(spec.path, "\n".join(lines) + "\n")
+    trailer = [" ".join([f"# {name}", *(f"{k}={v!r}" for k, v in fields.items())])
+               for name, fields in metadata.items()]
+    _write_text(path, "\n".join([",".join(names), *map(",".join, zip(*cells)), *trailer]) + "\n")
 
 
 def write_json_object(path: Path, mapping: dict) -> None:
-    """Write one flat mapping as a JSON object (used for fit sidecars)."""
+    """Write one flat mapping as a JSON object (used for metadata sidecars)."""
     _write_text(Path(path), json.dumps(mapping, indent=2) + "\n")

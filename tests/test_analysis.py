@@ -151,6 +151,15 @@ class TestSweepAndFit:
         assert abs(scaled.exponent - unit.exponent) <= 1e-12
         assert abs(scaled.coefficient / width - unit.coefficient) <= 1e-12
 
+    @pytest.mark.parametrize("width", [1.0, 2.0])
+    def test_fit_of_subnormal_ratios(self, width):
+        # ratios near 1e-310 put the log-log seed's log k past 709 unless
+        # they are scaled like the amplitudes; the amplitude is (a/pi) A
+        sweep = amplitude_sweep(WellConfig(width_a=width), SweepSpec(1e-310, 1e-309, 64))
+        fit = fit_power_law(sweep)
+        assert abs(fit.exponent - 1.0) <= 1e-9
+        assert abs(fit.coefficient / (width / math.pi) - 1.0) <= 1e-9
+
     def test_reference_protocol_reaches_least_squares_optimum(self):
         # optimum of sum (k A^p - (1/pi) arcsin A)^2 over the 64-point
         # protocol, computed independently to 40 digits by variable projection

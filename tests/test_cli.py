@@ -14,7 +14,7 @@ from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap
     time_avg_node_position
 from boxnodes.cli import build_parser, main
 from boxnodes.nodes import track_trajectory
-from boxnodes.output import OutputSpec, write_columns
+from boxnodes.output import write_columns
 from boxnodes.well import TwoStateSuperposition, WellConfig, beat_period
 
 UNIT = WellConfig()
@@ -290,6 +290,9 @@ _EDGE_ARGV = [
     ("trajectory --t-end nan", "t_end"),
     ("trajectory --t-start inf", "t_end"),
     ("trajectory --t-start 1e308", "t_end"),
+    # omega_2 t overflows at t = 5e307 and 1e308, so those instants are bad input
+    *((f"trajectory --t-end 1e308 --time-samples 3{kind}", "t=1e+308")
+      for kind in ("", " --kind minimum --c1 0.6 --c2 0.8", " --kind repart")),
     # dw = 1.5e-309 is subnormal, so the default window of one beat period is inf
     ("trajectory --a 1e155", "beat period"),
     ("trajectory --time-samples 1", "samples"),
@@ -328,6 +331,8 @@ _EDGE_ARGV = [
     ("verify --a 1.5e154", "2T"),
     ("verify --a 1e160", "2T"),
     *((f"{cmd} --format xml", "--format") for cmd in _OUT_COMMANDS),
+    # the --out suffix alone picks the format
+    *((f"{cmd} --format json", "unrecognized") for cmd in _OUT_COMMANDS),
     *((f"{cmd} --out DIR", "directory") for cmd in _OUT_COMMANDS),
 ]
 
@@ -338,6 +343,8 @@ _VALID_EDGE_ARGV = [
     ("trajectory --kind minimum --c1 1 --c2 1e-160", "position", 0),
     # amplitudes near 1e-301 keep all their digits, so the fit gets positive data
     ("amplitude-sweep --a-min 1e-300 --a-max 1e-299", "amplitude", 64),
+    # subnormal ratios: the fit scales them by a power of two as well
+    ("amplitude-sweep --a-min 1e-310 --a-max 1e-309", "amplitude", 64),
 ]
 
 
@@ -416,38 +423,37 @@ class TestExitCodes:
 
 
 class TestOutputSpec:
-    def test_format_inference(self):
-        assert OutputSpec.from_cli("a/b.json", None).format == "json"
-        assert OutputSpec.from_cli("a/b.csv", None).format == "csv"
-        assert OutputSpec.from_cli("a/b.dat", None).format == "csv"
+    """The writer: the suffix of the path picks the format, and the bytes."""
 
-    def test_explicit_format_wins(self, tmp_path):
-        out = tmp_path / "data.json"
-        spec = OutputSpec.from_cli(str(out), "csv")
-        write_columns(spec, {"x": [1.5]})
-        assert out.read_text() == "x\n1.5\n"
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError):
-            OutputSpec.from_cli("a.csv", "xml")
+    def test_format_inference(self, tmp_path):
+        # JSON for .json in any case, with the metadata in a sidecar; CSV for
+        # any other suffix or none, with the metadata as a trailer line
+        for name, sidecar in [("b.json", "b.fit.json"), ("B.JSON", "B.fit.json")]:
+            write_columns(str(tmp_path / name), {"x": [1.5]}, metadata={"fit": {"k": 2.0}})
+            assert (tmp_path / name).read_text() == '[\n  {\n    "x": 1.5\n  }\n]\n'
+            assert json.loads((tmp_path / sidecar).read_text()) == {"k": 2.0}
+        for name in ["b.csv", "b.dat", "b"]:
+            write_columns(tmp_path / name, {"x": [1.5]}, metadata={"fit": {"k": 2.0}})
+            assert (tmp_path / name).read_text() == "x\n1.5\n# fit k=2.0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["B.JSON", "B.fit.json", "b", "b.csv", "b.dat", "b.fit.json", "b.json"]
 
     def test_float_repr_roundtrip(self, tmp_path):
-        spec = OutputSpec(tmp_path / "r.csv", "csv")
+        path = tmp_path / "r.csv"
         value = 1.0 / 3.0
-        write_columns(spec, {"v": [value]})
+        write_columns(path, {"v": [value]})
         line = (tmp_path / "r.csv").read_text().splitlines()[1]
         assert float(line) == value
 
     def test_creates_parent_dirs(self, tmp_path):
-        spec = OutputSpec(tmp_path / "deep" / "nested" / "f.csv", "csv")
-        write_columns(spec, {"v": [1.0]})
+        write_columns(tmp_path / "deep" / "nested" / "f.csv", {"v": [1.0]})
         assert (tmp_path / "deep" / "nested" / "f.csv").exists()
 
     def test_exact_csv_bytes(self, tmp_path):
-        spec = OutputSpec(tmp_path / "e.csv", "csv")
-        write_columns(spec, {"x": [0.0, -0.0, 1e-05, 1e16, math.inf, math.nan, None],
-                             "k": ["a"] * 7}, trailer_comments=["# note k=1"])
-        assert spec.path.read_bytes() == (b"x,k\n0.0,a\n-0.0,a\n1e-05,a\n1e+16,a\n"
+        path = tmp_path / "e.csv"
+        write_columns(path, {"x": [0.0, -0.0, 1e-05, 1e16, math.inf, math.nan, None],
+                             "k": ["a"] * 7}, metadata={"note": {"k": 1}})
+        assert path.read_bytes() == (b"x,k\n0.0,a\n-0.0,a\n1e-05,a\n1e+16,a\n"
                                           b"inf,a\nnan,a\n,a\n# note k=1\n")
 
     def test_exact_csv_bytes_of_an_array_column(self, tmp_path):
@@ -455,13 +461,13 @@ class TestOutputSpec:
         # -0.0 stays apart from 0.0, and NaNs of either sign print alike
         values = [0.0, -0.0, math.nan, 5e-324, -math.nan, math.inf, 1e16, -math.inf,
                   -0.0, 0.0, 5e-324, math.nan, 1e16, -math.nan, -math.inf, math.inf]
-        listed = OutputSpec(tmp_path / "l.csv", "csv")
-        arrayed = OutputSpec(tmp_path / "a.csv", "csv")
-        write_columns(listed, {"x": values, "k": ["a"] * 16}, trailer_comments=["# note k=1"])
+        listed = tmp_path / "l.csv"
+        arrayed = tmp_path / "a.csv"
+        write_columns(listed, {"x": values, "k": ["a"] * 16}, metadata={"note": {"k": 1}})
         write_columns(arrayed, {"x": np.array(values), "k": ["a"] * 16},
-                      trailer_comments=["# note k=1"])
-        assert arrayed.path.read_bytes() == listed.path.read_bytes()
-        assert listed.path.read_bytes().startswith(
+                      metadata={"note": {"k": 1}})
+        assert arrayed.read_bytes() == listed.read_bytes()
+        assert listed.read_bytes().startswith(
             b"x,k\n0.0,a\n-0.0,a\nnan,a\n5e-324,a\nnan,a\ninf,a\n1e+16,a\n-inf,a\n")
 
     _POOL = [0.0, -0.0, 1.5, 1.0 / 3.0, 5e-324, 1e16, 1e-05, -2.5e300, math.nan, -math.nan,
@@ -494,28 +500,28 @@ class TestOutputSpec:
             listed = {k: v.tolist() if isinstance(v, np.ndarray) else v
                       for k, v in columns.items()}
             seen.add((len(columns), len(next(iter(listed.values()), []))))
-            csv_spec = OutputSpec(tmp_path / f"{i}.csv", "csv")
-            write_columns(csv_spec, columns)
-            _assert_table(csv_spec.path, "csv", list(listed), list(zip(*listed.values())))
-            json_spec = OutputSpec(tmp_path / f"{i}.json", "json")
-            write_columns(json_spec, columns)
+            csv_path = tmp_path / f"{i}.csv"
+            write_columns(csv_path, columns)
+            _assert_table(csv_path, "csv", list(listed), list(zip(*listed.values())))
+            json_path = tmp_path / f"{i}.json"
+            write_columns(json_path, columns)
             with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
                 json.dump([dict(zip(listed, row)) for row in zip(*listed.values())],
                           fh, indent=2)
                 fh.write("\n")
-            assert json_spec.path.read_bytes() == (tmp_path / "want.json").read_bytes()
+            assert json_path.read_bytes() == (tmp_path / "want.json").read_bytes()
         # the empty table, columns without rows, and full tables all occur
         assert (0, 0) in seen and any(c and not r for c, r in seen)
         assert any(c == 3 and r >= 5 for c, r in seen)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected(self, tmp_path, fmt):
-        spec = OutputSpec(tmp_path / f"u.{fmt}", fmt)
+        path = tmp_path / f"u.{fmt}"
         for x, y in [([1.0, 2.0], [1.0]), (np.array([1.0, 2.0]), [1.0]),
                      ([1.0, 2.0], np.array([1.0])), (np.array([1.0]), np.array([1.0, 2.0]))]:
             with pytest.raises(ValueError):
-                write_columns(spec, {"x": x, "y": y})
-            assert not spec.path.exists()
+                write_columns(path, {"x": x, "y": y})
+            assert not path.exists()
 
 
 def _assert_table(path, fmt, header, rows, trailer=()):

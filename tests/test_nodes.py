@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -498,6 +499,31 @@ class TestOneEngine:
                                                 0.0, t, 4)):
             with pytest.raises(ValueError, match="finite"):
                 finder()
+
+    @pytest.mark.parametrize("width", [1.0, 1.37, 3e-100])
+    def test_positions_are_math_acos(self, width):
+        # the positions map v through libm's acos, not numpy's CPU-dependent arccos
+        cfg = WellConfig(width_a=width)
+        v = np.concatenate([np.random.default_rng(5).uniform(-1.0, 1.0, 4096),
+                            [1.0, -1.0, 0.0, -0.0, math.nan]])
+        want = np.array([(width / math.pi) * math.acos(x) for x in v.tolist()])
+        assert nodes._positions(cfg, v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, 1.2e307])
+    def test_overflowing_phase_rejected(self, t):
+        # omega_2 t overflows at these finite times: each finder must name t
+        # and the well, with no numpy warning ahead of the error
+        state = TwoStateSuperposition(0.6, 0.8)
+        for finder in (lambda: analytic_node_position(UNIT, 0.375, t),
+                       lambda: find_real_part_zeros(UNIT, state, t),
+                       lambda: find_density_minima(UNIT, state, t),
+                       *(lambda kind=kind: track_trajectory(UNIT, state, kind,
+                                                           min(0.0, t), max(0.0, t), 3)
+                         for kind in NodeKind)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=re.escape(f"t={t!r} for a=1.0")):
+                    finder()
 
     def test_pure_excited_zero_times_over_two_periods(self):
         found = exact_zero_times(UNIT, TwoStateSuperposition(0.0, 1.0), period_count=2)
