@@ -24,7 +24,6 @@ __all__ = [
     "AmplitudeSweep",
     "PowerLawFit",
     "HeatmapGrid",
-    "oscillation_extrema",
     "oscillation_amplitude",
     "amplitude_sweep",
     "fit_power_law",
@@ -98,22 +97,12 @@ def _check_ratio(ratio: float) -> float:
     return ratio
 
 
-def oscillation_extrema(cfg: WellConfig, ratio: float) -> tuple[float, float]:
-    """Minimum and maximum of the analytic node position over one beat period.
-
-    As cos(dw t) runs over [-1, 1], x(t) = (a/pi) arccos(-A cos(dw t)) runs
-    between (a/pi) arccos(|A|) and (a/pi) arccos(-|A|).
-    """
-    ratio = abs(_check_ratio(ratio))
-    scale = cfg.width_a / math.pi
-    return scale * math.acos(ratio), scale * math.acos(-ratio)
-
-
 def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
     """Half the peak-to-peak excursion of the node over one beat period.
 
-    Half the difference of the extrema is (a/pi) arcsin|A|, evaluated as such:
-    the two arccos values near pi/2 would cancel all digits of a small |A|.
+    x(t) = (a/pi) arccos(-A cos(dw t)) swings by (a/pi) arcsin|A| about a/2,
+    evaluated as such: the extrema (a/pi) arccos(+-|A|), near a/2, would
+    cancel all digits of a small |A|.
     """
     return cfg.width_a / math.pi * math.asin(abs(_check_ratio(ratio)))
 
@@ -136,7 +125,9 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     are divided likewise by 2**f, and k is scaled back by 2**(-f p), so a
     sweep of tiny ratios keeps its log-log seed finite; a sweep whose largest
     ratio lies in [0.5, 1] is fitted on its raw ratios. The quoted residual
-    is the rms of log(data) - log(fit) on the raw amplitudes.
+    is the rms of log(data) - log(fit) on the raw amplitudes. Ratios so close
+    together that the log-log line has no well-defined slope (polyfit's rank
+    test) raise ValueError.
     """
     entries = np.asarray(sweep.entries, dtype=float)
     if entries.shape[0] < 3:
@@ -153,7 +144,11 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     exp2_r = math.frexp(r_max)[1] if r_max < 0.5 else 0
     x = np.ldexp(ratios, -exp2_r)
     log_r = np.log(x)
-    p, log_k = np.polyfit(log_r, np.log(scaled), 1)
+    # full=True returns polyfit's rank instead of warning on a deficient one
+    (p, log_k), _, rank, _, _ = np.polyfit(log_r, np.log(scaled), 1, full=True)
+    if rank < 2:
+        raise ValueError(f"the ratios {float(ratios.min())!r} to {float(ratios.max())!r} "
+                         f"are too close together to fit a power law")
     k = math.exp(log_k)
     for _ in range(100):  # converges in under 20 steps from the log-log seed
         model = k * np.power(x, p)

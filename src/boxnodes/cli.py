@@ -58,9 +58,8 @@ def _trajectory(args: argparse.Namespace) -> int:
 
 
 def _amplitude_sweep(args: argparse.Namespace) -> int:
-    spacing = "logarithmic" if args.log_spacing else "linear"
     sweep = amplitude_sweep(_well(args), SweepSpec(a_min=args.a_min, a_max=args.a_max,
-                                                   count=args.a_count, spacing=spacing))
+                                                   count=args.a_count))
     ratios, amps = zip(*sweep.entries)
     # asdict keeps the field order (coefficient, exponent, rms_log_residual),
     # which the fit trailer and sidecar follow
@@ -77,11 +76,7 @@ def _avg_position(args: argparse.Namespace) -> int:
     if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise ValueError(f"a_min and a_max must be finite, got a_min={a_min!r}, "
                          f"a_max={a_max!r}")
-    if args.log_spacing and not (a_min > 0.0 and a_max > 0.0 or a_min < 0.0 and a_max < 0.0):
-        raise ValueError(f"with --log-spacing, a_min and a_max must be nonzero and of one "
-                         f"sign, got a_min={a_min!r}, a_max={a_max!r}")
-    space = np.geomspace if args.log_spacing else np.linspace
-    ratios = space(a_min, a_max, args.a_count).tolist()
+    ratios = np.linspace(a_min, a_max, args.a_count).tolist()
     for A in ratios:
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
@@ -129,16 +124,13 @@ def _add_out_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser, a_max_default: float,
-                    count_default: int, log_default: bool) -> None:
+                    count_default: int) -> None:
     parser.add_argument("--a-min", type=float, default=0.05,
                         help="smallest ratio A (default 0.05)")
     parser.add_argument("--a-max", type=float, default=a_max_default,
                         help=f"largest ratio A (default {a_max_default})")
     parser.add_argument("--a-count", type=int, default=count_default,
                         help=f"number of A values (default {count_default})")
-    parser.add_argument("--log-spacing", action=argparse.BooleanOptionalAction,
-                        default=log_default,
-                        help="space the A values logarithmically")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,16 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_trajectory)
 
     p = sub.add_parser("amplitude-sweep",
-                       help="oscillation amplitude vs ratio A, with power-law fit")
+                       help="oscillation amplitude vs log-spaced ratio A, with power-law fit")
     _add_well_args(p)
     _add_out_args(p)
-    _add_sweep_args(p, a_max_default=1.0, count_default=64, log_default=True)
+    _add_sweep_args(p, a_max_default=1.0, count_default=64)
     p.set_defaults(handler=_amplitude_sweep)
 
-    p = sub.add_parser("avg-position", help="time-averaged node position vs ratio A")
+    p = sub.add_parser("avg-position", help="time-averaged node position vs linearly spaced A")
     _add_well_args(p)
     _add_out_args(p)
-    _add_sweep_args(p, a_max_default=0.95, count_default=19, log_default=False)
+    _add_sweep_args(p, a_max_default=0.95, count_default=19)
     p.add_argument("--time-samples", type=int, default=1024,
                    help="checked to be even and at least 2; the mean is exact")
     p.set_defaults(handler=_avg_position)

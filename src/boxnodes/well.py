@@ -6,12 +6,12 @@ n^2 pi^2 hbar^2 / (2 m a^2), and time evolution of a superposition is a sum
 of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
 The density kernels share one private grid type. When it is built, it
-checks the positions once and computes every state-independent factor of
-one (x, t) grid: the modes, the phases e^{-i w1 t}, e^{-i w2 t} and
-e^{i dw t}, and the mode products. evaluate_psi, density_exact,
-density_closed_form and norm_integral build one grid per call; verify
-builds one per check and evaluates each random state on it into work arrays
-it reuses.
+checks the positions and the times once and computes every
+state-independent factor of one (x, t) grid: the modes, the phases
+e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode products.
+evaluate_psi, density_exact, density_closed_form and norm_integral build one
+grid per call; verify builds one per check and evaluates each random state
+on it into work arrays it reuses.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ class WellConfig:
         if not (dw > 0.0 and math.isfinite(dw)):
             raise ValueError(
                 f"beat frequency delta_omega = {dw!r} is not positive and finite for "
+                f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
+        w2 = omega(self, 2)
+        if not math.isfinite(w2):
+            raise ValueError(
+                f"the largest frequency omega_2 = {w2!r} is not finite for "
                 f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
 
 
@@ -166,8 +171,8 @@ def delta_omega(cfg: WellConfig) -> float:
     exact, so the bits equal the plain expression's wherever its steps are
     normal floats, and a normal dw is accurate to a few ulp even where
     pi hbar / a would overflow or be subnormal. It never raises: a dw beyond
-    the float range gives inf, one below it 0 or a subnormal, and
-    WellConfig rejects 0 and inf.
+    the float range gives inf, one below it 0 or a subnormal. WellConfig
+    rejects 0, inf, and a dw whose omega_2 = 4 dw / 3 overflows.
     """
     ma, ea = math.frexp(cfg.width_a)
     mm, em = math.frexp(cfg.mass_m)
@@ -183,21 +188,39 @@ def beat_period(cfg: WellConfig) -> float:
     return 2.0 * math.pi / delta_omega(cfg)
 
 
+def _check_phase(cfg: WellConfig, t) -> None:
+    """Reject times t at which the largest phase omega_2 t is not finite.
+
+    t may be a float or an array; the message names the first such time.
+    """
+    w2 = omega(cfg, 2)
+    ts = np.asarray(t, dtype=float)
+    # a product of Python floats overflows to inf without a warning, and a
+    # NaN time makes the largest |t| NaN
+    t_max = abs(float(ts)) if ts.ndim == 0 else float(np.abs(ts).max(initial=0.0))
+    if not math.isfinite(w2 * t_max):
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ts.flat[np.flatnonzero(~np.isfinite(w2 * ts))[0]]
+        raise ValueError(f"the phase omega_2 t is not finite at t={float(bad)!r} for "
+                         f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+
+
 class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
-    The positions are checked and every factor is computed when the grid is
-    built: the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and
-    the mode products, so a loop over states computes each once. The methods
-    evaluate one state. Given arrays of the grid's shape (ufunc out=), they
-    write the full-grid result there, so such a loop allocates no full-grid
-    temporary per state; without them, the ufuncs allocate the result, except
-    in psi (see there).
+    The positions and the times (omega_2 t must be finite) are checked and
+    every factor is computed when the grid is built: the modes, the phases
+    e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode products, so a
+    loop over states computes each once. The methods evaluate one state.
+    Given arrays of the grid's shape (ufunc out=), they write the full-grid
+    result there, so such a loop allocates no full-grid temporary per state;
+    without them, the ufuncs allocate the result, except in psi (see there).
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
         self.p1, self.p2 = _modes(cfg, x)
         ts = np.asarray(t, dtype=float)
+        _check_phase(cfg, ts)
         # the shape of every full-grid result, and of the arrays passed as out
         self.shape = np.broadcast_shapes(self.p1.shape, ts.shape)
         self.phase1 = np.exp(-1j * omega(cfg, 1) * ts)

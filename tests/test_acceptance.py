@@ -17,7 +17,6 @@ from boxnodes.analysis import (
     amplitude_sweep,
     fit_power_law,
     heatmap,
-    oscillation_extrema,
     time_avg_node_position,
 )
 from boxnodes.cli import main
@@ -88,9 +87,6 @@ def test_02_equal_mix_trajectory():
         xs = np.array([analytic_node_position(CFG, ratio, t) for t in ts])
         assert abs(xs.min() - 1.0 / 3.0) <= 1e-9
         assert abs(xs.max() - 2.0 / 3.0) <= 1e-9
-        lo, hi = oscillation_extrema(CFG, ratio)
-        assert abs(lo - 1.0 / 3.0) <= 1e-9
-        assert abs(hi - 2.0 / 3.0) <= 1e-9
         for t in ts:
             drift = analytic_node_position(CFG, ratio, t + T) \
                 - analytic_node_position(CFG, ratio, t)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from boxnodes.analysis import (
     fit_power_law,
     heatmap,
     oscillation_amplitude,
-    oscillation_extrema,
     time_avg_density,
     time_avg_node_position,
 )
@@ -34,11 +34,6 @@ class TestOscillationAmplitude:
     def test_equal_mix_sixth(self):
         # arcsin(1/2)/pi = 1/6
         assert oscillation_amplitude(UNIT, 0.5) == pytest.approx(1.0 / 6.0, abs=1e-9)
-
-    def test_extrema_equal_mix(self):
-        lo, hi = oscillation_extrema(UNIT, 0.5)
-        assert lo == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert hi == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_full_swing_at_unit_ratio(self):
         assert oscillation_amplitude(UNIT, 1.0) == pytest.approx(0.5, abs=1e-9)
@@ -102,6 +97,16 @@ class TestSweepAndFit:
         sweep = amplitude_sweep(UNIT, SweepSpec(a_min=0.05, a_max=1.0, count=32))
         amps = [amp for _, amp in sweep.entries]
         assert all(b > a for a, b in zip(amps, amps[1:]))
+
+    @pytest.mark.parametrize("count", [3, 64])
+    def test_fit_rejects_ratios_too_close_together(self, count):
+        # the ratios are two adjacent floats, where polyfit's rank test fails
+        sweep = amplitude_sweep(UNIT, SweepSpec(0.5, 0.5000000000000001, count))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"ratios 0\.5 to 0\.5000000000000001 are too close"):
+                fit_power_law(sweep)
 
     def test_fit_recovers_exact_power_law(self):
         ratios = np.geomspace(0.05, 1.0, 40)

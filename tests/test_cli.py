@@ -116,15 +116,6 @@ class TestSweepCommand:
         assert 0.37 <= fit["coefficient"] <= 0.47
         assert 1.17 <= fit["exponent"] <= 1.47
 
-    def test_linear_spacing_flag(self, tmp_path):
-        out = tmp_path / "lin.csv"
-        assert run_cli(["amplitude-sweep", "--no-log-spacing", "--a-count", 8,
-                        "--out", out]) == 0
-        _, rows, _ = read_csv(out)
-        ratios = [float(r[0]) for r in rows]
-        gaps = [b - a for a, b in zip(ratios, ratios[1:])]
-        assert max(gaps) - min(gaps) < 1e-12
-
     def test_too_few_points_is_usage_error(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run_cli(["amplitude-sweep", "--a-count", 2, "--out", out]) == 2
@@ -271,7 +262,9 @@ _WELL_EDGES = [("--a inf", "width", None), ("--a 1e-200", "delta_omega", None),
                ("--mass=-inf", "mass", None),
                ("--hbar 1e308 --mass 1e-10", "delta_omega", "--hbar 1e300"),
                ("--hbar 1e-300 --mass 1e30", "delta_omega", "--hbar 1e-300"),
-               ("--a 1e-170 --mass 1e-170", "delta_omega", None)]
+               ("--a 1e-170 --mass 1e-170", "delta_omega", None),
+               # dw = 1.8e308 is finite, omega_2 = 4 dw / 3 is not
+               ("--hbar 1.2e307", "omega_2 = inf", None)]
 _OUT_COMMANDS = ("trajectory", "amplitude-sweep", "avg-position", "heatmap")
 _EDGE_ARGV = [
     *(pytest.param(f"{cmd} {flags}", named, id=f"{cmd} {id_flags or flags}-{named}")
@@ -304,10 +297,19 @@ _EDGE_ARGV = [
     ("amplitude-sweep --a-count 2", "points"),
     ("amplitude-sweep --a-min 0 --a-max 0.5", "a_min"),
     ("amplitude-sweep --a-min nan", "a_min"),
+    # 64 ratios on two adjacent floats: the log-log line has no slope
+    ("amplitude-sweep --a-min 0.5 --a-max 0.5000000000000001 --a-count 64", "ratios 0.5 to"),
     ("avg-position --a-count 0", "ratio"),
     ("avg-position --a-min nan", "a_min"),
-    ("avg-position --log-spacing --a-min 0", "a_min"),
-    ("avg-position --log-spacing --a-min -0.5", "a_min"),
+    # the two --log-spacing rows keep the ids they had when the flag existed;
+    # each sweep now has one fixed spacing
+    pytest.param("avg-position --log-spacing --a-min 0", "unrecognized",
+                 id="avg-position --log-spacing --a-min 0-a_min"),
+    pytest.param("avg-position --log-spacing --a-min -0.5", "unrecognized",
+                 id="avg-position --log-spacing --a-min -0.5-a_min"),
+    ("amplitude-sweep --log-spacing", "unrecognized"),
+    ("amplitude-sweep --no-log-spacing", "unrecognized"),
+    ("avg-position --no-log-spacing", "unrecognized"),
     ("avg-position --a-max 1.0", "|A|"),
     # keeps the id it had when the message named the library's n_samples
     pytest.param("avg-position --time-samples 1", "--time-samples",
@@ -575,7 +577,7 @@ class TestOutputFormat:
     def test_avg_position(self, tmp_path, fmt):
         out = tmp_path / f"a.{fmt}"
         assert run_cli(["avg-position", "--a-min", 0.05, "--a-max", 0.95,
-                        "--a-count", 7, "--no-log-spacing", "--out", out]) == 0
+                        "--a-count", 7, "--out", out]) == 0
         rows = [(float(A), time_avg_node_position(UNIT, float(A)))
                 for A in np.linspace(0.05, 0.95, 7)]
         _assert_table(out, fmt, ["ratio", "mean_position"], rows)

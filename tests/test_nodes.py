@@ -413,7 +413,7 @@ class TestOneEngine:
                 traj = track_trajectory(cfg, state, kind, 0.0, 1.5 * beat_period(cfg), 48)
                 for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
                     if kind is NodeKind.ANALYTIC:
-                        want = analytic_node_position(cfg, traj.ratio, t)
+                        want = analytic_node_position(cfg, ratio_from_state(state), t)
                     elif kind is NodeKind.REAL_PART_ZERO:
                         zeros = find_real_part_zeros(cfg, state, t)
                         want = zeros[0] if zeros else None
@@ -596,7 +596,6 @@ class TestScaleFree:
 class TestTrackTrajectory:
     def test_analytic_equal_mix(self):
         traj = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 9)
-        assert traj.ratio == pytest.approx(0.5, abs=1e-15)
         xs = traj.positions
         assert xs[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert xs[4] == pytest.approx(1.0 / 3.0, abs=1e-9)
@@ -644,13 +643,11 @@ class TestTrackTrajectory:
     def test_pure_excited_minimum_constant(self):
         traj = track_trajectory(UNIT, TwoStateSuperposition(0.0, 1.0),
                                 NodeKind.DENSITY_MINIMUM, 0.0, T, 8)
-        assert traj.ratio == 0.0  # A = 0/(2 c2): the formula also predicts a/2
         assert np.all(np.abs(traj.positions - 0.5) <= 1e-8)
 
     def test_complex_state_minimum_kind_works(self):
         state = TwoStateSuperposition(1.0j / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
         traj = track_trajectory(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0, T, 8)
-        assert traj.ratio is None
         assert not np.all(np.isnan(traj.positions))
 
     def test_overflowing_real_part_ratio_is_silent(self):

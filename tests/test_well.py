@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -70,6 +71,14 @@ class TestConfig:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="beat frequency"):
                 WellConfig(np.float64(1e-200), 1, 1)
+
+    def test_overflowing_omega_2_rejected(self):
+        # dw = 1.8e308 is finite, but omega_2 = 4 dw / 3 overflows
+        assert math.isfinite(1.5 * math.pi**2 * 1.2e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"omega_2 = inf .* hbar=1\.2e\+307"):
+                WellConfig(hbar=1.2e307)
 
 
 class TestEigenfunction:
@@ -235,6 +244,45 @@ class TestDensity:
         assert stacked.shape == (13, 256)
         for row, t in zip(stacked, ts.tolist()):
             assert np.array_equal(row, density_exact(cfg, state, xs, t))
+
+
+class TestTimeCheck:
+    """The kernels reject a time whose largest phase omega_2 t is not finite,
+    with the finders' message and no numpy warning ahead of it."""
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308, -1.2e307])
+    @pytest.mark.parametrize("kernel", [evaluate_psi, density_exact, density_closed_form])
+    def test_scalar_time(self, kernel, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"omega_2 t is not finite at t={t!r} "
+                                                           f"for a=1.0, m=1.0, hbar=1.0")):
+                kernel(UNIT, EQUAL_MIX, 0.3, t)
+
+    def test_norm_integral(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("at t=inf for a=1.0")):
+                norm_integral(UNIT, EQUAL_MIX, t=math.inf)
+
+    def test_array_names_the_first_bad_time_as_a_float(self):
+        ts = np.array([[0.0, 0.5], [-1e308, math.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in (evaluate_psi, density_exact, density_closed_form):
+                with pytest.raises(ValueError, match=re.escape("at t=-1e+308 for")):
+                    kernel(UNIT, EQUAL_MIX, 0.3, ts)
+            with pytest.raises(ValueError, match=re.escape("at t=nan for")):
+                norm_integral(UNIT, EQUAL_MIX, ts[1, ::-1])
+
+    def test_largest_finite_phase_accepted(self):
+        # omega_2 = 4 dw / 3 with 4 dw = 1.8e308, just below the overflow
+        cfg = WellConfig(hbar=3e306)
+        t = 1.0 / omega(cfg, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(density_exact(cfg, EQUAL_MIX, 0.3, t))
+            assert math.isfinite(density_exact(cfg, EQUAL_MIX, 0.3, 0.0))
 
 
 class TestNorm:
