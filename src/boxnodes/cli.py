@@ -50,20 +50,18 @@ def _trajectory(args: argparse.Namespace) -> int:
         t_end = args.t_start + T
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples)
-    positions = traj.positions.tolist()
-    write_columns(args.out, {"t": traj.times.tolist(),
-                             "position": [None if math.isnan(x) else x for x in positions],
-                             "kind": [traj.kind.value] * len(positions)})
+    write_columns(args.out, {"t": traj.times, "position": traj.positions,
+                             "kind": [traj.kind.value] * len(traj.times)})
     return 0
 
 
 def _amplitude_sweep(args: argparse.Namespace) -> int:
     sweep = amplitude_sweep(_well(args), SweepSpec(a_min=args.a_min, a_max=args.a_max,
                                                    count=args.a_count))
-    ratios, amps = zip(*sweep.entries)
+    ratios, amps = np.array(sweep.entries).T
     # asdict keeps the field order (coefficient, exponent, rms_log_residual),
     # which the fit trailer and sidecar follow
-    write_columns(args.out, {"ratio": list(ratios), "amplitude": list(amps)},
+    write_columns(args.out, {"ratio": ratios, "amplitude": amps},
                   metadata={"fit": dataclasses.asdict(fit_power_law(sweep))})
     return 0
 
@@ -76,11 +74,11 @@ def _avg_position(args: argparse.Namespace) -> int:
     if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise ValueError(f"a_min and a_max must be finite, got a_min={a_min!r}, "
                          f"a_max={a_max!r}")
-    ratios = np.linspace(a_min, a_max, args.a_count).tolist()
-    for A in ratios:
+    ratios = np.linspace(a_min, a_max, args.a_count)
+    for A in ratios.tolist():
         if abs(A) >= 1.0:
             raise ValueError(f"|A| must be < 1 for a persistent node, got {A!r}")
-    means = [time_avg_node_position(well, A) for A in ratios]
+    means = np.array([time_avg_node_position(well, A) for A in ratios.tolist()])
     # the mean is exact: --time-samples is only checked, after the ratios
     if args.time_samples < 2 or args.time_samples % 2:
         raise ValueError(f"--time-samples must be even and at least 2, "

@@ -74,7 +74,8 @@ class NodeSample:
 @dataclass(frozen=True, eq=False)
 class NodeTrajectory:
     """Node positions (NaN where no node exists) of one state at the instants
-    times, both float arrays."""
+    times, both float arrays. The CLI writes positions as it is: a NaN
+    becomes an empty CSV cell or a JSON null."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -124,9 +125,7 @@ def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
 def _instant(cfg: WellConfig, t: float) -> np.ndarray:
     """A single time as the one-element array the batched helpers take."""
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t!r}")
-    _check_phase(cfg, t)
+    _check_phase(cfg, t)  # also rejects inf and NaN
     return np.array([t])
 
 

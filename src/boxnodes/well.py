@@ -157,9 +157,17 @@ def energy(cfg: WellConfig, n: int) -> float:
 
 
 def omega(cfg: WellConfig, n: int) -> float:
-    """Angular frequency E_n / hbar = n^2 delta_omega / 3 of the n-th phase."""
+    """Angular frequency E_n / hbar = n^2 delta_omega / 3 of the n-th phase.
+
+    Evaluated on the math.frexp mantissa of dw, as delta_omega is, so it has
+    the bits of n * n * dw / 3 wherever those steps are normal and is inf
+    only beyond the float range."""
     n = _check_index(n)
-    return n * n * delta_omega(cfg) / 3.0
+    m, e = math.frexp(delta_omega(cfg))
+    try:
+        return math.ldexp(n * n * m / 3.0, e)
+    except OverflowError:
+        return math.inf
 
 
 def delta_omega(cfg: WellConfig) -> float:

@@ -181,6 +181,7 @@ class TestVerifyCommand:
         ["--hbar", "1e300"],
         ["--hbar", "1e-300"],
         ["--hbar", "1e-160"],
+        ["--hbar", "8e306"],
     ])
     def test_tolerances_scale_with_the_well(self, flags):
         # density tolerances scale as 1/a, delta_omega is compared
@@ -431,11 +432,12 @@ class TestOutputSpec:
         # JSON for .json in any case, with the metadata in a sidecar; CSV for
         # any other suffix or none, with the metadata as a trailer line
         for name, sidecar in [("b.json", "b.fit.json"), ("B.JSON", "B.fit.json")]:
-            write_columns(str(tmp_path / name), {"x": [1.5]}, metadata={"fit": {"k": 2.0}})
+            write_columns(str(tmp_path / name), {"x": np.array([1.5])},
+                          metadata={"fit": {"k": 2.0}})
             assert (tmp_path / name).read_text() == '[\n  {\n    "x": 1.5\n  }\n]\n'
             assert json.loads((tmp_path / sidecar).read_text()) == {"k": 2.0}
         for name in ["b.csv", "b.dat", "b"]:
-            write_columns(tmp_path / name, {"x": [1.5]}, metadata={"fit": {"k": 2.0}})
+            write_columns(tmp_path / name, {"x": np.array([1.5])}, metadata={"fit": {"k": 2.0}})
             assert (tmp_path / name).read_text() == "x\n1.5\n# fit k=2.0\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["B.JSON", "B.fit.json", "b", "b.csv", "b.dat", "b.fit.json", "b.json"]
@@ -443,34 +445,32 @@ class TestOutputSpec:
     def test_float_repr_roundtrip(self, tmp_path):
         path = tmp_path / "r.csv"
         value = 1.0 / 3.0
-        write_columns(path, {"v": [value]})
+        write_columns(path, {"v": np.array([value])})
         line = (tmp_path / "r.csv").read_text().splitlines()[1]
         assert float(line) == value
 
     def test_creates_parent_dirs(self, tmp_path):
-        write_columns(tmp_path / "deep" / "nested" / "f.csv", {"v": [1.0]})
+        write_columns(tmp_path / "deep" / "nested" / "f.csv", {"v": np.array([1.0])})
         assert (tmp_path / "deep" / "nested" / "f.csv").exists()
 
     def test_exact_csv_bytes(self, tmp_path):
         path = tmp_path / "e.csv"
-        write_columns(path, {"x": [0.0, -0.0, 1e-05, 1e16, math.inf, math.nan, None],
-                             "k": ["a"] * 7}, metadata={"note": {"k": 1}})
+        x = np.array([0.0, -0.0, 1e-05, 1e16, math.inf, math.nan, -math.nan])
+        write_columns(path, {"x": x, "k": ["a"] * 7}, metadata={"note": {"k": 1}})
         assert path.read_bytes() == (b"x,k\n0.0,a\n-0.0,a\n1e-05,a\n1e+16,a\n"
-                                          b"inf,a\nnan,a\n,a\n# note k=1\n")
+                                     b"inf,a\n,a\n,a\n# note k=1\n")
 
     def test_exact_csv_bytes_of_an_array_column(self, tmp_path):
         # an array column is formatted one distinct bit pattern at a time:
-        # -0.0 stays apart from 0.0, and NaNs of either sign print alike
+        # -0.0 stays apart from 0.0, and NaNs of either sign are empty cells
         values = [0.0, -0.0, math.nan, 5e-324, -math.nan, math.inf, 1e16, -math.inf,
                   -0.0, 0.0, 5e-324, math.nan, 1e16, -math.nan, -math.inf, math.inf]
-        listed = tmp_path / "l.csv"
-        arrayed = tmp_path / "a.csv"
-        write_columns(listed, {"x": values, "k": ["a"] * 16}, metadata={"note": {"k": 1}})
-        write_columns(arrayed, {"x": np.array(values), "k": ["a"] * 16},
+        path = tmp_path / "a.csv"
+        write_columns(path, {"x": np.array(values), "k": ["a"] * 16},
                       metadata={"note": {"k": 1}})
-        assert arrayed.read_bytes() == listed.read_bytes()
-        assert listed.read_bytes().startswith(
-            b"x,k\n0.0,a\n-0.0,a\nnan,a\n5e-324,a\nnan,a\ninf,a\n1e+16,a\n-inf,a\n")
+        assert path.read_bytes() == (
+            b"x,k\n0.0,a\n-0.0,a\n,a\n5e-324,a\n,a\ninf,a\n1e+16,a\n-inf,a\n"
+            b"-0.0,a\n0.0,a\n5e-324,a\n,a\n1e+16,a\n,a\n-inf,a\ninf,a\n# note k=1\n")
 
     _POOL = [0.0, -0.0, 1.5, 1.0 / 3.0, 5e-324, 1e16, 1e-05, -2.5e300, math.nan, -math.nan,
              math.inf, -math.inf]
@@ -480,7 +480,7 @@ class TestOutputSpec:
 
     def _random_table(self, rng):
         """Columns of one length drawn from small pools, so values repeat:
-        float arrays, and lists mixing floats, strs and None."""
+        float arrays, NaNs included, and lists of strs."""
         n_rows = int(rng.integers(0, 12))
         names = rng.choice(self._NAMES, size=int(rng.integers(0, 4)), replace=False)
         columns = {}
@@ -488,19 +488,20 @@ class TestOutputSpec:
             if rng.random() < 0.5:
                 columns[name] = np.array(rng.choice(self._POOL, size=n_rows))
             else:
-                cells = [*self._POOL, *self._STRINGS, None]
-                columns[name] = [cells[i] for i in rng.integers(0, len(cells), size=n_rows)]
+                columns[name] = [self._STRINGS[i]
+                                 for i in rng.integers(0, len(self._STRINGS), size=n_rows)]
         return columns
 
     def test_random_tables_match_per_cell_rendering(self, tmp_path):
         """CSV must equal a per-cell repr rendering, and JSON exactly what
-        json.dump(rows, indent=2) writes, over seeded random tables."""
+        json.dump(rows, indent=2) writes, over seeded random tables; a NaN
+        cell is rendered as None."""
         rng = np.random.default_rng(7)
         seen = set()
         for i in range(300):
             columns = self._random_table(rng)
-            listed = {k: v.tolist() if isinstance(v, np.ndarray) else v
-                      for k, v in columns.items()}
+            listed = {k: [None if math.isnan(x) else x for x in v.tolist()]
+                      if isinstance(v, np.ndarray) else v for k, v in columns.items()}
             seen.add((len(columns), len(next(iter(listed.values()), []))))
             csv_path = tmp_path / f"{i}.csv"
             write_columns(csv_path, columns)
@@ -519,8 +520,8 @@ class TestOutputSpec:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_unequal_columns_rejected(self, tmp_path, fmt):
         path = tmp_path / f"u.{fmt}"
-        for x, y in [([1.0, 2.0], [1.0]), (np.array([1.0, 2.0]), [1.0]),
-                     ([1.0, 2.0], np.array([1.0])), (np.array([1.0]), np.array([1.0, 2.0]))]:
+        for x, y in [(["a", "b"], ["a"]), (np.array([1.0, 2.0]), ["a"]),
+                     (["a", "b"], np.array([1.0])), (np.array([1.0]), np.array([1.0, 2.0]))]:
             with pytest.raises(ValueError):
                 write_columns(path, {"x": x, "y": y})
             assert not path.exists()
@@ -542,15 +543,20 @@ class TestOutputFormat:
     """Each subcommand writes exactly the library result, rendered here."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("c1, c2", [(0.6, 0.8), (2.0, 0.5)])
+    @pytest.mark.parametrize("c1, c2, cfg, t0", [
+        pytest.param(c1, c2, cfg, t0, id=f"{c1}-{c2}{suffix}")
+        for cfg, t0, suffix in [(UNIT, 0.0, ""), (WellConfig(1.37, 0.6, 1.9), 0.25, "-a137-t025")]
+        for c1, c2 in [(0.6, 0.8), (2.0, 0.5)]])
     @pytest.mark.parametrize("flag, kind", [("analytic", "analytic-formula"),
                                             ("repart", "real-part-zero"),
                                             ("minimum", "density-minimum")])
-    def test_trajectory(self, tmp_path, fmt, c1, c2, flag, kind):
+    def test_trajectory(self, tmp_path, fmt, c1, c2, cfg, t0, flag, kind):
         out = tmp_path / f"t.{fmt}"
         assert run_cli(["trajectory", "--c1", c1, "--c2", c2, "--kind", flag,
-                        "--time-samples", 33, "--out", out]) == 0
-        traj = track_trajectory(UNIT, TwoStateSuperposition(c1, c2), kind, 0.0, T, 33)
+                        "--a", cfg.width_a, "--mass", cfg.mass_m, "--hbar", cfg.hbar,
+                        "--t-start", t0, "--time-samples", 33, "--out", out]) == 0
+        traj = track_trajectory(cfg, TwoStateSuperposition(c1, c2), kind, t0,
+                                t0 + beat_period(cfg), 33)
         rows = [(t, None if math.isnan(x) else x, kind)
                 for t, x in zip(traj.times.tolist(), traj.positions.tolist())]
         if c1 == 2.0:  # A = 2: the instants without a node are gaps

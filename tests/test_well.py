@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -143,6 +144,23 @@ class TestSpectrum:
     def test_omega_is_energy_over_hbar(self):
         cfg = WellConfig(width_a=1.3, mass_m=0.7, hbar=2.0)
         assert omega(cfg, 4) == pytest.approx(energy(cfg, 4) / 2.0, rel=1e-15)
+
+    def test_omega_equals_the_plain_expression(self):
+        # n * n * dw / 3 keeps its bits wherever its steps are normal floats
+        rng = np.random.default_rng(19)
+        checked = 0
+        for a, m, hbar in (10.0 ** rng.uniform(-150, 150, size=(3000, 3))).tolist():
+            try:
+                cfg = WellConfig(a, m, hbar)
+            except ValueError:
+                continue
+            dw = delta_omega(cfg)
+            for n in (1, 2, 3, 5):
+                plain = n * n * dw
+                if math.isfinite(plain) and plain / 3.0 >= sys.float_info.min:
+                    assert omega(cfg, n).hex() == (plain / 3.0).hex()
+                    checked += 1
+        assert checked > 5000
 
     def test_delta_omega_unit_value(self):
         # 3 pi^2 / 2 for a = m = hbar = 1
