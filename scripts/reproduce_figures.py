@@ -40,8 +40,7 @@ def build(out_dir: Path) -> list[Path]:
          ["trajectory", "--time-samples", 512])
 
     emit("fig2_mean_position.csv",
-         ["avg-position", "--a-max", 0.99, "--a-count", 99,
-          "--time-samples", 1024])
+         ["avg-position", "--a-max", 0.99, "--a-count", 99])
 
     for c1, c2 in FIG3_MIXES:
         ratio = c1 / (2.0 * c2)
@@ -59,8 +58,7 @@ def build(out_dir: Path) -> list[Path]:
     written.append(out_dir / "fig4_amplitude_sweep.fit.json")
 
     emit("fig5_heatmap.csv",
-         ["heatmap", "--grid", 64, "--mix-count", 64,
-          "--time-samples", 1024])
+         ["heatmap", "--grid", 64, "--mix-count", 64])
 
     return written
 

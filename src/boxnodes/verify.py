@@ -199,8 +199,8 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
             worst = math.inf
             break
         measured = 0.5 * (x_0 - x_half)
-        worst = max(worst, abs(measured - oscillation_amplitude(cfg, A)),
-                    abs(measured - a / math.pi * math.asin(A)))
+        # oscillation_amplitude is (a/pi) arcsin A, so one term covers both
+        worst = max(worst, abs(measured - oscillation_amplitude(cfg, A)))
     add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
         "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
 

@@ -2,34 +2,32 @@
 
 Each test covers one numbered claim about the artifact, at its stated
 tolerance, and prints a single PASS/FAIL line (visible with pytest -s).
-The numbering is stable; do not reorder.
+A claim that `verify` already checks asserts that check's result, so each
+measurement has one copy. The numbering is stable; do not reorder.
 """
 
-import json
+import functools
 import math
 import time
 
 import numpy as np
-import pytest
 
 from boxnodes.analysis import (
     SweepSpec,
     amplitude_sweep,
-    fit_power_law,
     heatmap,
     time_avg_node_position,
 )
 from boxnodes.cli import main
 from boxnodes.nodes import analytic_node_position, ratio_from_state
+from boxnodes.verify import run_verification
 from boxnodes.well import (
     TwoStateSuperposition,
     WellConfig,
     beat_period,
     delta_omega,
-    density_closed_form,
     density_exact,
     eigenfunction,
-    norm_integral,
 )
 from peaks import local_max_positions, peak_separation
 
@@ -62,6 +60,19 @@ def golden_min(f, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.cache
+def _verify_rows():
+    """verify's checks on the unit well by name, run once on first use."""
+    return {row.name: row for row in run_verification(CFG)}
+
+
+def assert_verify_row(name: str, tol: float) -> None:
+    """The verify check `name` passes, with its worst error within the claim's tol."""
+    row = _verify_rows()[name]
+    assert row.passed, row.format_line()
+    assert row.error <= tol, row.format_line()
+
+
 def _report(number, claim, body):
     try:
         body()
@@ -87,10 +98,7 @@ def test_02_equal_mix_trajectory():
         xs = np.array([analytic_node_position(CFG, ratio, t) for t in ts])
         assert abs(xs.min() - 1.0 / 3.0) <= 1e-9
         assert abs(xs.max() - 2.0 / 3.0) <= 1e-9
-        for t in ts:
-            drift = analytic_node_position(CFG, ratio, t + T) \
-                - analytic_node_position(CFG, ratio, t)
-            assert abs(drift) <= 1e-12
+        assert_verify_row("trajectory-periodicity", 1e-12)
 
     _report(2, "equal mix sweeps [a/3, 2a/3] with period 2*pi/delta_omega", body)
 
@@ -121,9 +129,8 @@ def test_04_amplitude_power_law():
         sweep = amplitude_sweep(CFG, spec)
         for ratio, amp in sweep.entries:
             assert abs(amp - math.asin(ratio) / math.pi) <= 1e-9
-        fit = fit_power_law(sweep)
-        assert abs(fit.coefficient - 0.42) <= 0.05
-        assert abs(fit.exponent - 1.32) <= 0.15
+        # the band error is how far k or p lies outside its band
+        assert_verify_row("power-law-band", 0.0)
 
     _report(4, "amplitude = (a/pi)*arcsin(A); fit k=0.42+/-0.05 p=1.32+/-0.15",
             body)
@@ -150,19 +157,7 @@ def test_05_heatmap_peak_structure():
 
 def test_06_closed_form_equivalence():
     def body():
-        rng = np.random.default_rng(412)
-        xs = np.linspace(0.0, 1.0, 256)
-        ts = np.arange(64) * (T / 64)
-        worst = 0.0
-        for _ in range(50):
-            re, im = rng.standard_normal(2), rng.standard_normal(2)
-            state = TwoStateSuperposition(complex(re[0], im[0]),
-                                          complex(re[1], im[1]))
-            for t in ts:
-                diff = np.abs(np.asarray(density_closed_form(CFG, state, xs, t))
-                              - np.asarray(density_exact(CFG, state, xs, t)))
-                worst = max(worst, float(diff.max()))
-        assert worst <= 1e-12
+        assert_verify_row("closed-form-equivalence", 1e-12)
 
     _report(6, "closed form matches |psi|^2 within 1e-12 on 256x64, 50 states",
             body)
@@ -170,16 +165,8 @@ def test_06_closed_form_equivalence():
 
 def test_07_norm_conservation():
     def body():
-        rng = np.random.default_rng(77)
-        ts = np.arange(10) * (T / 10)
-        for _ in range(20):
-            re, im = rng.standard_normal(2), rng.standard_normal(2)
-            state = TwoStateSuperposition(complex(re[0], im[0]),
-                                          complex(re[1], im[1]))
-            norms = [norm_integral(CFG, state, t=t) for t in ts]
-            for value in norms:
-                assert abs(value - state.norm_sq()) <= 1e-8
-            assert max(norms) - min(norms) <= 1e-10
+        assert_verify_row("norm-value", 1e-8)
+        assert_verify_row("norm-constancy", 1e-10)
 
     _report(7, "norm = |c1|^2+|c2|^2 within 1e-8, constant to 1e-10", body)
 
@@ -237,11 +224,8 @@ def test_08_true_zeros_only_at_special_times():
 
 def test_09_eigenstate_node_count():
     def body():
-        xs = np.linspace(0.0, 1.0, 10**4)[1:-1]
-        for n in range(1, 7):
-            values = np.asarray(eigenfunction(CFG, n, xs))
-            flips = int(np.count_nonzero(np.diff(np.sign(values)) != 0))
-            assert flips == n - 1
+        # the error is the number of n whose sign changes are not n - 1
+        assert_verify_row("eigenfunction-node-count", 0)
 
     _report(9, "psi_n shows n-1 interior sign changes for n = 1..6", body)
 
@@ -253,8 +237,7 @@ def test_10_cli_determinism(tmp_path):
             "trajectory": (["trajectory", "--time-samples", "64"], "csv"),
             "sweep": (["amplitude-sweep", "--a-count", "16"], "json"),
             "avg": (["avg-position", "--a-count", "9"], "csv"),
-            "heat": (["heatmap", "--grid", "16", "--mix-count", "8",
-                      "--time-samples", "64"], "csv"),
+            "heat": (["heatmap", "--grid", "16", "--mix-count", "8"], "csv"),
         }
         for name, (args, ext) in jobs.items():
             first = tmp_path / f"{name}_1.{ext}"

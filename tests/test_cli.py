@@ -1,5 +1,6 @@
 """Command line behavior: outputs, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -155,6 +156,41 @@ class TestHeatmapCommand:
         assert thetas[-1] == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
+def _drifting_norms(real, *args):
+    norms = real(*args)
+    return norms + 1e-9 * np.arange(norms.size)
+
+
+def _steeper_fit(real, *args):
+    fit = real(*args)
+    return dataclasses.replace(fit, exponent=fit.exponent + 0.5)
+
+
+def _shifted_track(real, *args):
+    traj = real(*args)  # (cfg, state, kind, t_start, t_end, n)
+    return dataclasses.replace(traj, positions=traj.positions + 1e-9 * args[3])
+
+
+# (check, owner, name in owner, tamper(real, *args, **kwargs)): verify with
+# owner.name replaced by the tamper must print FAIL for the check
+_TAMPERS = [
+    # a closed-form density off by 1e-9 fails its 1e-12 check
+    ("closed-form-equivalence", verify_module._Grid, "density_closed_form",
+     lambda real, *args, **kwargs: real(*args, **kwargs) + 1e-9),
+    # norms off by 1e-7 fail their 1e-8 check
+    ("norm-value", verify_module, "_simpson_norm", lambda real, *args: real(*args) + 1e-7),
+    # norms that drift by 1e-9 per instant spread past 1e-10
+    ("norm-constancy", verify_module, "_simpson_norm", _drifting_norms),
+    # |psi_n| has no sign change
+    ("eigenfunction-node-count", verify_module, "eigenfunction",
+     lambda real, *args: np.abs(real(*args))),
+    # p = 1.74 lies outside 1.32 +/- 0.15
+    ("power-law-band", verify_module, "fit_power_law", _steeper_fit),
+    # x(t + T) moves by 1e-9 T against x(t)
+    ("trajectory-periodicity", verify_module, "track_trajectory", _shifted_track),
+]
+
+
 class TestVerifyCommand:
     def test_passes_and_prints_delta_omega(self, capsys):
         assert run_cli(["verify"]) == 0
@@ -240,16 +276,15 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak <= 1.2 * 2**20
 
-    def test_tampered_tolerance_fails(self, monkeypatch, capsys):
-        # a closed-form density off by 1e-9 must fail its 1e-12 check
-        real = verify_module._Grid.density_closed_form
-
-        def tampered(*args, **kwargs):
-            return real(*args, **kwargs) + 1e-9
-
-        monkeypatch.setattr(verify_module._Grid, "density_closed_form", tampered)
+    @pytest.mark.parametrize("row, owner, name, tamper", _TAMPERS,
+                             ids=[case[0] for case in _TAMPERS])
+    def test_tampered_tolerance_fails(self, row, owner, name, tamper, monkeypatch, capsys):
+        # each check the acceptance battery asserts fails when what it
+        # measures moves past its tolerance
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: tamper(real, *args, **kwargs))
         assert run_cli(["verify"]) == 1
-        assert "FAIL closed-form-equivalence" in capsys.readouterr().out
+        assert f"FAIL {row}" in capsys.readouterr().out
 
 
 # Edge argv for every subcommand, with a word the error must contain. The
@@ -284,6 +319,9 @@ _EDGE_ARGV = [
     ("trajectory --t-end nan", "t_end"),
     ("trajectory --t-start inf", "t_end"),
     ("trajectory --t-start 1e308", "t_end"),
+    # T = 5.3e-308 and 4.2e-301 are below the float spacing at t_start = 0.25
+    ("trajectory --t-start 0.25 --hbar 8e306", "t_start + T"),
+    ("trajectory --t-start 0.25 --a 1e-100 --mass 1e-100", "t_start + T"),
     # omega_2 t overflows at t = 5e307 and 1e308, so those instants are bad input
     *((f"trajectory --t-end 1e308 --time-samples 3{kind}", "t=1e+308")
       for kind in ("", " --kind minimum --c1 0.6 --c2 0.8", " --kind repart")),
