@@ -116,24 +116,39 @@ def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
 def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     """Least-squares power law through a sweep.
 
-    A log-log ordinary least squares line seeds Gauss-Newton iterations for
-    k * A**p against the raw amplitudes, which weights the large-amplitude
-    end the way a direct fit to the curve should. The fit runs on the
-    amplitudes divided by 2**e, e the binary exponent of the largest one, and
-    k is scaled back by the same exact power of two, so the result does not
-    drift with the well width. When the largest ratio is below 0.5 the ratios
-    are divided likewise by 2**f, and k is scaled back by 2**(-f p), so a
-    sweep of tiny ratios keeps its log-log seed finite; a sweep whose largest
-    ratio lies in [0.5, 1] is fitted on its raw ratios. The quoted residual
-    is the rms of log(data) - log(fit) on the raw amplitudes. Ratios so close
-    together that the log-log line has no well-defined slope (polyfit's rank
-    test) raise ValueError.
+    The fit minimises sum (k A**p - y)**2 over the raw amplitudes y, which
+    weights the large-amplitude end the way a direct fit to the curve should.
+    It solves by variable projection (Golub & Pereyra, SIAM J. Numer. Anal.
+    10, 1973): with w = A**p the best coefficient for a fixed exponent is
+    k(p) = sum(w y) / sum(w**2) in closed form, which leaves one equation in
+    p, F(p) = sum(w y L) sum(w**2) - sum(w y) sum(w**2 L) = 0 with L = log A.
+    Newton steps on F, each a few weighted sums, start from the log-log
+    ordinary least squares line and stop when a step is below 1e-15 of p or F
+    is below the rounding of its terms. On data far from a power law a step
+    is held to at most twice the Gauss-Newton step and to the bracket where F
+    changes sign, which it bisects when it would leave it.
+
+    The fit runs on the amplitudes divided by 2**e, e the binary exponent of
+    the largest one, and k is scaled back by the same exact power of two, so
+    the result does not drift with the well width. When the largest ratio is
+    below 0.5 the ratios are divided likewise by 2**f, and k is scaled back
+    by 2**(-f p), so a sweep of tiny ratios keeps its log-log seed finite; a
+    sweep whose largest ratio lies in [0.5, 1] is fitted on its raw ratios.
+    The quoted residual is the rms of log(data) - log(fit) on the raw
+    amplitudes. A ratio or amplitude that is not finite or not positive, and
+    ratios so close together that the log-log line has no well-defined slope
+    (polyfit's rank test), raise ValueError.
     """
     entries = np.asarray(sweep.entries, dtype=float)
     if entries.shape[0] < 3:
         raise ValueError("need at least three points to fit a power law")
     ratios = entries[:, 0]
     amps = entries[:, 1]
+    for name, column in (("ratio", ratios), ("amplitude", amps)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(f"power-law fit needs finite data: entry {int(bad[0])} "
+                             f"has {name} {float(column[bad[0]])!r}")
     if np.any(ratios <= 0.0) or np.any(amps <= 0.0):
         raise ValueError("power-law fit needs strictly positive data")
 
@@ -145,18 +160,45 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     x = np.ldexp(ratios, -exp2_r)
     log_r = np.log(x)
     # full=True returns polyfit's rank instead of warning on a deficient one
-    (p, log_k), _, rank, _, _ = np.polyfit(log_r, np.log(scaled), 1, full=True)
+    (p, _), _, rank, _, _ = np.polyfit(log_r, np.log(scaled), 1, full=True)
     if rank < 2:
         raise ValueError(f"the ratios {float(ratios.min())!r} to {float(ratios.max())!r} "
                          f"are too close together to fit a power law")
-    k = math.exp(log_k)
-    for _ in range(100):  # converges in under 20 steps from the log-log seed
-        model = k * np.power(x, p)
-        jac = np.column_stack([model / k, model * log_r])
-        (dk, dp), *_ = np.linalg.lstsq(jac, scaled - model, rcond=None)
-        k, p = float(k + dk), float(p + dp)
-        if abs(dk) <= 1e-15 * abs(k) and abs(dp) <= 1e-15 * max(abs(p), 1.0):
+    p = float(p)
+    # F is the same for any origin of L, and loses the fewest digits when the sums
+    # a1 and c, which cancel in it, are near zero: the origin is the mean of L under
+    # y**2, which w**2 approaches at the optimum. The sums a, a1, a2 over w y and
+    # b, c, d over w**2 weight each term by 1, L - origin and (L - origin)**2.
+    origin = float((scaled * scaled * log_r).sum() / (scaled * scaled).sum())
+    centred = log_r - origin
+    weights = np.stack([np.ones_like(centred), centred, centred * centred])
+    lo, hi = -math.inf, math.inf  # F > 0 at lo and F < 0 at hi: the optimum lies between
+    for _ in range(100):  # converges in under 10 steps from the log-log seed
+        w = np.power(x, p)
+        sums = (np.stack([w * scaled, w * w])[:, None, :] * weights).sum(axis=2)
+        (a, a1, a2), (b, c, d) = sums.tolist()
+        f = a1 * b - a * c
+        if abs(f) <= math.ulp(1.0) * (abs(a1 * b) + abs(a * c)):
+            break  # F is rounding noise: no step can tell a better p
+        if f > 0.0:
+            lo = p
+        else:
+            hi = p
+        # Newton's F' (its last term moves the origin back), capped so that a step is
+        # at most twice the Gauss-Newton step, whose curvature -a (b d - c**2) / b is
+        # never positive
+        curv = min(a2 * b + a1 * c - 2.0 * a * d + 3.0 * origin * f,
+                   -0.5 * a * (b * d - c * c) / b)
+        if not curv < 0.0:  # the w**2-weighted spread of L rounds to zero
             break
+        tol = 1e-15 * max(abs(p), 1.0)
+        step = p - f / curv
+        if not (lo < step < hi or abs(step - p) <= tol):
+            step = 0.5 * (lo + hi)  # bisect; not finite while the bracket is open
+        p, dp = step, abs(step - p)
+        if not tol < dp < math.inf:  # converged, or a non-finite p the check below rejects
+            break
+    k = a / b if b > 0.0 else math.nan
     if not (k > 0.0 and math.isfinite(k) and math.isfinite(p)):
         raise ValueError("power-law fit did not converge to a usable model")
     # k A**p = k 2**(-exp2_r p) x**p, with the whole part of the exponent applied by ldexp

@@ -19,7 +19,7 @@ from boxnodes.analysis import (
     time_avg_node_position,
 )
 from boxnodes.cli import main
-from boxnodes.nodes import analytic_node_position, ratio_from_state
+from boxnodes.nodes import NodeKind, analytic_node_position, ratio_from_state, track_trajectory
 from boxnodes.verify import run_verification
 from boxnodes.well import (
     TwoStateSuperposition,
@@ -252,3 +252,44 @@ def test_10_cli_determinism(tmp_path):
         assert time.monotonic() - t0 < 60.0
 
     _report(10, "subcommand reruns byte-identical; verify exits 0", body)
+
+
+def _repeats(positions: np.ndarray, lag: int, tol: float) -> bool:
+    """Every instant has the node of the instant lag samples earlier: the same
+    presence, and a position within tol."""
+    present = ~np.isnan(positions)
+    return bool(np.array_equal(present[lag:], present[:-lag])
+                and np.all(np.abs(positions[lag:] - positions[:-lag])[present[lag:]] <= tol))
+
+
+def test_11_numeric_node_periods():
+    # The beat frequency measured from nodes found in Psi, not from the
+    # analytic formula that contains dw by construction. |Psi|^2 depends on t
+    # only through cos(dw t), so its minimum repeats after T = 2 pi / dw and is
+    # mirrored, not repeated, after T/2. Re Psi of a real state is
+    # c1 psi_1 cos(w1 t) + c2 psi_2 cos(w2 t) with w2 = 4 w1, so its zero
+    # repeats only after 2 pi / w1 = 3T. Six periods are tracked, so that
+    # every lag up to 3T compares three periods of instants.
+    def body():
+        per_period = 64
+        rng = np.random.default_rng(1105)
+        for _ in range(6):
+            cfg = WellConfig(*np.exp(rng.uniform(math.log(0.3), math.log(3.0), 3)).tolist())
+            period = beat_period(cfg)
+            tol = 1e-12 * cfg.width_a
+            c1 = 2.0 * float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9))  # A = c1 / 2
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            phase = complex(math.cos(angle), math.sin(angle))
+            tracks = [(NodeKind.DENSITY_MINIMUM, TwoStateSuperposition(c1, 1.0), 1),
+                      (NodeKind.DENSITY_MINIMUM, TwoStateSuperposition(c1, phase), 1),
+                      (NodeKind.REAL_PART_ZERO, TwoStateSuperposition(c1, 1.0), 3)]
+            for kind, state, periods in tracks:
+                positions = track_trajectory(cfg, state, kind, 0.0, 6.0 * period,
+                                             6 * per_period + 1).positions
+                lags = range(1, 3 * per_period + 1)
+                smallest = next((lag for lag in lags if _repeats(positions, lag, tol)), None)
+                assert smallest == periods * per_period, (cfg, state, kind, smallest)
+                assert not _repeats(positions, per_period // 2, tol)
+
+    _report(11, "numeric nodes repeat after T (density minimum) and 3T (Re Psi zero), "
+            "to 1e-12*a", body)

@@ -1,7 +1,9 @@
 """Amplitude scaling, power-law fits, time averages, heatmaps."""
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -28,6 +30,34 @@ from peaks import local_max_positions, peak_separation
 
 UNIT = WellConfig()
 EQUAL_MIX = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+
+
+def gauss_newton_fit(sweep: AmplitudeSweep) -> tuple[float, float]:
+    """(k, p) of the least-squares power law k A**p, by Gauss-Newton on both.
+
+    The independent oracle for fit_power_law's variable projection: the same
+    power-of-two scaling and log-log seed, then steps in (k, p) that each
+    solve the two-column Jacobian by lstsq, until both steps are below 1e-15.
+    """
+    entries = np.asarray(sweep.entries, dtype=float)
+    ratios, amps = entries[:, 0], entries[:, 1]
+    exp2 = math.frexp(float(amps.max()))[1]
+    scaled = np.ldexp(amps, -exp2)
+    r_max = float(ratios.max())
+    exp2_r = math.frexp(r_max)[1] if r_max < 0.5 else 0
+    x = np.ldexp(ratios, -exp2_r)
+    log_r = np.log(x)
+    p, log_k = np.polyfit(log_r, np.log(scaled), 1)
+    k = math.exp(log_k)
+    for _ in range(100):
+        model = k * np.power(x, p)
+        jac = np.column_stack([model / k, model * log_r])
+        (dk, dp), *_ = np.linalg.lstsq(jac, scaled - model, rcond=None)
+        k, p = float(k + dk), float(p + dp)
+        if abs(dk) <= 1e-15 * abs(k) and abs(dp) <= 1e-15 * max(abs(p), 1.0):
+            break
+    shift = -exp2_r * p
+    return math.ldexp(k * 2.0 ** (shift - round(shift)), exp2 + round(shift)), p
 
 
 class TestOscillationAmplitude:
@@ -133,10 +163,23 @@ class TestSweepAndFit:
         with pytest.raises(ValueError, match="positive"):
             fit_power_law(AmplitudeSweep(entries=entries))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column, name", [(0, "ratio"), (1, "amplitude")])
+    def test_fit_rejects_nonfinite_entries(self, column, name, bad, capfd):
+        # before any solve: a LAPACK routine given a NaN writes to stderr
+        entries = [[0.1, 0.03], [0.5, 0.17], [0.9, 0.35]]
+        entries[1][column] = bad
+        with pytest.raises(ValueError, match=rf"entry 1 has {name} {re.escape(repr(bad))}$"):
+            fit_power_law(AmplitudeSweep(entries=tuple(map(tuple, entries))))
+        assert capfd.readouterr() == ("", "")
+
     def test_reference_protocol_fit(self):
         """The canonical 64-point sweep lands near amplitude ~ 0.42 A^1.32."""
         sweep = amplitude_sweep(UNIT, SweepSpec(a_min=0.05, a_max=1.0, count=64))
         fit = fit_power_law(sweep)
+        # built-in floats, whose repr the CSV trailer and verify print
+        assert [type(getattr(fit, field.name)) for field in dataclasses.fields(fit)] \
+            == [float, float, float]
         assert 0.37 <= fit.coefficient <= 0.47
         assert 1.17 <= fit.exponent <= 1.47
         # regression lock on this exact protocol, at the least-squares optimum
@@ -171,6 +214,35 @@ class TestSweepAndFit:
         fit = fit_power_law(amplitude_sweep(UNIT, SweepSpec(0.05, 1.0, 64)))
         assert abs(fit.exponent - 1.238437129223) <= 1e-9
         assert abs(fit.coefficient - 0.412703945977) <= 1e-9
+
+    @pytest.mark.parametrize("a_min, a_max, exponent", [
+        (0.02, 0.6, 1.0526745077093152675),
+        (0.02, 0.8, 1.1138416166014518906),
+        (0.05, 1.0, 1.3134491057393377828),
+        (0.1, 1.0, 1.3161284371715936554),
+    ])
+    def test_fit_exponent_to_the_last_bits(self, a_min, a_max, exponent):
+        # the root of F for these float ratios and amplitudes, computed to 40
+        # digits in mpmath; linear spacing keeps the ratios off numpy's
+        # CPU-dependent kernels. Sums about the mean of log A keep the
+        # rounding of F from moving p by more than an ulp or two.
+        sweep = amplitude_sweep(UNIT, SweepSpec(a_min, a_max, 64, "linear"))
+        assert abs(fit_power_law(sweep).exponent - exponent) <= 2 * math.ulp(exponent)
+
+    def test_fit_agrees_with_gauss_newton_oracle(self):
+        # the benchmark's ratio ranges on three widths, and subnormal ratios
+        rng = np.random.default_rng(21)
+        cases = [(UNIT, SweepSpec(1e-310, 1e-309, 64))]
+        for i in range(120):
+            spec = SweepSpec(float(rng.uniform(0.02, 0.1)), float(rng.uniform(0.6, 1.0)),
+                             int(rng.integers(3, 129)), ("logarithmic", "linear")[i % 2])
+            cases.append((WellConfig(width_a=(1.0, 1e-3, 1e3)[i % 3]), spec))
+        for cfg, spec in cases:
+            sweep = amplitude_sweep(cfg, spec)
+            fit = fit_power_law(sweep)
+            k, p = gauss_newton_fit(sweep)
+            assert abs(fit.coefficient - k) <= 1e-13 * k, (cfg, spec)
+            assert abs(fit.exponent - p) <= 1e-13 * abs(p), (cfg, spec)
 
     def test_predict_roundtrip(self):
         fit = fit_power_law(AmplitudeSweep(

@@ -106,13 +106,17 @@ class TestSweepCommand:
         assert len(comments) == 1
         assert comments[0].startswith("# fit coefficient=")
         assert "exponent=" in comments[0]
+        # the trailer is the repr of each field: a numpy scalar would print as np.float64(...)
+        assert "np.float64(" not in comments[0]
 
     def test_json_fit_sidecar(self, tmp_path):
         out = tmp_path / "sweep.json"
         assert run_cli(["amplitude-sweep", "--out", out]) == 0
         data = json.loads(out.read_text())
         assert len(data) == 64
-        fit = json.loads((tmp_path / "sweep.fit.json").read_text())
+        sidecar = (tmp_path / "sweep.fit.json").read_text()
+        assert "np.float64(" not in sidecar
+        fit = json.loads(sidecar)
         assert set(fit) == {"coefficient", "exponent", "rms_log_residual"}
         assert 0.37 <= fit["coefficient"] <= 0.47
         assert 1.17 <= fit["exponent"] <= 1.47
@@ -199,6 +203,8 @@ class TestVerifyCommand:
         lines = [ln for ln in text.splitlines() if ln.startswith(("PASS", "FAIL"))]
         assert len(lines) >= 15
         assert all(ln.startswith("PASS") for ln in lines)
+        band = next(ln for ln in lines if "power-law-band" in ln)
+        assert "np.float64(" not in band
 
     def test_cli_entry(self):
         assert run_cli(["verify"]) == 0
