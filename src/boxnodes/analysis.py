@@ -108,9 +108,18 @@ def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
 
 
 def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
-    """Oscillation amplitude at every ratio in the spec."""
-    entries = tuple((float(A), oscillation_amplitude(cfg, float(A))) for A in spec.values())
-    return AmplitudeSweep(entries=entries)
+    """Oscillation amplitude at every ratio in the spec.
+
+    The ratios are checked once, as an array; each amplitude is then
+    (a/pi) asin A, bit for bit oscillation_amplitude's value at a spec's
+    positive A.
+    """
+    values = spec.values()
+    if not (np.abs(values) <= 1.0).all():  # also false at a NaN
+        for A in values.tolist():
+            _check_ratio(A)  # raises at the first bad ratio
+    scale = cfg.width_a / math.pi
+    return AmplitudeSweep(entries=tuple([(A, scale * math.asin(A)) for A in values.tolist()]))
 
 
 def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
@@ -122,8 +131,9 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     10, 1973): with w = A**p the best coefficient for a fixed exponent is
     k(p) = sum(w y) / sum(w**2) in closed form, which leaves one equation in
     p, F(p) = sum(w y L) sum(w**2) - sum(w y) sum(w**2 L) = 0 with L = log A.
-    Newton steps on F, each a few weighted sums, start from the log-log
-    ordinary least squares line and stop when a step is below 1e-15 of p or F
+    Newton steps on F, each a few weighted sums, start from the y**2-weighted
+    log-log line, the linearised optimum (k A**p - y is about
+    y (log(k A**p) - log y)), and stop when a step is below 1e-15 of p or F
     is below the rounding of its terms. On data far from a power law a step
     is held to at most twice the Gauss-Newton step and to the bracket where F
     changes sign, which it bisects when it would leave it.
@@ -132,24 +142,28 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     the largest one, and k is scaled back by the same exact power of two, so
     the result does not drift with the well width. When the largest ratio is
     below 0.5 the ratios are divided likewise by 2**f, and k is scaled back
-    by 2**(-f p), so a sweep of tiny ratios keeps its log-log seed finite; a
-    sweep whose largest ratio lies in [0.5, 1] is fitted on its raw ratios.
-    The quoted residual is the rms of log(data) - log(fit) on the raw
-    amplitudes. A ratio or amplitude that is not finite or not positive, and
-    ratios so close together that the log-log line has no well-defined slope
-    (polyfit's rank test), raise ValueError.
+    by 2**(-f p), so a sweep of tiny ratios keeps w finite; a sweep whose
+    largest ratio lies in [0.5, 1] is fitted on its raw ratios. The quoted
+    residual is the rms of log(data) - (log k + p log A). A ratio or
+    amplitude that is not finite or not positive, ratios so close together
+    that the log-log line has no well-defined slope, and data on which the
+    solve ends at no finite model raise ValueError. The slope test is
+    numpy.polyfit's rank test in closed form: it fails when the smaller
+    singular value of the column-scaled [L, 1] is at most n * eps times the
+    larger.
     """
     entries = np.asarray(sweep.entries, dtype=float)
     if entries.shape[0] < 3:
         raise ValueError("need at least three points to fit a power law")
     ratios = entries[:, 0]
     amps = entries[:, 1]
-    for name, column in (("ratio", ratios), ("amplitude", amps)):
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise ValueError(f"power-law fit needs finite data: entry {int(bad[0])} "
-                             f"has {name} {float(column[bad[0]])!r}")
-    if np.any(ratios <= 0.0) or np.any(amps <= 0.0):
+    if not np.isfinite(entries).all():
+        for name, column in (("ratio", ratios), ("amplitude", amps)):
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                raise ValueError(f"power-law fit needs finite data: entry {int(bad[0])} "
+                                 f"has {name} {float(column[bad[0]])!r}")
+    if (entries <= 0.0).any():
         raise ValueError("power-law fit needs strictly positive data")
 
     # ldexp by a binary exponent is exact; unlike 2.0**e it has no overflow at e = 1024
@@ -159,54 +173,83 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     exp2_r = math.frexp(r_max)[1] if r_max < 0.5 else 0
     x = np.ldexp(ratios, -exp2_r)
     log_r = np.log(x)
-    # full=True returns polyfit's rank instead of warning on a deficient one
-    (p, _), _, rank, _, _ = np.polyfit(log_r, np.log(scaled), 1, full=True)
-    if rank < 2:
-        raise ValueError(f"the ratios {float(ratios.min())!r} to {float(ratios.max())!r} "
-                         f"are too close together to fit a power law")
-    p = float(p)
+    log_y = np.log(amps)  # finite where a scaled amplitude underflows to 0
+    n = len(x)
     # F is the same for any origin of L, and loses the fewest digits when the sums
     # a1 and c, which cancel in it, are near zero: the origin is the mean of L under
-    # y**2, which w**2 approaches at the optimum. The sums a, a1, a2 over w y and
-    # b, c, d over w**2 weight each term by 1, L - origin and (L - origin)**2.
-    origin = float((scaled * scaled * log_r).sum() / (scaled * scaled).sum())
-    centred = log_r - origin
-    weights = np.stack([np.ones_like(centred), centred, centred * centred])
+    # y**2, which w**2 approaches at the optimum
+    sq = scaled * scaled
+    total = sq.sum()
+    origin = float((sq * log_r).sum() / total)
+    # the sums a, a1, a2 over w y and b, c, d over w**2 weight each term by 1,
+    # L - origin and (L - origin)**2
+    weights = np.empty((3, n))
+    weights[0] = 1.0
+    centred = np.subtract(log_r, origin, out=weights[1])
+    np.multiply(centred, centred, out=weights[2])
+    # polyfit's rank test: the column-scaled [L, 1] has singular values
+    # sqrt(1 +- |cos|), cos the cosine of its columns, whose ratio is
+    # sqrt(q) / (1 + |cos|) with q = 1 - cos**2 the spread of L over sum L**2
+    _, sum_c, sum_c2 = weights.sum(axis=1).tolist()
+    spread = sum_c2 - sum_c * sum_c / n
+    sum_l2 = sum_c2 + origin * (2.0 * sum_c + n * origin)
+    q = min(spread / sum_l2, 1.0) if spread > 0.0 else 0.0
+    if math.sqrt(q) <= n * math.ulp(1.0) * (1.0 + math.sqrt(1.0 - q)):
+        raise ValueError(f"the ratios {float(ratios.min())!r} to {float(ratios.max())!r} "
+                         f"are too close together to fit a power law")
+    # the seed: the log-log line weighted by y**2, about the same means
+    sq_centred = sq * centred
+    den = float((sq_centred * centred).sum())
+    log_y_mean = float((sq * log_y).sum() / total)
+    # den is 0 when every weight that does not underflow sits on one ratio: start at p = 0
+    p = float((sq_centred * (log_y - log_y_mean)).sum()) / den if den > 0.0 else 0.0
+    prod = np.empty((2, n))  # w y and w**2
+    w_y, w_w = prod
+    weighted = np.empty((2, 3, n))
     lo, hi = -math.inf, math.inf  # F > 0 at lo and F < 0 at hi: the optimum lies between
-    for _ in range(100):  # converges in under 10 steps from the log-log seed
-        w = np.power(x, p)
-        sums = (np.stack([w * scaled, w * w])[:, None, :] * weights).sum(axis=2)
-        (a, a1, a2), (b, c, d) = sums.tolist()
-        f = a1 * b - a * c
-        if abs(f) <= math.ulp(1.0) * (abs(a1 * b) + abs(a * c)):
-            break  # F is rounding noise: no step can tell a better p
-        if f > 0.0:
-            lo = p
-        else:
-            hi = p
-        # Newton's F' (its last term moves the origin back), capped so that a step is
-        # at most twice the Gauss-Newton step, whose curvature -a (b d - c**2) / b is
-        # never positive
-        curv = min(a2 * b + a1 * c - 2.0 * a * d + 3.0 * origin * f,
-                   -0.5 * a * (b * d - c * c) / b)
-        if not curv < 0.0:  # the w**2-weighted spread of L rounds to zero
-            break
-        tol = 1e-15 * max(abs(p), 1.0)
-        step = p - f / curv
-        if not (lo < step < hi or abs(step - p) <= tol):
-            step = 0.5 * (lo + hi)  # bisect; not finite while the bracket is open
-        p, dp = step, abs(step - p)
-        if not tol < dp < math.inf:  # converged, or a non-finite p the check below rejects
-            break
-    k = a / b if b > 0.0 else math.nan
-    if not (k > 0.0 and math.isfinite(k) and math.isfinite(p)):
+    # an overflow or NaN is not an error here: it ends the solve at the check below
+    with np.errstate(all="ignore"):
+        for _ in range(100):  # converges in under 10 steps from the seed
+            w = np.power(x, p)
+            np.multiply(w, scaled, out=w_y)
+            np.multiply(w, w, out=w_w)
+            np.multiply(prod[:, None, :], weights, out=weighted)
+            (a, a1, a2), (b, c, d) = weighted.sum(axis=2).tolist()
+            f = a1 * b - a * c
+            if abs(f) <= math.ulp(1.0) * (abs(a1 * b) + abs(a * c)):
+                break  # F is rounding noise: no step can tell a better p
+            if f > 0.0:
+                lo = p
+            else:
+                hi = p
+            # Newton's F' (its last term moves the origin back), capped so that a step
+            # is at most twice the Gauss-Newton step, whose curvature
+            # -a (b d - c**2) / b is never positive
+            curv = min(a2 * b + a1 * c - 2.0 * a * d + 3.0 * origin * f,
+                       -0.5 * a * (b * d - c * c) / b)
+            if not curv < 0.0:  # the w**2-weighted spread of L rounds to zero
+                break
+            tol = 1e-15 * max(abs(p), 1.0)
+            step = p - f / curv
+            if not (lo < step < hi or abs(step - p) <= tol):
+                step = 0.5 * (lo + hi)  # bisect; not finite while the bracket is open
+            p, dp = step, abs(step - p)
+            if not tol < dp < math.inf:  # converged, or a non-finite p the check below rejects
+                break
+        k = a / b if b > 0.0 else math.nan
+        # k A**p = k 2**shift x**p, with the whole part of shift applied by ldexp
+        shift = -exp2_r * p
+        try:
+            k = math.ldexp(k * 2.0 ** (shift - round(shift)), exp2 + round(shift))
+        except (OverflowError, ValueError):  # k past the float range, or p not finite
+            k = math.nan
+        rms = math.nan
+        if 0.0 < k < math.inf:
+            resid = log_y - (math.log(k) + p * (log_r if exp2_r == 0 else np.log(ratios)))
+            rms = math.sqrt(float((resid * resid).sum()) / n)
+    if not math.isfinite(rms):
         raise ValueError("power-law fit did not converge to a usable model")
-    # k A**p = k 2**(-exp2_r p) x**p, with the whole part of the exponent applied by ldexp
-    shift = -exp2_r * p
-    k = math.ldexp(k * 2.0 ** (shift - round(shift)), exp2 + round(shift))
-    resid = np.log(amps) - np.log(k * np.power(ratios, p))
-    return PowerLawFit(coefficient=k, exponent=p,
-                       rms_log_residual=float(np.sqrt(np.mean(resid**2))))
+    return PowerLawFit(coefficient=k, exponent=p, rms_log_residual=rms)
 
 
 def time_avg_node_position(cfg: WellConfig, ratio: float) -> float:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,9 @@ def gauss_newton_fit(sweep: AmplitudeSweep) -> tuple[float, float]:
     """(k, p) of the least-squares power law k A**p, by Gauss-Newton on both.
 
     The independent oracle for fit_power_law's variable projection: the same
-    power-of-two scaling and log-log seed, then steps in (k, p) that each
-    solve the two-column Jacobian by lstsq, until both steps are below 1e-15.
+    power-of-two scaling, an unweighted log-log seed from np.polyfit, then
+    steps in (k, p) that each solve the two-column Jacobian by lstsq, until
+    both steps are below 1e-15.
     """
     entries = np.asarray(sweep.entries, dtype=float)
     ratios, amps = entries[:, 0], entries[:, 1]
@@ -128,6 +130,21 @@ class TestSweepAndFit:
         amps = [amp for _, amp in sweep.entries]
         assert all(b > a for a, b in zip(amps, amps[1:]))
 
+    @pytest.mark.parametrize("width", [1.0, 1.37, 1e-3])
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(0.05, 1.0, 64),
+        SweepSpec(0.05, 1.0, 64, "linear"),
+        SweepSpec(0.02, 0.73, 37),
+        SweepSpec(0.1, 0.9, 19, "linear"),
+        SweepSpec(1e-310, 1e-309, 64),
+    ])
+    def test_sweep_matches_oscillation_amplitude(self, spec, width):
+        # the sweep checks its ratios once and inlines the amplitude: bit for bit
+        cfg = WellConfig(width_a=width)
+        expected = tuple((A, oscillation_amplitude(cfg, A)) for A in spec.values().tolist())
+        assert amplitude_sweep(cfg, spec).entries == expected
+        assert all(type(A) is float and type(amp) is float for A, amp in expected)
+
     @pytest.mark.parametrize("count", [3, 64])
     def test_fit_rejects_ratios_too_close_together(self, count):
         # the ratios are two adjacent floats, where polyfit's rank test fails
@@ -137,6 +154,37 @@ class TestSweepAndFit:
             with pytest.raises(ValueError,
                                match=r"ratios 0\.5 to 0\.5000000000000001 are too close"):
                 fit_power_law(sweep)
+
+    def test_rank_test_agrees_with_polyfit(self):
+        # spans of 1 to 2**20 ulps about three centres, at 3 and 64 points;
+        # polyfit's rank is below 2 when the smaller singular value of the
+        # column-scaled [L, 1] is at most n * eps times the larger, and each
+        # case more than a factor of 4 from that threshold, measured exactly
+        # on the float logs, must get the same verdict from the fit
+        decided = {True: 0, False: 0}
+        for centre in (0.5, 1e-3, 1e-300):
+            for n in (3, 64):
+                for e in range(21):
+                    ratios = centre + math.ulp(centre) * np.linspace(0.0, 2.0**e, n)
+                    amps = 0.3 * ratios
+                    # the ratios the fit sees: divided by 2**f below 0.5
+                    r_max = float(ratios.max())
+                    log_r = np.log(np.ldexp(ratios, -(math.frexp(r_max)[1] if r_max < 0.5 else 0)))
+                    exact = [Fraction(v) for v in log_r.tolist()]
+                    mean = sum(exact) / n
+                    q = float(sum((v - mean) ** 2 for v in exact) / sum(v * v for v in exact))
+                    margin = math.sqrt(q) / (1.0 + math.sqrt(1.0 - q)) / (n * math.ulp(1.0))
+                    if 0.25 <= margin <= 4.0:
+                        continue
+                    rank = np.polyfit(log_r, np.log(amps), 1, full=True)[2]
+                    sweep = AmplitudeSweep(entries=tuple(zip(ratios.tolist(), amps.tolist())))
+                    if rank < 2:
+                        with pytest.raises(ValueError, match="too close together"):
+                            fit_power_law(sweep)
+                    else:
+                        fit_power_law(sweep)
+                    decided[bool(rank < 2)] += 1
+        assert min(decided.values()) >= 20, decided
 
     def test_fit_recovers_exact_power_law(self):
         ratios = np.geomspace(0.05, 1.0, 40)
@@ -172,6 +220,37 @@ class TestSweepAndFit:
         with pytest.raises(ValueError, match=rf"entry 1 has {name} {re.escape(repr(bad))}$"):
             fit_power_law(AmplitudeSweep(entries=tuple(map(tuple, entries))))
         assert capfd.readouterr() == ("", "")
+
+    def test_fit_residual_where_the_model_underflows(self):
+        # 1e150 A**2 on A in [1e-200, 1e-100]: A**2 underflows to 0 below 1e-162,
+        # so the residual is taken as log y - (log k + p log A)
+        ratios = np.geomspace(1e-200, 1e-100, 16)
+        amps = 10.0 ** (150.0 + 2.0 * np.log10(ratios))
+        fit = fit_power_law(AmplitudeSweep(tuple(zip(ratios.tolist(), amps.tolist()))))
+        assert fit.exponent == pytest.approx(2.0, rel=1e-12)
+        assert fit.coefficient == pytest.approx(1e150, rel=1e-9)
+        assert fit.rms_log_residual < 1e-12
+
+    @pytest.mark.parametrize("family", ["wide", "near-half"])
+    def test_fit_of_extreme_sweeps_fits_or_raises(self, family):
+        # hand-built sweeps far outside amplitude_sweep's: ratios and amplitudes
+        # log-uniform over 1e+-300, or ratios within 1e-6 of 0.5 and amplitudes
+        # over 1e+-s, s from 1e-6 to 10**2.5; pytest turns a numpy warning into an
+        # error, so each case must be a finite fit or a ValueError
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(3, 65))
+            if family == "wide":
+                ratios, spread = 10.0 ** rng.uniform(-300.0, 300.0, n), 300.0
+            else:
+                ratios, spread = 0.5 + rng.uniform(-1e-6, 1e-6, n), 10.0 ** rng.uniform(-6.0, 2.5)
+            amps = 10.0 ** rng.uniform(-spread, spread, n)
+            try:
+                fit = fit_power_law(AmplitudeSweep(tuple(zip(ratios.tolist(), amps.tolist()))))
+            except ValueError:
+                continue
+            assert fit.coefficient > 0.0
+            assert all(math.isfinite(v) for v in dataclasses.astuple(fit))
 
     def test_reference_protocol_fit(self):
         """The canonical 64-point sweep lands near amplitude ~ 0.42 A^1.32."""
