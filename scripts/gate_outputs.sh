@@ -74,3 +74,9 @@ python3 -m boxnodes.cli amplitude-sweep --a 1.37 --mass 0.6 --hbar 1.9 --out "$2
 python3 -m boxnodes.cli trajectory --kind repart --c1 2 --c2 0.5 --out "$2/repart_gaps.json"
 python3 -m boxnodes.cli avg-position --a-min=-0.5 --a-max 0.5 --a-count 5 --a 1.3 \
   --out "$2/avg_signed.csv"
+# sweeps whose largest ratio is below 0.5, where the fit divides the
+# ratios by a power of two and rescales k: on a non-unit well with its
+# sidecar, and on subnormal ratios
+python3 -m boxnodes.cli amplitude-sweep --a-min 0.001 --a-max 0.3 --a 1.37 --mass 0.6 --hbar 1.9 \
+  --out "$2/sweep_small_a137.json"
+python3 -m boxnodes.cli amplitude-sweep --a-min 1e-310 --a-max 1e-309 --out "$2/sweep_subnormal.csv"

@@ -59,11 +59,27 @@ class SweepSpec:
         return np.linspace(self.a_min, self.a_max, self.count)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeSweep:
-    """Measured (A, oscillation amplitude) pairs of one sweep."""
+    """Oscillation amplitudes of one sweep at its ratios A, both 1-D float
+    arrays of one length; any other shapes raise ValueError."""
 
-    entries: tuple[tuple[float, float], ...]
+    ratios: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        ratios = np.asarray(self.ratios, dtype=float)
+        amplitudes = np.asarray(self.amplitudes, dtype=float)
+        if not (ratios.ndim == amplitudes.ndim == 1 and len(ratios) == len(amplitudes)):
+            raise ValueError(f"a sweep needs 1-D ratios and amplitudes of one length, got "
+                             f"shapes {ratios.shape} and {amplitudes.shape}")
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "amplitudes", amplitudes)
+
+    @property
+    def entries(self) -> tuple[tuple[float, float], ...]:
+        """One (A, amplitude) pair per ratio; kept while perfbench/ reads it."""
+        return tuple(zip(self.ratios.tolist(), self.amplitudes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -112,14 +128,15 @@ def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
 
     The ratios are checked once, as an array; each amplitude is then
     (a/pi) asin A, bit for bit oscillation_amplitude's value at a spec's
-    positive A.
+    positive A. math.asin, not np.arcsin, whose AVX-512 kernel gives other
+    bits than libm.
     """
     values = spec.values()
     if not (np.abs(values) <= 1.0).all():  # also false at a NaN
         for A in values.tolist():
             _check_ratio(A)  # raises at the first bad ratio
-    scale = cfg.width_a / math.pi
-    return AmplitudeSweep(entries=tuple([(A, scale * math.asin(A)) for A in values.tolist()]))
+    asin = np.array([math.asin(A) for A in values.tolist()])
+    return AmplitudeSweep(ratios=values, amplitudes=cfg.width_a / math.pi * asin)
 
 
 def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
@@ -152,18 +169,15 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     singular value of the column-scaled [L, 1] is at most n * eps times the
     larger.
     """
-    entries = np.asarray(sweep.entries, dtype=float)
-    if entries.shape[0] < 3:
+    ratios, amps = sweep.ratios, sweep.amplitudes
+    if len(ratios) < 3:
         raise ValueError("need at least three points to fit a power law")
-    ratios = entries[:, 0]
-    amps = entries[:, 1]
-    if not np.isfinite(entries).all():
-        for name, column in (("ratio", ratios), ("amplitude", amps)):
-            bad = np.flatnonzero(~np.isfinite(column))
-            if bad.size:
-                raise ValueError(f"power-law fit needs finite data: entry {int(bad[0])} "
-                                 f"has {name} {float(column[bad[0]])!r}")
-    if (entries <= 0.0).any():
+    for name, column in (("ratio", ratios), ("amplitude", amps)):
+        if not np.isfinite(column).all():
+            bad = int(np.flatnonzero(~np.isfinite(column))[0])
+            raise ValueError(f"power-law fit needs finite data: entry {bad} "
+                             f"has {name} {float(column[bad])!r}")
+    if (ratios <= 0.0).any() or (amps <= 0.0).any():
         raise ValueError("power-law fit needs strictly positive data")
 
     # ldexp by a binary exponent is exact; unlike 2.0**e it has no overflow at e = 1024

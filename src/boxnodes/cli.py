@@ -62,10 +62,9 @@ def _trajectory(args: argparse.Namespace) -> int:
 def _amplitude_sweep(args: argparse.Namespace) -> int:
     sweep = amplitude_sweep(_well(args), SweepSpec(a_min=args.a_min, a_max=args.a_max,
                                                    count=args.a_count))
-    ratios, amps = np.array(sweep.entries).T
     # asdict keeps the field order (coefficient, exponent, rms_log_residual),
     # which the fit trailer and sidecar follow
-    write_columns(args.out, {"ratio": ratios, "amplitude": amps},
+    write_columns(args.out, {"ratio": sweep.ratios, "amplitude": sweep.amplitudes},
                   metadata={"fit": dataclasses.asdict(fit_power_law(sweep))})
     return 0
 

@@ -246,10 +246,9 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     worst_rho = 0.0
     for t in (0.0, 0.5 * T, T):
         x_formula = analytic_node_position(cfg, A, t)
-        re_zeros = find_real_part_zeros(cfg, state, t)
-        minima = find_density_minima(cfg, state, t)
-        x_re = min(re_zeros, key=lambda x: abs(x - x_formula))
-        x_min, rho_min = min(minima, key=lambda pair: abs(pair[0] - x_formula))
+        # each finder returns at most one node, and these instants have one
+        (x_re,) = find_real_part_zeros(cfg, state, t)
+        ((x_min, rho_min),) = find_density_minima(cfg, state, t)
         worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
         worst_rho = max(worst_rho, rho_min)
     add("special-time-agreement", "three node definitions at t = 0, T/2, T",

@@ -127,7 +127,7 @@ def test_04_amplitude_power_law():
     def body():
         spec = SweepSpec(0.05, 1.0, 64, spacing="logarithmic")
         sweep = amplitude_sweep(CFG, spec)
-        for ratio, amp in sweep.entries:
+        for ratio, amp in zip(sweep.ratios.tolist(), sweep.amplitudes.tolist()):
             assert abs(amp - math.asin(ratio) / math.pi) <= 1e-9
         # the band error is how far k or p lies outside its band
         assert_verify_row("power-law-band", 0.0)

@@ -41,8 +41,7 @@ def gauss_newton_fit(sweep: AmplitudeSweep) -> tuple[float, float]:
     steps in (k, p) that each solve the two-column Jacobian by lstsq, until
     both steps are below 1e-15.
     """
-    entries = np.asarray(sweep.entries, dtype=float)
-    ratios, amps = entries[:, 0], entries[:, 1]
+    ratios, amps = sweep.ratios, sweep.amplitudes
     exp2 = math.frexp(float(amps.max()))[1]
     scaled = np.ldexp(amps, -exp2)
     r_max = float(ratios.max())
@@ -127,8 +126,7 @@ class TestSweepAndFit:
 
     def test_sweep_is_monotone_in_ratio(self):
         sweep = amplitude_sweep(UNIT, SweepSpec(a_min=0.05, a_max=1.0, count=32))
-        amps = [amp for _, amp in sweep.entries]
-        assert all(b > a for a, b in zip(amps, amps[1:]))
+        assert (np.diff(sweep.amplitudes) > 0.0).all()
 
     @pytest.mark.parametrize("width", [1.0, 1.37, 1e-3])
     @pytest.mark.parametrize("spec", [
@@ -144,6 +142,16 @@ class TestSweepAndFit:
         expected = tuple((A, oscillation_amplitude(cfg, A)) for A in spec.values().tolist())
         assert amplitude_sweep(cfg, spec).entries == expected
         assert all(type(A) is float and type(amp) is float for A, amp in expected)
+
+    @pytest.mark.parametrize("ratios, amplitudes, shapes", [
+        ([0.1, 0.2, 0.3], [0.1, 0.2], r"\(3,\) and \(2,\)"),
+        ([[0.1, 0.2, 0.3]], [0.1, 0.2, 0.3], r"\(1, 3\) and \(3,\)"),
+        ([], [0.1, 0.2, 0.3], r"\(0,\) and \(3,\)"),
+    ], ids=["unequal-lengths", "2d-ratios", "one-empty"])
+    def test_malformed_sweep_rejected(self, ratios, amplitudes, shapes):
+        # a sweep is checked when built, before any fit reads its columns
+        with pytest.raises(ValueError, match=rf"got shapes {shapes}$"):
+            AmplitudeSweep(np.array(ratios), np.array(amplitudes))
 
     @pytest.mark.parametrize("count", [3, 64])
     def test_fit_rejects_ratios_too_close_together(self, count):
@@ -177,7 +185,7 @@ class TestSweepAndFit:
                     if 0.25 <= margin <= 4.0:
                         continue
                     rank = np.polyfit(log_r, np.log(amps), 1, full=True)[2]
-                    sweep = AmplitudeSweep(entries=tuple(zip(ratios.tolist(), amps.tolist())))
+                    sweep = AmplitudeSweep(ratios, amps)
                     if rank < 2:
                         with pytest.raises(ValueError, match="too close together"):
                             fit_power_law(sweep)
@@ -188,37 +196,34 @@ class TestSweepAndFit:
 
     def test_fit_recovers_exact_power_law(self):
         ratios = np.geomspace(0.05, 1.0, 40)
-        entries = tuple((float(A), float(2.0 * A**1.5)) for A in ratios)
-        fit = fit_power_law(AmplitudeSweep(entries=entries))
+        fit = fit_power_law(AmplitudeSweep(ratios, 2.0 * ratios**1.5))
         assert fit.coefficient == pytest.approx(2.0, rel=1e-9)
         assert fit.exponent == pytest.approx(1.5, rel=1e-9)
         assert fit.rms_log_residual < 1e-9
 
     def test_fit_constant_data_has_zero_exponent(self):
         ratios = np.linspace(0.1, 1.0, 10)
-        entries = tuple((float(A), 0.7) for A in ratios)
-        fit = fit_power_law(AmplitudeSweep(entries=entries))
+        fit = fit_power_law(AmplitudeSweep(ratios, np.full(10, 0.7)))
         assert fit.exponent == pytest.approx(0.0, abs=1e-10)
         assert fit.coefficient == pytest.approx(0.7, rel=1e-10)
 
     def test_fit_needs_three_points(self):
-        entries = ((0.1, 0.03), (0.5, 0.17))
         with pytest.raises(ValueError, match="three"):
-            fit_power_law(AmplitudeSweep(entries=entries))
+            fit_power_law(AmplitudeSweep(np.array([0.1, 0.5]), np.array([0.03, 0.17])))
 
     def test_fit_rejects_nonpositive_amplitudes(self):
-        entries = ((0.1, 0.03), (0.5, 0.0), (0.9, 0.2))
+        sweep = AmplitudeSweep(np.array([0.1, 0.5, 0.9]), np.array([0.03, 0.0, 0.2]))
         with pytest.raises(ValueError, match="positive"):
-            fit_power_law(AmplitudeSweep(entries=entries))
+            fit_power_law(sweep)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column, name", [(0, "ratio"), (1, "amplitude")])
     def test_fit_rejects_nonfinite_entries(self, column, name, bad, capfd):
         # before any solve: a LAPACK routine given a NaN writes to stderr
-        entries = [[0.1, 0.03], [0.5, 0.17], [0.9, 0.35]]
-        entries[1][column] = bad
+        columns = np.array([[0.1, 0.5, 0.9], [0.03, 0.17, 0.35]])
+        columns[column, 1] = bad
         with pytest.raises(ValueError, match=rf"entry 1 has {name} {re.escape(repr(bad))}$"):
-            fit_power_law(AmplitudeSweep(entries=tuple(map(tuple, entries))))
+            fit_power_law(AmplitudeSweep(*columns))
         assert capfd.readouterr() == ("", "")
 
     def test_fit_residual_where_the_model_underflows(self):
@@ -226,7 +231,7 @@ class TestSweepAndFit:
         # so the residual is taken as log y - (log k + p log A)
         ratios = np.geomspace(1e-200, 1e-100, 16)
         amps = 10.0 ** (150.0 + 2.0 * np.log10(ratios))
-        fit = fit_power_law(AmplitudeSweep(tuple(zip(ratios.tolist(), amps.tolist()))))
+        fit = fit_power_law(AmplitudeSweep(ratios, amps))
         assert fit.exponent == pytest.approx(2.0, rel=1e-12)
         assert fit.coefficient == pytest.approx(1e150, rel=1e-9)
         assert fit.rms_log_residual < 1e-12
@@ -246,7 +251,7 @@ class TestSweepAndFit:
                 ratios, spread = 0.5 + rng.uniform(-1e-6, 1e-6, n), 10.0 ** rng.uniform(-6.0, 2.5)
             amps = 10.0 ** rng.uniform(-spread, spread, n)
             try:
-                fit = fit_power_law(AmplitudeSweep(tuple(zip(ratios.tolist(), amps.tolist()))))
+                fit = fit_power_law(AmplitudeSweep(ratios, amps))
             except ValueError:
                 continue
             assert fit.coefficient > 0.0
@@ -324,9 +329,8 @@ class TestSweepAndFit:
             assert abs(fit.exponent - p) <= 1e-13 * abs(p), (cfg, spec)
 
     def test_predict_roundtrip(self):
-        fit = fit_power_law(AmplitudeSweep(
-            entries=tuple((float(A), float(0.3 * A**1.1))
-                          for A in np.geomspace(0.1, 1.0, 12))))
+        ratios = np.geomspace(0.1, 1.0, 12)
+        fit = fit_power_law(AmplitudeSweep(ratios, 0.3 * ratios**1.1))
         assert fit.coefficient == pytest.approx(0.3, rel=1e-8)
         assert fit.exponent == pytest.approx(1.1, rel=1e-8)
 

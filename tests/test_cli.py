@@ -616,11 +616,12 @@ class TestOutputFormat:
         fit = fit_power_law(sweep)
         fields = {"coefficient": fit.coefficient, "exponent": fit.exponent,
                   "rms_log_residual": fit.rms_log_residual}
+        rows = list(zip(sweep.ratios.tolist(), sweep.amplitudes.tolist()))
         if fmt == "csv":
             trailer = ["# fit " + " ".join(f"{k}={v!r}" for k, v in fields.items())]
-            _assert_table(out, fmt, ["ratio", "amplitude"], sweep.entries, trailer)
+            _assert_table(out, fmt, ["ratio", "amplitude"], rows, trailer)
         else:
-            _assert_table(out, fmt, ["ratio", "amplitude"], sweep.entries)
+            _assert_table(out, fmt, ["ratio", "amplitude"], rows)
             assert json.loads((tmp_path / "s.fit.json").read_text()) == fields
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
