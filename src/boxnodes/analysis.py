@@ -126,15 +126,12 @@ def oscillation_amplitude(cfg: WellConfig, ratio: float) -> float:
 def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
     """Oscillation amplitude at every ratio in the spec.
 
-    The ratios are checked once, as an array; each amplitude is then
-    (a/pi) asin A, bit for bit oscillation_amplitude's value at a spec's
-    positive A. math.asin, not np.arcsin, whose AVX-512 kernel gives other
-    bits than libm.
+    SweepSpec keeps every ratio in [a_min, a_max], inside (0, 1]; each
+    amplitude is (a/pi) asin A, bit for bit oscillation_amplitude's value
+    there. math.asin, not np.arcsin, whose AVX-512 kernel gives other bits
+    than libm.
     """
     values = spec.values()
-    if not (np.abs(values) <= 1.0).all():  # also false at a NaN
-        for A in values.tolist():
-            _check_ratio(A)  # raises at the first bad ratio
     asin = np.array([math.asin(A) for A in values.tolist()])
     return AmplitudeSweep(ratios=values, amplitudes=cfg.width_a / math.pi * asin)
 

@@ -13,10 +13,11 @@ Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
 |Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
 closed form and map back through x = (a/pi) arccos(v). Trajectories solve
 all of their instants in one vectorised numpy pass (the density minimum as
-Viete's trigonometric middle root of the derivative cubic); the
-single-instant finders run the same code on one instant. The grid_n
-arguments of track_trajectory and exact_zero_times are validated but have
-no effect on results.
+Viete's trigonometric middle root of the derivative cubic);
+node_position(cfg, state, kind, t) runs the same code on one instant and
+returns None where a trajectory holds NaN: no node at that instant. The
+grid_n arguments of track_trajectory and exact_zero_times are validated
+but have no effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 need c1 + 2 c2 v e^{-i dw t} = 0, so they exist only where sin(dw t) = 0, and
@@ -36,7 +37,6 @@ from .well import (
     _check_phase,
     beat_period,
     delta_omega,
-    density_exact,
     omega,
 )
 
@@ -45,9 +45,7 @@ __all__ = [
     "NodeSample",
     "NodeTrajectory",
     "ratio_from_state",
-    "analytic_node_position",
-    "find_real_part_zeros",
-    "find_density_minima",
+    "node_position",
     "exact_zero_times",
     "track_trajectory",
 ]
@@ -122,13 +120,6 @@ def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
     return (cfg.width_a / math.pi) * np.array(list(map(math.acos, v.tolist())), dtype=float)
 
 
-def _instant(cfg: WellConfig, t: float) -> np.ndarray:
-    """A single time as the one-element array the batched helpers take."""
-    t = float(t)
-    _check_phase(cfg, t)  # also rejects inf and NaN
-    return np.array([t])
-
-
 def _analytic_v(cfg: WellConfig, ratio: float, ts: np.ndarray) -> np.ndarray:
     """v = -A cos(dw t) at every time in ts, NaN where |v| > 1."""
     v = -ratio * np.cos(delta_omega(cfg) * ts)
@@ -197,46 +188,27 @@ def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
     return np.where((np.abs(u) < 1.0) & (v > -1.0) & (v < 1.0), v, np.nan)
 
 
-def analytic_node_position(cfg: WellConfig, ratio: float, t: float) -> float | None:
-    """Closed-form node position (a/pi) arccos(-A cos(dw t)).
+def _node_v(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
+            ts: np.ndarray) -> np.ndarray:
+    """v = cos(pi x / a) of the node of the given kind at each time in ts, NaN where none."""
+    if kind is NodeKind.ANALYTIC:
+        return _analytic_v(cfg, ratio_from_state(state), ts)
+    if kind is NodeKind.REAL_PART_ZERO:
+        return _real_part_zero_v(cfg, *_require_real(state), ts)
+    return _density_minimum_v(cfg, state, ts)
 
-    Uses the principal arccos branch, so the result lies in [0, a]. Returns
-    None at instants where |A cos(dw t)| > 1 and the node is off the domain.
+
+def node_position(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
+                  t: float) -> float | None:
+    """Position of the node of the given kind (a NodeKind or its value) at time t.
+
+    One instant of track_trajectory's solve, with its bits; None where it holds NaN.
     """
-    if not math.isfinite(ratio):
-        raise ValueError("ratio must be finite")
-    x, = _positions(cfg, _analytic_v(cfg, ratio, _instant(cfg, t))).tolist()
+    kind = NodeKind(kind)
+    t = float(t)
+    _check_phase(cfg, t)  # also rejects inf and NaN
+    x, = _positions(cfg, _node_v(cfg, state, kind, np.array([t]))).tolist()
     return None if math.isnan(x) else x
-
-
-def find_real_part_zeros(cfg: WellConfig, state: TwoStateSuperposition,
-                         t: float) -> list[float]:
-    """Interior zeros of Re Psi(x, t) for a real-coefficient state.
-
-    Re Psi = sqrt(2/a) sin(pi x / a) [c1 cos(w1 t) + 2 c2 cos(w2 t) v] with
-    v = cos(pi x / a), so the only interior zero sits at v = -c1 cos(w1 t) /
-    (2 c2 cos(w2 t)) when that lies in (-1, 1). Wall zeros are structural and
-    are not reported. At instants where 2 c2 cos(w2 t) = 0, Re Psi either
-    vanishes identically (no isolated zeros) or has no interior zero, and the
-    list is empty.
-    """
-    c1, c2 = _require_real(state)
-    x, = _positions(cfg, _real_part_zero_v(cfg, c1, c2, _instant(cfg, t))).tolist()
-    return [] if math.isnan(x) else [x]
-
-
-def find_density_minima(cfg: WellConfig, state: TwoStateSuperposition,
-                        t: float) -> list[tuple[float, float]]:
-    """Interior local minima of |Psi|^2 at time t, as (position, density) pairs.
-
-    There is at most one: the middle root of the cubic d/dv of the density in
-    v = cos(pi x / a), when the cubic has three distinct real roots and that
-    one lies in (-1, 1), mapped back through x = (a/pi) arccos(v). Complex
-    coefficients are allowed. The walls, where the density always vanishes,
-    are never reported.
-    """
-    x, = _positions(cfg, _density_minimum_v(cfg, state, _instant(cfg, t))).tolist()
-    return [] if math.isnan(x) else [(x, float(density_exact(cfg, state, x, float(t))))]
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
@@ -275,10 +247,10 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     the samples form a single curve without any continuity rule: Re Psi is
     linear in v, and |Psi|^2 >= 0 vanishes at both walls, so its interior
     critical points are one maximum or maximum, minimum, maximum. All
-    instants are solved in one vectorised pass, by the same helpers as the
-    single-instant finders, so every position equals what those return at
-    its instant (NaN where they return None or an empty list). grid_n is
-    validated for the numeric kinds but has no effect.
+    instants are solved in one vectorised pass, by the same helpers as
+    node_position, so every position equals what it returns at its instant
+    (NaN where it returns None). grid_n is validated for the numeric kinds
+    but has no effect.
     """
     kind = NodeKind(kind)
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
@@ -287,15 +259,9 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
         raise ValueError("need at least two samples")
     _check_phase(cfg, max(t_start, t_end, key=abs))
 
-    ts = np.linspace(t_start, t_end, n_samples)
-    if kind is NodeKind.ANALYTIC:
-        v = _analytic_v(cfg, ratio_from_state(state), ts)
-    else:
-        if grid_n < 16:
-            raise ValueError("grid_n too small to isolate nodes")
-        if kind is NodeKind.REAL_PART_ZERO:
-            v = _real_part_zero_v(cfg, *_require_real(state), ts)
-        else:
-            v = _density_minimum_v(cfg, state, ts)
+    if kind is not NodeKind.ANALYTIC and grid_n < 16:
+        raise ValueError("grid_n too small to isolate nodes")
 
-    return NodeTrajectory(times=ts, positions=_positions(cfg, v), kind=kind)
+    ts = np.linspace(t_start, t_end, n_samples)
+    return NodeTrajectory(times=ts, positions=_positions(cfg, _node_v(cfg, state, kind, ts)),
+                          kind=kind)

@@ -27,10 +27,7 @@ from .nodes import (
     _analytic_v,
     _positions,
     _real_part_zero_v,
-    analytic_node_position,
-    find_density_minima,
-    find_real_part_zeros,
-    ratio_from_state,
+    node_position,
     track_trajectory,
 )
 from .well import (
@@ -189,7 +186,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
 
     # the Re Psi zeros at t = 0 and T/2 of c1 = 2 A c2 are the turning points
     # of the node, half an excursion (a/pi) arcsin(A) either side of a/2; all
-    # draws are solved in one pass by the helpers find_real_part_zeros runs
+    # draws are solved in one pass by the helpers node_position runs
     draws = rng.uniform(0.01, 1.0, size=50)
     v = _real_part_zero_v(cfg, 2.0 * draws[:, None], 1.0, np.array([0.0, 0.5 * T]))
     turns = _positions(cfg, v.ravel()).reshape(v.shape)
@@ -239,17 +236,18 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     add("heatmap-row-normalization", "trapezoid integral of 16 rows",
         float(np.max(np.abs(row_norms - 1.0))), 1e-6)
 
-    # the three node notions agree where true zeros occur
+    # the three node notions agree where true zeros occur; a notion with no
+    # node at one of these instants fails the check, as a NaN turning point does
     state = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    A = ratio_from_state(state)
     worst_pos = 0.0
     worst_rho = 0.0
     for t in (0.0, 0.5 * T, T):
-        x_formula = analytic_node_position(cfg, A, t)
-        # each finder returns at most one node, and these instants have one
-        (x_re,) = find_real_part_zeros(cfg, state, t)
-        ((x_min, rho_min),) = find_density_minima(cfg, state, t)
-        worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
+        x_formula, x_re, x_min = (node_position(cfg, state, kind, t) for kind in NodeKind)
+        if None in (x_formula, x_re, x_min):
+            worst_pos = math.inf
+        else:
+            worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
+        rho_min = math.inf if x_min is None else float(density_exact(cfg, state, x_min, t))
         worst_rho = max(worst_rho, rho_min)
     add("special-time-agreement", "three node definitions at t = 0, T/2, T",
         worst_pos, 1e-8 * a)

@@ -19,7 +19,7 @@ from boxnodes.analysis import (
     time_avg_node_position,
 )
 from boxnodes.cli import main
-from boxnodes.nodes import NodeKind, analytic_node_position, ratio_from_state, track_trajectory
+from boxnodes.nodes import NodeKind, node_position, ratio_from_state, track_trajectory
 from boxnodes.verify import run_verification
 from boxnodes.well import (
     TwoStateSuperposition,
@@ -91,11 +91,10 @@ def test_01_difference_frequency():
 
 def test_02_equal_mix_trajectory():
     def body():
-        ratio = ratio_from_state(
-            TwoStateSuperposition(1 / math.sqrt(2), 1 / math.sqrt(2)))
-        assert ratio == 0.5
+        state = TwoStateSuperposition(1 / math.sqrt(2), 1 / math.sqrt(2))
+        assert ratio_from_state(state) == 0.5
         ts = np.arange(256) * (T / 256)
-        xs = np.array([analytic_node_position(CFG, ratio, t) for t in ts])
+        xs = np.array([node_position(CFG, state, NodeKind.ANALYTIC, t) for t in ts])
         assert abs(xs.min() - 1.0 / 3.0) <= 1e-9
         assert abs(xs.max() - 2.0 / 3.0) <= 1e-9
         assert_verify_row("trajectory-periodicity", 1e-12)
@@ -113,10 +112,11 @@ def test_03_mean_node_position_centered():
         for ratio in ratios:
             mean = time_avg_node_position(CFG, ratio)
             assert abs(mean - 0.5) <= 1e-9
+            state = TwoStateSuperposition(2.0 * ratio, 1.0)  # c1 / (2 c2) == ratio exactly
             for k in range(128):
                 t = k * (T / 256)
-                pair = analytic_node_position(CFG, ratio, t) \
-                    + analytic_node_position(CFG, ratio, t + T / 2)
+                pair = node_position(CFG, state, NodeKind.ANALYTIC, t) \
+                    + node_position(CFG, state, NodeKind.ANALYTIC, t + T / 2)
                 assert abs(pair - 1.0) <= 1e-12
 
     _report(3, "time-averaged node position = a/2 within 1e-9 up to |A|=0.999999",
@@ -211,7 +211,7 @@ def test_08_true_zeros_only_at_special_times():
                         float(xs[max(i - 1, 0)]),
                         float(xs[min(i + 1, xs.size - 1)]),
                         1e-12)
-                    expected = analytic_node_position(CFG, ratio, t)
+                    expected = node_position(CFG, state, NodeKind.ANALYTIC, t)
                     assert abs(x_star - expected) <= 1e-8
                     assert density_exact(CFG, state, x_star, t) \
                         <= 1e-20 * rho.max()

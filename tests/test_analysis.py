@@ -124,6 +124,22 @@ class TestSweepAndFit:
         with pytest.raises(ValueError):
             SweepSpec(a_min=0.1, a_max=0.9, count=8, spacing="cubic")
 
+    @pytest.mark.parametrize("spacing", ["logarithmic", "linear"])
+    def test_spec_values_stay_in_range(self, spacing):
+        # amplitude_sweep takes asin of every value unchecked: each must be a
+        # finite float in [a_min, a_max], down to subnormal a_min
+        rng = np.random.default_rng(2424)
+        bounds = [(5e-324, 1.0), (1e-320, 1e-319), (0.5, math.nextafter(0.5, 1.0))]
+        bounds += [tuple(np.sort(10.0 ** rng.uniform(-320.0, 0.0, 2)).tolist())
+                   for _ in range(2000)]
+        for a_min, a_max in bounds:
+            if a_min == a_max:
+                continue
+            spec = SweepSpec(a_min, a_max, int(rng.integers(2, 200)), spacing)
+            vals = spec.values()
+            assert np.isfinite(vals).all() and (vals >= a_min).all() \
+                and (vals <= a_max).all(), spec
+
     def test_sweep_is_monotone_in_ratio(self):
         sweep = amplitude_sweep(UNIT, SweepSpec(a_min=0.05, a_max=1.0, count=32))
         assert (np.diff(sweep.amplitudes) > 0.0).all()
@@ -137,7 +153,7 @@ class TestSweepAndFit:
         SweepSpec(1e-310, 1e-309, 64),
     ])
     def test_sweep_matches_oscillation_amplitude(self, spec, width):
-        # the sweep checks its ratios once and inlines the amplitude: bit for bit
+        # the sweep inlines the amplitude: bit for bit
         cfg = WellConfig(width_a=width)
         expected = tuple((A, oscillation_amplitude(cfg, A)) for A in spec.values().tolist())
         assert amplitude_sweep(cfg, spec).entries == expected

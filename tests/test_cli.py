@@ -14,7 +14,7 @@ from boxnodes import verify as verify_module
 from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap, \
     time_avg_node_position
 from boxnodes.cli import build_parser, main
-from boxnodes.nodes import track_trajectory
+from boxnodes.nodes import NodeKind, track_trajectory
 from boxnodes.output import write_columns
 from boxnodes.well import TwoStateSuperposition, WellConfig, beat_period
 
@@ -175,6 +175,11 @@ def _shifted_track(real, *args):
     return dataclasses.replace(traj, positions=traj.positions + 1e-9 * args[3])
 
 
+def _lost_real_part_zero(real, *args):
+    kind, t = args[2:]  # (cfg, state, kind, t)
+    return None if kind is NodeKind.REAL_PART_ZERO and t > 0.0 else real(*args)
+
+
 # (check, owner, name in owner, tamper(real, *args, **kwargs)): verify with
 # owner.name replaced by the tamper must print FAIL for the check
 _TAMPERS = [
@@ -192,6 +197,8 @@ _TAMPERS = [
     ("power-law-band", verify_module, "fit_power_law", _steeper_fit),
     # x(t + T) moves by 1e-9 T against x(t)
     ("trajectory-periodicity", verify_module, "track_trajectory", _shifted_track),
+    # the real-part zero goes missing at T/2 and T: a FAIL, not a crash
+    ("special-time-agreement", verify_module, "node_position", _lost_real_part_zero),
 ]
 
 

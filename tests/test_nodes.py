@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 from boxnodes import nodes
 from boxnodes.nodes import (
     NodeKind,
-    analytic_node_position,
     exact_zero_times,
-    find_density_minima,
-    find_real_part_zeros,
+    node_position,
     ratio_from_state,
     track_trajectory,
 )
@@ -38,6 +36,11 @@ EQUAL_MIX = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 ratios = st.floats(min_value=-0.999, max_value=0.999)
 times = st.floats(min_value=0.0, max_value=3.0)
+
+
+def _analytic(cfg, A, t):
+    """The analytic node at ratio A, of the state (2A, 1) whose ratio is A exactly."""
+    return node_position(cfg, TwoStateSuperposition(2.0 * A, 1.0), NodeKind.ANALYTIC, t)
 
 
 class TestRatio:
@@ -63,81 +66,80 @@ class TestRatio:
 class TestAnalyticPosition:
     def test_equal_mix_start(self):
         # arccos(1/2) / pi = 1/3 of the width, measured from the far wall
-        assert analytic_node_position(UNIT, 0.5, 0.0) == pytest.approx(
+        assert _analytic(UNIT, 0.5, 0.0) == pytest.approx(
             2.0 / 3.0, abs=1e-12)
 
     def test_equal_mix_half_period(self):
         t = math.pi / delta_omega(UNIT)
-        assert analytic_node_position(UNIT, 0.5, t) == pytest.approx(
+        assert _analytic(UNIT, 0.5, t) == pytest.approx(
             1.0 / 3.0, abs=1e-12)
 
     def test_zero_ratio_sits_at_center(self):
         for t in (0.0, 0.1, 0.7):
-            assert analytic_node_position(UNIT, 0.0, t) == pytest.approx(0.5, abs=1e-15)
+            assert _analytic(UNIT, 0.0, t) == pytest.approx(0.5, abs=1e-15)
 
     def test_absent_when_ratio_large(self):
-        assert analytic_node_position(UNIT, 1.5, 0.0) is None
+        assert _analytic(UNIT, 1.5, 0.0) is None
 
     def test_large_ratio_present_mid_beat(self):
         # cos(dw t) passes through zero, so even A = 1.5 has windows of existence
-        pos = analytic_node_position(UNIT, 1.5, 0.25 * T)
+        pos = _analytic(UNIT, 1.5, 0.25 * T)
         assert pos is not None
         assert pos == pytest.approx(0.5, abs=1e-12)
 
     def test_nonfinite_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_node_position(UNIT, math.inf, 0.0)
+        # a ratio A enters as the state (2A, 1), which refuses a nonfinite A
+        with pytest.raises(ValueError, match="c1"):
+            TwoStateSuperposition(math.inf, 1.0)
 
     def test_width_scaling(self):
         wide = WellConfig(width_a=3.0)
-        assert analytic_node_position(wide, 0.5, 0.0) == pytest.approx(
+        assert _analytic(wide, 0.5, 0.0) == pytest.approx(
             2.0, abs=1e-12)
 
     @given(ratios, times)
     @settings(max_examples=100)
     def test_stays_inside_the_well(self, A, t):
-        pos = analytic_node_position(UNIT, A, t)
+        pos = _analytic(UNIT, A, t)
         assert pos is not None
         assert 0.0 <= pos <= 1.0
 
     @given(ratios, times)
     @settings(max_examples=100)
     def test_beat_periodicity(self, A, t):
-        x1 = analytic_node_position(UNIT, A, t)
-        x2 = analytic_node_position(UNIT, A, t + T)
+        x1 = _analytic(UNIT, A, t)
+        x2 = _analytic(UNIT, A, t + T)
         assert abs(x1 - x2) <= 1e-11
 
     @given(ratios, times)
     @settings(max_examples=100)
     def test_half_period_reflection(self, A, t):
         # arccos(-u) + arccos(u) = pi makes x(t) + x(t + T/2) = a
-        x1 = analytic_node_position(UNIT, A, t)
-        x2 = analytic_node_position(UNIT, A, t + 0.5 * T)
+        x1 = _analytic(UNIT, A, t)
+        x2 = _analytic(UNIT, A, t + 0.5 * T)
         assert abs(x1 + x2 - 1.0) <= 1e-11
 
 
 class TestRealPartZeros:
     def test_equal_mix_start(self):
-        zeros = find_real_part_zeros(UNIT, EQUAL_MIX, 0.0)
-        assert len(zeros) == 1
-        assert zeros[0] == pytest.approx(2.0 / 3.0, abs=1e-10)
+        x = node_position(UNIT, EQUAL_MIX, NodeKind.REAL_PART_ZERO, 0.0)
+        assert x == pytest.approx(2.0 / 3.0, abs=1e-10)
 
     def test_equal_mix_half_period(self):
-        zeros = find_real_part_zeros(UNIT, EQUAL_MIX, 0.5 * T)
-        assert len(zeros) == 1
-        assert zeros[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
+        x = node_position(UNIT, EQUAL_MIX, NodeKind.REAL_PART_ZERO, 0.5 * T)
+        assert x == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_pure_excited_center(self):
-        zeros = find_real_part_zeros(UNIT, TwoStateSuperposition(0.0, 1.0), 0.1)
-        assert len(zeros) == 1
-        assert zeros[0] == pytest.approx(0.5, abs=1e-10)
+        x = node_position(UNIT, TwoStateSuperposition(0.0, 1.0), NodeKind.REAL_PART_ZERO, 0.1)
+        assert x == pytest.approx(0.5, abs=1e-10)
 
     def test_pure_ground_has_none(self):
-        assert find_real_part_zeros(UNIT, TwoStateSuperposition(1.0, 0.0), 0.2) == []
+        state = TwoStateSuperposition(1.0, 0.0)
+        assert node_position(UNIT, state, NodeKind.REAL_PART_ZERO, 0.2) is None
 
     def test_complex_state_rejected(self):
         with pytest.raises(ValueError, match="real"):
-            find_real_part_zeros(UNIT, TwoStateSuperposition(1.0j, 1.0), 0.0)
+            node_position(UNIT, TwoStateSuperposition(1.0j, 1.0), NodeKind.REAL_PART_ZERO, 0.0)
 
     @given(st.floats(min_value=-2.0, max_value=2.0),
            st.floats(min_value=0.05, max_value=1.0),
@@ -151,44 +153,43 @@ class TestRealPartZeros:
         if abs(denom) < 1e-6:  # nearly degenerate instants are a separate regime
             return
         u = -c1 * math.cos(omega(UNIT, 1) * t) / denom
-        zeros = find_real_part_zeros(UNIT, state, t)
-        for z in zeros:
-            assert abs(math.cos(math.pi * z) - u) <= 1e-9
+        x = node_position(UNIT, state, NodeKind.REAL_PART_ZERO, t)
+        if x is not None:
+            assert abs(math.cos(math.pi * x) - u) <= 1e-9
         if abs(u) <= 1.0 - 1e-5:
             # an interior zero must then exist, and the finder must see it
             expected = math.acos(u) / math.pi
-            assert any(abs(z - expected) <= 1e-9 for z in zeros)
+            assert x is not None and abs(x - expected) <= 1e-9
 
 
 class TestDensityMinima:
     def test_equal_mix_true_zero(self):
-        minima = find_density_minima(UNIT, EQUAL_MIX, 0.0)
-        assert len(minima) == 1
-        x, rho = minima[0]
+        x = node_position(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM, 0.0)
         assert x == pytest.approx(2.0 / 3.0, abs=1e-8)
-        assert rho <= 1e-8
+        assert density_exact(UNIT, EQUAL_MIX, x, 0.0) <= 1e-8
 
     def test_equal_mix_quarter_period(self):
         # interference is switched off here; the mixed profile has one dip
-        minima = find_density_minima(UNIT, EQUAL_MIX, 0.25 * T)
-        assert len(minima) == 1
-        x, rho = minima[0]
+        x = node_position(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM, 0.25 * T)
         assert x == pytest.approx(0.5, abs=1e-6)
+        rho = density_exact(UNIT, EQUAL_MIX, x, 0.25 * T)
         assert rho == pytest.approx(1.0, rel=1e-6)
         assert rho > 0.0
 
     def test_pure_excited_permanent_node(self):
-        minima = find_density_minima(UNIT, TwoStateSuperposition(0.0, 1.0), 0.3)
-        assert len(minima) == 1
-        assert minima[0][0] == pytest.approx(0.5, abs=1e-8)
-        assert minima[0][1] <= 1e-15
+        state = TwoStateSuperposition(0.0, 1.0)
+        x = node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.3)
+        assert x == pytest.approx(0.5, abs=1e-8)
+        assert density_exact(UNIT, state, x, 0.3) <= 1e-15
 
     def test_pure_ground_has_no_interior_minimum(self):
-        assert find_density_minima(UNIT, TwoStateSuperposition(1.0, 0.0), 0.0) == []
+        state = TwoStateSuperposition(1.0, 0.0)
+        assert node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0) is None
 
     def test_complex_states_allowed(self):
-        minima = find_density_minima(UNIT, TwoStateSuperposition(1.0j, 1.0), 0.0)
-        assert all(0.0 < x < 1.0 and rho >= 0.0 for x, rho in minima)
+        state = TwoStateSuperposition(1.0j, 1.0)
+        x = node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0)
+        assert x is None or (0.0 < x < 1.0 and density_exact(UNIT, state, x, 0.0) >= 0.0)
 
     def test_matches_dense_scan(self):
         """Independent oracle: interior minima of a 20,001-point density scan.
@@ -215,11 +216,11 @@ class TestDensityMinima:
                 continue
             checked += 1
             scan = [i for i in turns if slope[i - 1] < 0]
-            found = find_density_minima(cfg, state, t)
-            assert len(found) == len(scan)
-            for i, (x, rho_min) in zip(scan, found):
+            x = node_position(cfg, state, NodeKind.DENSITY_MINIMUM, t)
+            assert len(scan) == (0 if x is None else 1)
+            for i in scan:
                 assert abs(x - xs[i]) <= h
-                assert rho_min <= rho[i] * (1.0 + 1e-12)
+                assert density_exact(cfg, state, x, t) <= rho[i] * (1.0 + 1e-12)
         assert checked >= 180
 
     @given(st.floats(min_value=0.0, max_value=1.0))
@@ -227,7 +228,9 @@ class TestDensityMinima:
     def test_minima_are_local_minima(self, frac):
         t = frac * T
         eps = 1e-4
-        for x, rho in find_density_minima(UNIT, EQUAL_MIX, t):
+        x = node_position(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM, t)
+        if x is not None:
+            rho = density_exact(UNIT, EQUAL_MIX, x, t)
             left = density_exact(UNIT, EQUAL_MIX, max(x - eps, 0.0), t)
             right = density_exact(UNIT, EQUAL_MIX, min(x + eps, 1.0), t)
             assert rho <= left + 1e-12
@@ -267,13 +270,11 @@ class TestExactZeroTimes:
     def test_zero_positions_follow_formula(self):
         # at sin(dw t) = 0 the zero sits at (a/pi) arccos(-+A)
         state = TwoStateSuperposition(0.6, 0.8)
-        A = ratio_from_state(state)
-        for k, t in enumerate(exact_zero_times(UNIT, state, period_count=1)):
-            expected = analytic_node_position(UNIT, A, t)
-            minima = find_density_minima(UNIT, state, t)
-            x, rho = min(minima, key=lambda pair: pair[1])
-            assert rho <= 1e-10
+        for t in exact_zero_times(UNIT, state, period_count=1):
+            expected = node_position(UNIT, state, NodeKind.ANALYTIC, t)
+            x = node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, t)
             assert x == pytest.approx(expected, abs=1e-7)
+            assert density_exact(UNIT, state, x, t) <= 1e-10
 
     def test_large_ratio_never_vanishes(self):
         # |A| = 3.05 > 1: the formula has no solution at the critical instants
@@ -383,7 +384,7 @@ def _position_error(cfg, x, v):
 
 class TestOneEngine:
     """A trajectory solves all of its instants in one vectorised pass; every
-    sample must be exactly what the single-instant finder returns there."""
+    sample must be exactly what node_position returns there."""
 
     @staticmethod
     def _cases():
@@ -412,14 +413,7 @@ class TestOneEngine:
             for kind in kinds:
                 traj = track_trajectory(cfg, state, kind, 0.0, 1.5 * beat_period(cfg), 48)
                 for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
-                    if kind is NodeKind.ANALYTIC:
-                        want = analytic_node_position(cfg, ratio_from_state(state), t)
-                    elif kind is NodeKind.REAL_PART_ZERO:
-                        zeros = find_real_part_zeros(cfg, state, t)
-                        want = zeros[0] if zeros else None
-                    else:
-                        minima = find_density_minima(cfg, state, t)
-                        want = minima[0][0] if minima else None
+                    want = node_position(cfg, state, kind, t)
                     assert x == want if want is not None else math.isnan(x), \
                         (cfg, state, kind, t)
                     counts["absent" if want is None else "present"] += 1
@@ -460,7 +454,8 @@ class TestOneEngine:
                 traj = track_trajectory(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0, T, 257)
                 halves = np.arange(5) * (0.5 * T)
                 found = [math.isnan(x) for x in traj.positions.tolist()]
-                found += [not find_density_minima(UNIT, state, t) for t in halves.tolist()]
+                found += [node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, t) is None
+                          for t in halves.tolist()]
                 exact = _exact_density_minima(UNIT, state, np.append(traj.times, halves))
                 disagree += sum(absent != (v is None) for absent, v in zip(found, exact))
         assert disagree <= 80
@@ -468,8 +463,8 @@ class TestOneEngine:
     @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a137"])
     def test_broadcast_solves_equal_the_public_finders(self, cfg):
         """verify solves all its draws at once: ratios down axis 0, instants
-        along axis 1. Every position must have the bits the public finder
-        returns for that one ratio (NaN where it returns none)."""
+        along axis 1. Every position must have the bits node_position
+        returns for that one ratio (NaN where it returns None)."""
         rng = np.random.default_rng(1414)
         T_cfg = beat_period(cfg)
         draws = rng.uniform(0.01, 1.0, size=50)
@@ -479,8 +474,8 @@ class TestOneEngine:
             for A, row in zip(draws.tolist(), xs.tolist()):
                 state = TwoStateSuperposition(2.0 * A, 1.0)
                 for t, x in zip(ts.tolist(), row):
-                    want = find_real_part_zeros(cfg, state, t)
-                    assert ([] if math.isnan(x) else [x]) == want, (A, t)
+                    want = node_position(cfg, state, NodeKind.REAL_PART_ZERO, t)
+                    assert (None if math.isnan(x) else x) == want, (A, t)
         ratios = rng.uniform(-1.2, 1.2, size=20)
         v = nodes._analytic_v(cfg, ratios[:, None], np.linspace(0.0, T_cfg, 257))
         tracks = nodes._positions(cfg, v.ravel()).reshape(v.shape)
@@ -492,13 +487,11 @@ class TestOneEngine:
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_nonfinite_time_rejected(self, t):
-        for finder in (lambda: analytic_node_position(UNIT, 0.5, t),
-                       lambda: find_real_part_zeros(UNIT, EQUAL_MIX, t),
-                       lambda: find_density_minima(UNIT, EQUAL_MIX, t),
-                       lambda: track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC,
-                                                0.0, t, 4)):
-            with pytest.raises(ValueError, match="finite"):
-                finder()
+        for kind in NodeKind:
+            for finder in (lambda: node_position(UNIT, EQUAL_MIX, kind, t),
+                           lambda: track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, t, 4)):
+                with pytest.raises(ValueError, match="finite"):
+                    finder()
 
     @pytest.mark.parametrize("width", [1.0, 1.37, 3e-100])
     def test_positions_are_math_acos(self, width):
@@ -514,16 +507,14 @@ class TestOneEngine:
         # omega_2 t overflows at these finite times: each finder must name t
         # and the well, with no numpy warning ahead of the error
         state = TwoStateSuperposition(0.6, 0.8)
-        for finder in (lambda: analytic_node_position(UNIT, 0.375, t),
-                       lambda: find_real_part_zeros(UNIT, state, t),
-                       lambda: find_density_minima(UNIT, state, t),
-                       *(lambda kind=kind: track_trajectory(UNIT, state, kind,
-                                                           min(0.0, t), max(0.0, t), 3)
-                         for kind in NodeKind)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match=re.escape(f"t={t!r} for a=1.0")):
-                    finder()
+        for kind in NodeKind:
+            for finder in (lambda: node_position(UNIT, state, kind, t),
+                           lambda: track_trajectory(UNIT, state, kind,
+                                                    min(0.0, t), max(0.0, t), 3)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=re.escape(f"t={t!r} for a=1.0")):
+                        finder()
 
     def test_pure_excited_zero_times_over_two_periods(self):
         found = exact_zero_times(UNIT, TwoStateSuperposition(0.0, 1.0), period_count=2)
@@ -604,6 +595,7 @@ class TestTrackTrajectory:
     def test_string_kind_accepted(self):
         traj = track_trajectory(UNIT, EQUAL_MIX, "analytic-formula", 0.0, T, 5)
         assert traj.kind is NodeKind.ANALYTIC
+        assert node_position(UNIT, EQUAL_MIX, "analytic-formula", T) == traj.positions[-1]
 
     def test_absent_windows_marked_none(self):
         # A = 1.5: node exists only while |cos(dw t)| <= 2/3
@@ -694,11 +686,8 @@ class TestTrackTrajectory:
             assert np.array_equal(np.isnan(traj.positions), absent)
             assert [s.t for s in traj.samples] == traj.times.tolist()
             for t, x in zip(traj.times.tolist(), traj.positions.tolist()):
-                if kind is NodeKind.REAL_PART_ZERO:
-                    want = find_real_part_zeros(UNIT, state, t)
-                else:
-                    want = [pos for pos, _ in find_density_minima(UNIT, state, t)[:1]]
-                assert want == ([] if math.isnan(x) else [x]), (kind, t)
+                want = node_position(UNIT, state, kind, t)
+                assert want == (None if math.isnan(x) else x), (kind, t)
             gaps += absent
         assert 0 < sum(gaps) < len(gaps)  # both NaN and finite positions occur
 

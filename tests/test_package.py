@@ -1,6 +1,12 @@
-"""The package namespace is the submodules' __all__ lists, re-exported in order."""
+"""The package namespace is the submodules' __all__ lists, re-exported in order,
+and the README's library example runs against it."""
 
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,3 +47,16 @@ def test_submodule_all_lists_exactly_its_public_definitions(mod):
                if not name.startswith("_") and getattr(obj, "__module__", None) == mod.__name__
                and (inspect.isclass(obj) or inspect.isfunction(obj))]
     assert sorted(defined) == sorted(mod.__all__)
+
+
+def test_readme_library_example_runs():
+    # the one python block of README.md runs as written, so a renamed public
+    # name cannot leave it stale
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
