@@ -13,11 +13,15 @@ Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
 |Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
 closed form and map back through x = (a/pi) arccos(v). Trajectories solve
 all of their instants in one vectorised numpy pass (the density minimum as
-Viete's trigonometric middle root of the derivative cubic);
+Viete's trigonometric middle root of the derivative cubic, with np.arcsin,
+and without the sin(dw t) term for a real state);
 node_position(cfg, state, kind, t) runs the same code on one instant and
-returns None where a trajectory holds NaN: no node at that instant. The
-grid_n arguments of track_trajectory and exact_zero_times are validated
-but have no effect on results.
+returns None where a trajectory holds NaN: no node at that instant. A
+trajectory's instants have np.linspace's bits. The frequencies come from
+the well, which computes them once. The passes are short, so the kernels
+keep their ufunc calls few and track_trajectory checks its window in
+Python floats. The grid_n arguments of track_trajectory and
+exact_zero_times are validated but have no effect on results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 need c1 + 2 c2 v e^{-i dw t} = 0, so they exist only where sin(dw t) = 0, and
@@ -26,6 +30,7 @@ only for 0 < |A| < 1 or c1 = 0; exact_zero_times lists them by that formula.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,8 +41,6 @@ from .well import (
     WellConfig,
     _check_phase,
     beat_period,
-    delta_omega,
-    omega,
 )
 
 __all__ = [
@@ -107,6 +110,26 @@ def ratio_from_state(state: TwoStateSuperposition) -> float:
     return ratio
 
 
+def _uniform_times(t_start: float, t_end: float, n: int) -> np.ndarray:
+    """np.linspace(t_start, t_end, n) for n >= 2 and a finite t_end - t_start,
+    by numpy's own arithmetic, bit for bit, without its per-call cost: arange(n)
+    times the step, or, where the step underflows to 0, divided by n - 1 and
+    then times the width; plus t_start, and the last instant set to t_end."""
+    n = operator.index(n)
+    div = n - 1
+    delta = t_end - t_start
+    ts = np.arange(n, dtype=float)
+    step = delta / div
+    if step == 0.0:
+        ts /= div
+        ts *= delta
+    else:
+        ts *= step
+    ts += t_start
+    ts[-1] = t_end
+    return ts
+
+
 def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
     """Map v = cos(pi x / a) back to x = (a/pi) arccos(v); NaN stays NaN.
 
@@ -122,7 +145,7 @@ def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:
 
 def _analytic_v(cfg: WellConfig, ratio: float, ts: np.ndarray) -> np.ndarray:
     """v = -A cos(dw t) at every time in ts, NaN where |v| > 1."""
-    v = -ratio * np.cos(delta_omega(cfg) * ts)
+    v = -ratio * np.cos(cfg._dw * ts)
     return np.where(np.abs(v) > 1.0, np.nan, v)
 
 
@@ -133,8 +156,8 @@ def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> 
     the range test rejects.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = -c1 * np.cos(omega(cfg, 1) * ts) / (2.0 * c2 * np.cos(omega(cfg, 2) * ts))
-    return np.where((v > -1.0) & (v < 1.0), v, np.nan)
+        v = -c1 * np.cos(cfg._omega_1 * ts) / (2.0 * c2 * np.cos(cfg._omega_2 * ts))
+    return np.where(np.abs(v) < 1.0, v, np.nan)
 
 
 def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
@@ -155,6 +178,10 @@ def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
     (-1, 1). Since x -> v is strictly monotone inside the well, it is the
     minimum in x.
 
+    gamma = 4 (Re(c1 conj(c2)) cos(dw t) - Im(c1 conj(c2)) sin(dw t)), and for
+    a real state, whose Im(c1 conj(c2)) is 0, the sin term is skipped. Every
+    other rounded operation is the plain expression's, in its order.
+
     asin runs through np.arcsin, which numpy 2.4.6 evaluates on its own
     kernel where the CPU has AVX-512: on such a host it differs from
     math.asin on 84,206 of 1e6 uniform values, and on none with those CPU
@@ -174,18 +201,26 @@ def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
         # pure psi_1: f = alpha (1 - v^2) has its only extremum, a maximum, at v = 0
         return np.full(ts.shape, np.nan)
     cross = c1 * c2.conjugate()
-    phase = delta_omega(cfg) * ts
+    phase = cfg._dw * ts
     r = alpha / beta
     # with one real root (p >= 0 or |u| > 1) u or v is NaN, and so it is where
     # r, g or g^2 overflow for beta subnormal against alpha, whose middle root
-    # lies far beyond the walls; the mask keeps no NaN
+    # lies far beyond the walls; the mask keeps no NaN. On the few dozen
+    # instants of a trajectory a ufunc call costs more than its arithmetic,
+    # so each quantity is computed once
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = (4.0 / beta) * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
-        p = 0.5 * (r - 1.0) - 0.1875 * (g * g)
-        q = g * (g * g - 4.0 * (r + 1.0)) / 32.0
+        g = cross.real * np.cos(phase)
+        # a real state has no sin term: x - 0 sin is x, but for the sign of a
+        # zero x, which only sets the sign of a zero v, and acos(-0.0) == acos(0.0)
+        if cross.imag:
+            g = g - cross.imag * np.sin(phase)
+        g = (4.0 / beta) * g
+        gg = g * g
+        p = 0.5 * (r - 1.0) - 0.1875 * gg
+        q = g * (gg - 4.0 * (r + 1.0)) / 32.0
         u = 1.5 * q / p * np.sqrt(-3.0 / p)
-        v = -2.0 * np.sqrt(-p / 3.0) * np.sin(np.arcsin(u) / 3.0) - 0.25 * g
-    return np.where((np.abs(u) < 1.0) & (v > -1.0) & (v < 1.0), v, np.nan)
+        v = -2.0 * np.sqrt(p / -3.0) * np.sin(np.arcsin(u) / 3.0) - 0.25 * g
+    return np.where((np.abs(u) < 1.0) & (np.abs(v) < 1.0), v, np.nan)
 
 
 def _node_v(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
@@ -220,7 +255,8 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     is permanent, and the samples_per_period instants per period are returned.
     For 0 < |A| < 1, A = c1 / (2 c2), the zeros are the instants k T/2, where
     sin(dw t) = 0. Otherwise the list is empty: at |A| = 1 the zero touches a
-    wall, which is not interior. grid_n is validated but has no effect.
+    wall, which is not interior. A window whose end period_count * T is not
+    a finite float raises ValueError. grid_n is validated but has no effect.
     """
     c1, c2 = _require_real(state)
     if period_count < 1:
@@ -228,9 +264,13 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     if grid_n < 16 or samples_per_period < 16:
         raise ValueError("scan resolution too small")
     T = beat_period(cfg)
+    t_end = period_count * T
+    if not math.isfinite(t_end):
+        what = (f"the beat period T = {T!r} is not finite" if math.isinf(T) else
+                f"period_count * T = {period_count!r} * {T!r} overflows")
+        raise ValueError(f"{what} for a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
     if c1 == 0.0:
-        return np.linspace(0.0, period_count * T,
-                           period_count * samples_per_period + 1).tolist()
+        return _uniform_times(0.0, t_end, period_count * samples_per_period + 1).tolist()
     if abs(c1) < 2.0 * abs(c2):
         return [k * 0.5 * T for k in range(2 * period_count + 1)]
     return []
@@ -249,19 +289,24 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     critical points are one maximum or maximum, minimum, maximum. All
     instants are solved in one vectorised pass, by the same helpers as
     node_position, so every position equals what it returns at its instant
-    (NaN where it returns None). grid_n is validated for the numeric kinds
-    but has no effect.
+    (NaN where it returns None). The window's width t_end - t_start must be
+    a finite float. grid_n is validated for the numeric kinds but has no
+    effect.
     """
     kind = NodeKind(kind)
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("need finite t_start < t_end")
+    t_start, t_end = float(t_start), float(t_end)
     if n_samples < 2:
         raise ValueError("need at least two samples")
     _check_phase(cfg, max(t_start, t_end, key=abs))
+    if not math.isfinite(t_end - t_start):
+        raise ValueError(f"the window width t_end - t_start overflows for "
+                         f"t_start={t_start!r}, t_end={t_end!r}")
 
     if kind is not NodeKind.ANALYTIC and grid_n < 16:
         raise ValueError("grid_n too small to isolate nodes")
 
-    ts = np.linspace(t_start, t_end, n_samples)
+    ts = _uniform_times(t_start, t_end, n_samples)
     return NodeTrajectory(times=ts, positions=_positions(cfg, _node_v(cfg, state, kind, ts)),
                           kind=kind)

@@ -58,16 +58,22 @@ class WellConfig:
             object.__setattr__(self, field, value)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{label} must be positive and finite, got {value!r}")
-        dw = delta_omega(self)
+        dw = _beat_frequency(self.width_a, self.mass_m, self.hbar)
         if not (dw > 0.0 and math.isfinite(dw)):
             raise ValueError(
                 f"beat frequency delta_omega = {dw!r} is not positive and finite for "
                 f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
+        # kept for the kernels, which would otherwise compute them on every
+        # call; not fields, so ==, hash, repr, replace and asdict see only
+        # the three above
+        object.__setattr__(self, "_dw", dw)
         w2 = omega(self, 2)
         if not math.isfinite(w2):
             raise ValueError(
                 f"the largest frequency omega_2 = {w2!r} is not finite for "
                 f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
+        object.__setattr__(self, "_omega_1", omega(self, 1))
+        object.__setattr__(self, "_omega_2", w2)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ def omega(cfg: WellConfig, n: int) -> float:
     the bits of n * n * dw / 3 wherever those steps are normal and is inf
     only beyond the float range."""
     n = _check_index(n)
-    m, e = math.frexp(delta_omega(cfg))
+    m, e = math.frexp(cfg._dw)
     try:
         return math.ldexp(n * n * m / 3.0, e)
     except OverflowError:
@@ -178,13 +184,19 @@ def delta_omega(cfg: WellConfig) -> float:
     exponents are applied once by math.ldexp. Scaling by a power of two is
     exact, so the bits equal the plain expression's wherever its steps are
     normal floats, and a normal dw is accurate to a few ulp even where
-    pi hbar / a would overflow or be subnormal. It never raises: a dw beyond
-    the float range gives inf, one below it 0 or a subnormal. WellConfig
-    rejects 0, inf, and a dw whose omega_2 = 4 dw / 3 overflows.
+    pi hbar / a would overflow or be subnormal. WellConfig computes it once,
+    when it is built, and rejects a dw of 0 or inf, and one whose
+    omega_2 = 4 dw / 3 overflows.
     """
-    ma, ea = math.frexp(cfg.width_a)
-    mm, em = math.frexp(cfg.mass_m)
-    mh, eh = math.frexp(cfg.hbar)
+    return cfg._dw
+
+
+def _beat_frequency(a: float, m: float, hbar: float) -> float:
+    """delta_omega's formula on the three fields; it never raises: a dw beyond
+    the float range gives inf, one below it 0 or a subnormal."""
+    ma, ea = math.frexp(a)
+    mm, em = math.frexp(m)
+    mh, eh = math.frexp(hbar)
     try:
         return math.ldexp(1.5 * math.pi * (math.pi * mh / ma) / mm / ma, eh - em - 2 * ea)
     except OverflowError:
@@ -193,7 +205,7 @@ def delta_omega(cfg: WellConfig) -> float:
 
 def beat_period(cfg: WellConfig) -> float:
     """Period 2 pi / delta_omega of every |Psi|^2 observable of a two-state mix."""
-    return 2.0 * math.pi / delta_omega(cfg)
+    return 2.0 * math.pi / cfg._dw
 
 
 def _check_phase(cfg: WellConfig, t) -> None:
@@ -201,7 +213,9 @@ def _check_phase(cfg: WellConfig, t) -> None:
 
     t may be a float or an array; the message names the first such time.
     """
-    w2 = omega(cfg, 2)
+    w2 = cfg._omega_2
+    if type(t) is float and math.isfinite(w2 * t):  # the common case, without numpy
+        return
     ts = np.asarray(t, dtype=float)
     # a product of Python floats overflows to inf without a warning, and a
     # NaN time makes the largest |t| NaN
@@ -231,9 +245,9 @@ class _Grid:
         _check_phase(cfg, ts)
         # the shape of every full-grid result, and of the arrays passed as out
         self.shape = np.broadcast_shapes(self.p1.shape, ts.shape)
-        self.phase1 = np.exp(-1j * omega(cfg, 1) * ts)
-        self.phase2 = np.exp(-1j * omega(cfg, 2) * ts)
-        self.beat = np.exp(1j * delta_omega(cfg) * ts)
+        self.phase1 = np.exp(-1j * cfg._omega_1 * ts)
+        self.phase2 = np.exp(-1j * cfg._omega_2 * ts)
+        self.beat = np.exp(1j * cfg._dw * ts)
         self.p1_sq = self.p1**2
         self.p2_sq = self.p2**2
         self.two_p1p2 = 2.0 * self.p1 * self.p2

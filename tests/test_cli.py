@@ -332,6 +332,9 @@ _EDGE_ARGV = [
     ("trajectory --t-end nan", "t_end"),
     ("trajectory --t-start inf", "t_end"),
     ("trajectory --t-start 1e308", "t_end"),
+    # both ends are finite and so is omega_2 t there, but their difference is not
+    ("trajectory --hbar 1e-300 --t-start=-1.5e308 --t-end 1.5e308 --time-samples 3",
+     "window width"),
     # T = 5.3e-308 and 4.2e-301 are below the float spacing at t_start = 0.25
     ("trajectory --t-start 0.25 --hbar 8e306", "t_start + T"),
     ("trajectory --t-start 0.25 --a 1e-100 --mass 1e-100", "t_start + T"),

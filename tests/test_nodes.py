@@ -304,6 +304,22 @@ class TestExactZeroTimes:
         with pytest.raises(ValueError):
             exact_zero_times(UNIT, EQUAL_MIX, period_count=0)
 
+    @pytest.mark.parametrize("c1", [0.6, 0.0, 2.0])
+    def test_infinite_beat_period_rejected(self, c1):
+        # dw is subnormal, so T = 2 pi / dw overflows: 0 * 0.5 * T was NaN
+        cfg = WellConfig(1e158)
+        assert beat_period(cfg) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"T = inf is not finite for a=1e\+158, m=1\.0"):
+                exact_zero_times(cfg, TwoStateSuperposition(c1, 0.8))
+
+    @pytest.mark.parametrize("c1", [0.6, 0.0])
+    def test_overflowing_window_rejected(self, c1):
+        # T = 4.2e299 is finite, 1e9 T is not
+        with pytest.raises(ValueError, match=r"period_count \* T = 1000000000 \* 4\.2"):
+            exact_zero_times(WellConfig(1e150), TwoStateSuperposition(c1, 0.8), 10**9)
+
 
 def _loop_density_minimum(cfg, state, t):
     """Smallest-x interior minimum of |Psi|^2 at one instant, by np.roots."""
@@ -380,6 +396,126 @@ def _position_error(cfg, x, v):
         v_f = float(v)
         arccos = Decimal(math.acos(v_f)) + (Decimal(v_f) - v) / (1 - v * v).sqrt()
         return float(abs(Decimal(x) - Decimal(cfg.width_a) / Decimal(math.pi) * arccos))
+
+
+def _plain_real_part_zero_v(cfg, c1, c2, ts):
+    """_real_part_zero_v as it read before its ufunc passes were cut: omega per
+    call and a two-sided range test."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = -c1 * np.cos(omega(cfg, 1) * ts) / (2.0 * c2 * np.cos(omega(cfg, 2) * ts))
+    return np.where((v > -1.0) & (v < 1.0), v, np.nan)
+
+
+def _plain_density_minimum_v(cfg, state, ts):
+    """_density_minimum_v as it read before its ufunc passes were cut: the sin
+    term for every state, g * g twice, -p / 3 and a two-sided range test on v."""
+    c1, c2 = state.c1, state.c2
+    scale = 2.0 ** -math.frexp(max(abs(c1.real), abs(c1.imag), abs(c2.real), abs(c2.imag)))[1]
+    c1, c2 = c1 * scale, c2 * scale
+    alpha, beta = abs(c1) ** 2, 4.0 * abs(c2) ** 2
+    if beta == 0.0:
+        return np.full(ts.shape, np.nan)
+    cross = c1 * c2.conjugate()
+    phase = delta_omega(cfg) * ts
+    r = alpha / beta
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = (4.0 / beta) * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
+        p = 0.5 * (r - 1.0) - 0.1875 * (g * g)
+        q = g * (g * g - 4.0 * (r + 1.0)) / 32.0
+        u = 1.5 * q / p * np.sqrt(-3.0 / p)
+        v = -2.0 * np.sqrt(-p / 3.0) * np.sin(np.arcsin(u) / 3.0) - 0.25 * g
+    return np.where((np.abs(u) < 1.0) & (v > -1.0) & (v < 1.0), v, np.nan)
+
+
+class TestKernelBits:
+    """The v-space kernels make fewer ufunc calls than the plain expressions
+    above but round the same operations in the same order, so they give
+    the same bits."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(2525)
+        cfgs = [WellConfig(*np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
+                for _ in range(8)] + [UNIT]
+        states = []
+        for _ in range(12):
+            c = rng.standard_normal(4)
+            states += [(float(c[0]), float(c[1])), (complex(c[0], c[1]), complex(c[2], c[3]))]
+        # c1 = 0, c2 = 0, a purely imaginary c1, |A| = 1 (v = -+1 at t = 0),
+        # and tiny beta, against which alpha / beta overflows
+        states += [(0.0, 1.0), (0.0, -0.7), (0.0j, 1.0 + 1.0j), (1.0, 0.0), (1.0j, 0.0),
+                   (1.0j, 1.0), (2.0, 1.0), (-2.0, 1.0), (1.0, 1e-160), (1.0, 1e-155),
+                   (1e-300, 1.0)]
+        states = [TwoStateSuperposition(scale * c1, scale * c2) for c1, c2 in states
+                  for scale in (1.0, 1e153, 1e-153)]
+        for cfg in cfgs:
+            T_cfg = beat_period(cfg)
+            ts = np.concatenate([rng.uniform(-2.0, 2.0, 61) * T_cfg,
+                                 np.arange(-4, 5) * (0.25 * T_cfg)])
+            yield from ((cfg, state, ts) for state in states)
+
+    def test_density_minimum(self):
+        zero_signs = 0
+        for cfg, state, ts in self._cases():
+            got, want = nodes._density_minimum_v(cfg, state, ts), \
+                _plain_density_minimum_v(cfg, state, ts)
+            assert nodes._positions(cfg, got).tobytes() == \
+                nodes._positions(cfg, want).tobytes(), (cfg, state)
+            if (state.c1 * state.c2.conjugate()).imag:
+                assert got.tobytes() == want.tobytes(), (cfg, state)
+            else:
+                # without the sin term, x - 0 sin is x, also where x is -0.0
+                # and the plain expression gives +0.0: only the sign of a
+                # zero v can differ, and acos maps both zeros to a/2
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (cfg, state)
+                zero_signs += got.tobytes() != want.tobytes()
+        assert zero_signs  # the c1 = 0 states reach that case
+
+    def test_real_part_zero(self):
+        for cfg, state, ts in self._cases():
+            if state.c1.imag or state.c2.imag:
+                continue
+            c1, c2 = state.c1.real, state.c2.real
+            assert nodes._real_part_zero_v(cfg, c1, c2, ts).tobytes() == \
+                _plain_real_part_zero_v(cfg, c1, c2, ts).tobytes(), (cfg, state)
+
+
+class TestUniformTimes:
+    """A trajectory's instants are np.linspace's, computed without its per-call cost."""
+
+    @staticmethod
+    def _windows():
+        rng = np.random.default_rng(2626)
+        windows = []
+        for _ in range(400):
+            t_start = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-300, 300))
+            t_end = t_start + float(10.0 ** rng.uniform(-300, 300))
+            n = int(rng.choice([2, 3, 600, int(rng.integers(4, 1000))]))
+            if t_end > t_start and math.isfinite(t_end - t_start):
+                windows.append((t_start, t_end, n))
+        # steps below the smallest subnormal, where numpy divides by n - 1
+        # before it multiplies by the width
+        windows += [(0.0, 5e-324, 5), (-5e-324, 5e-324, 5), (0.0, 1e-323, 7),
+                    (5e-324, 1e-323, 600), (-1.0, 1.0, 2), (-3.0, -1.0, 3), (0.0, 1.0, 600)]
+        return windows
+
+    def test_linspace_bits(self):
+        for t_start, t_end, n in self._windows():
+            want = np.linspace(t_start, t_end, n)
+            assert nodes._uniform_times(t_start, t_end, n).tobytes() == want.tobytes(), \
+                (t_start, t_end, n)
+
+    def test_subnormal_step_takes_numpys_branch(self):
+        # 5e-324 / 4 rounds to 0, so arange times the step would lose ts[3]
+        ts = nodes._uniform_times(0.0, 5e-324, 5)
+        assert ts.tolist() == [0.0, 0.0, 0.0, 5e-324, 5e-324]
+        assert (np.arange(5) * (5e-324 / 4))[3] == 0.0
+
+    def test_trajectory_times(self):
+        for t_start, t_end, n in self._windows()[::20]:
+            traj = track_trajectory(WellConfig(hbar=1e-300), EQUAL_MIX, NodeKind.ANALYTIC,
+                                    t_start, t_end, n)
+            assert traj.times.tobytes() == np.linspace(t_start, t_end, n).tobytes()
 
 
 class TestOneEngine:
@@ -669,6 +805,16 @@ class TestTrackTrajectory:
             track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 1.0, 0.5, 4)
         with pytest.raises(ValueError):
             track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 1)
+
+    @pytest.mark.parametrize("kind", list(NodeKind))
+    def test_overflowing_window_width_rejected(self, kind):
+        # both ends are finite and omega_2 t is finite at both in this well,
+        # but t_end - t_start is inf: the instants were [nan, inf, 1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"width .* t_start=-1\.5e\+308, t_end=1\.5e\+308"):
+                track_trajectory(WellConfig(hbar=1e-300), TwoStateSuperposition(0.6, 0.8),
+                                 kind, -1.5e308, 1.5e308, 3)
 
     @pytest.mark.parametrize("state", [TwoStateSuperposition(2.0, 0.5),
                                        TwoStateSuperposition(0.48 + 0.36j, 0.5)],

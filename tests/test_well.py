@@ -1,7 +1,10 @@
 """Eigenstates, densities, and norms against hand-derived values."""
 
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -16,6 +19,7 @@ from boxnodes.analysis import heatmap, time_avg_density
 from boxnodes.well import (
     TwoStateSuperposition,
     WellConfig,
+    _beat_frequency,
     _Grid,
     _norm_grid,
     _simpson_norm,
@@ -80,6 +84,55 @@ class TestConfig:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"omega_2 = inf .* hbar=1\.2e\+307"):
                 WellConfig(hbar=1.2e307)
+
+
+def _frequencies(cfg):
+    """The frequencies a well keeps, as hex strings: dw, omega_1, omega_2."""
+    return cfg._dw.hex(), cfg._omega_1.hex(), cfg._omega_2.hex()
+
+
+# seeded wells, and extremes the CLI accepts: a large dw with T near the bottom
+# of the float range (--hbar 8e306, --a 1e-100 --mass 1e-100) and a subnormal
+# dw (--a 1e155)
+_WELLS = [WellConfig(*row) for row in
+          (10.0 ** np.random.default_rng(25).uniform(-5, 5, size=(50, 3))).tolist()] + [
+    WellConfig(hbar=8e306), WellConfig(1e-100, 1e-100), WellConfig(1e155),
+    WellConfig(1.37, 0.6, 1.9)]
+
+
+class TestCachedFrequencies:
+    """WellConfig computes dw, omega_1 and omega_2 once, when it is built."""
+
+    def test_equal_the_public_functions(self):
+        # omega computes n^2 dw / 3 afresh from the kept dw, and dw afresh
+        # from the three fields
+        for cfg in _WELLS:
+            assert _frequencies(cfg) == (delta_omega(cfg).hex(), omega(cfg, 1).hex(),
+                                         omega(cfg, 2).hex()), cfg
+            assert cfg._dw.hex() == _beat_frequency(cfg.width_a, cfg.mass_m,
+                                                    cfg.hbar).hex(), cfg
+
+    @pytest.mark.parametrize("cfg", _WELLS[-4:], ids=repr)
+    def test_survive_copies(self, cfg):
+        for twin in (dataclasses.replace(cfg), copy.copy(cfg), copy.deepcopy(cfg),
+                     pickle.loads(pickle.dumps(cfg))):
+            assert twin == cfg and _frequencies(twin) == _frequencies(cfg)
+        moved = dataclasses.replace(cfg, hbar=0.5 * cfg.hbar)
+        assert _frequencies(moved) == _frequencies(
+            WellConfig(cfg.width_a, cfg.mass_m, 0.5 * cfg.hbar))
+        assert _frequencies(moved) != _frequencies(cfg)
+
+    def test_are_not_fields(self):
+        cfg = WellConfig(1.37, 0.6, 1.9)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["width_a", "mass_m", "hbar"]
+        assert repr(cfg) == "WellConfig(width_a=1.37, mass_m=0.6, hbar=1.9)"
+        assert dataclasses.asdict(cfg) == {"width_a": 1.37, "mass_m": 0.6, "hbar": 1.9}
+        assert hash(cfg) == hash((1.37, 0.6, 1.9))
+        twin = WellConfig(1.37, 0.6, 1.9)
+        object.__setattr__(twin, "_dw", 0.0)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg._dw = 1.0
 
 
 class TestEigenfunction:
