@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .well import TwoStateSuperposition, WellConfig, _modes, _ret
+from .well import TwoStateSuperposition, WellConfig, _modes, _ret, _uniform_times
 
 __all__ = [
     "SweepSpec",
@@ -54,9 +54,16 @@ class SweepSpec:
             raise ValueError(f"unknown spacing {self.spacing!r}")
 
     def values(self) -> np.ndarray:
-        if self.spacing == "logarithmic":
-            return np.geomspace(self.a_min, self.a_max, self.count)
-        return np.linspace(self.a_min, self.a_max, self.count)
+        """np.geomspace(a_min, a_max, count), or np.linspace if "linear", bit for
+        bit by their arithmetic without their call: np.log10 of each end alone, as
+        geomspace calls it, evenly spaced, np.power(10.0, .), the exact ends."""
+        a_min, a_max = float(self.a_min), float(self.a_max)
+        if self.spacing == "linear":
+            return _uniform_times(a_min, a_max, self.count)
+        ratios = np.power(10.0, _uniform_times(float(np.log10(a_min)),
+                                               float(np.log10(a_max)), self.count))
+        ratios[0], ratios[-1] = a_min, a_max
+        return ratios
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +139,7 @@ def amplitude_sweep(cfg: WellConfig, spec: SweepSpec) -> AmplitudeSweep:
     than libm.
     """
     values = spec.values()
-    asin = np.array([math.asin(A) for A in values.tolist()])
+    asin = np.fromiter(map(math.asin, values.tolist()), float, len(values))
     return AmplitudeSweep(ratios=values, amplitudes=cfg.width_a / math.pi * asin)
 
 
@@ -169,20 +176,22 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     ratios, amps = sweep.ratios, sweep.amplitudes
     if len(ratios) < 3:
         raise ValueError("need at least three points to fit a power law")
-    for name, column in (("ratio", ratios), ("amplitude", amps)):
-        if not np.isfinite(column).all():
-            bad = int(np.flatnonzero(~np.isfinite(column))[0])
-            raise ValueError(f"power-law fit needs finite data: entry {bad} "
-                             f"has {name} {float(column[bad])!r}")
-    if (ratios <= 0.0).any() or (amps <= 0.0).any():
-        raise ValueError("power-law fit needs strictly positive data")
+    # the extremes the fit needs validate it too: a NaN entry makes them NaN
+    r_min, r_max = float(ratios.min()), float(ratios.max())
+    y_min, y_max = float(amps.min()), float(amps.max())
+    if not (0.0 < r_min and r_max < math.inf and 0.0 < y_min and y_max < math.inf):
+        for name, column in (("ratio", ratios), ("amplitude", amps)):
+            if not np.isfinite(column).all():
+                bad = int(np.flatnonzero(~np.isfinite(column))[0])
+                raise ValueError(f"power-law fit needs finite data: entry {bad} "
+                                 f"has {name} {float(column[bad])!r}")
+        raise ValueError("power-law fit needs strictly positive data")  # finite: some <= 0
 
     # ldexp by a binary exponent is exact; unlike 2.0**e it has no overflow at e = 1024
-    exp2 = math.frexp(float(amps.max()))[1]
+    exp2 = math.frexp(y_max)[1]
     scaled = np.ldexp(amps, -exp2)
-    r_max = float(ratios.max())
     exp2_r = math.frexp(r_max)[1] if r_max < 0.5 else 0
-    x = np.ldexp(ratios, -exp2_r)
+    x = ratios if exp2_r == 0 else np.ldexp(ratios, -exp2_r)
     log_r = np.log(x)
     log_y = np.log(amps)  # finite where a scaled amplitude underflows to 0
     n = len(x)
@@ -206,7 +215,7 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     sum_l2 = sum_c2 + origin * (2.0 * sum_c + n * origin)
     q = min(spread / sum_l2, 1.0) if spread > 0.0 else 0.0
     if math.sqrt(q) <= n * math.ulp(1.0) * (1.0 + math.sqrt(1.0 - q)):
-        raise ValueError(f"the ratios {float(ratios.min())!r} to {float(ratios.max())!r} "
+        raise ValueError(f"the ratios {r_min!r} to {r_max!r} "
                          f"are too close together to fit a power law")
     # the seed: the log-log line weighted by y**2, about the same means
     sq_centred = sq * centred
@@ -279,8 +288,10 @@ def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x):
     The interference term oscillates at dw and averages to zero, which leaves
     |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2.
     """
-    p1, p2 = _modes(cfg, x)
-    return _ret(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2)
+    squares = np.square(_modes(cfg, x))
+    # the transpose has the rows along its last axis, whatever the shape of x
+    np.multiply(squares.T, (abs(state.c1) ** 2, abs(state.c2) ** 2), out=squares.T)
+    return _ret(np.add(squares[0], squares[1]))
 
 
 def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
@@ -292,8 +303,9 @@ def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
     """
     if x_count < 8 or mix_count < 8:
         raise ValueError("heatmap grid needs at least 8 points per axis")
-    xs = np.linspace(0.0, cfg.width_a, x_count)
-    thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
-    p1, p2 = _modes(cfg, xs)
-    values = np.outer(np.cos(thetas) ** 2, p1**2) + np.outer(np.sin(thetas) ** 2, p2**2)
-    return HeatmapGrid(x_values=xs, mix_values=thetas, values=values)
+    xs = _uniform_times(0.0, cfg.width_a, x_count)
+    thetas = _uniform_times(0.0, math.pi / 2.0, mix_count)
+    # cos^2 and sin^2 as columns times psi_1^2 and psi_2^2 as rows
+    terms = np.multiply(np.square([np.cos(thetas), np.sin(thetas)])[:, :, None],
+                        np.square(_modes(cfg, xs))[:, None, :])
+    return HeatmapGrid(x_values=xs, mix_values=thetas, values=np.add(terms[0], terms[1]))

@@ -30,7 +30,6 @@ only for 0 < |A| < 1 or c1 = 0; exact_zero_times lists them by that formula.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +39,7 @@ from .well import (
     TwoStateSuperposition,
     WellConfig,
     _check_phase,
+    _uniform_times,
     beat_period,
 )
 
@@ -108,26 +108,6 @@ def ratio_from_state(state: TwoStateSuperposition) -> float:
     if not math.isfinite(ratio):
         raise ValueError(f"ratio overflow for c1={c1!r}, c2={c2!r}")
     return ratio
-
-
-def _uniform_times(t_start: float, t_end: float, n: int) -> np.ndarray:
-    """np.linspace(t_start, t_end, n) for n >= 2 and a finite t_end - t_start,
-    by numpy's own arithmetic, bit for bit, without its per-call cost: arange(n)
-    times the step, or, where the step underflows to 0, divided by n - 1 and
-    then times the width; plus t_start, and the last instant set to t_end."""
-    n = operator.index(n)
-    div = n - 1
-    delta = t_end - t_start
-    ts = np.arange(n, dtype=float)
-    step = delta / div
-    if step == 0.0:
-        ts /= div
-        ts *= delta
-    else:
-        ts *= step
-    ts += t_start
-    ts[-1] = t_end
-    return ts
 
 
 def _positions(cfg: WellConfig, v: np.ndarray) -> np.ndarray:

@@ -63,6 +63,11 @@ class CheckResult:
         return f"{status} {self.name}: {self.detail} (error={self.error:.3e}, tol={self.tol:.3e})"
 
 
+def _worst(*errors: float) -> float:
+    """max(errors), but NaN if one is: max() drops a NaN after its first argument."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors)
+
+
 def _random_complex_state(rng: np.random.Generator) -> TwoStateSuperposition:
     c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return normalize(TwoStateSuperposition(c[0], c[1]))
@@ -108,7 +113,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     for _ in range(10):
         state = _random_complex_state(rng)
         t = float(rng.uniform(0.0, 2.0 * T))
-        worst = max(worst, float(np.max(np.abs(evaluate_psi(cfg, state, walls, t)))))
+        worst = _worst(worst, float(np.max(np.abs(evaluate_psi(cfg, state, walls, t)))))
     add("wall-boundary-zeros", "psi(0) and psi(a) for random states", worst, 0.0)
 
     # closed-form density equals the complex-arithmetic density; this check
@@ -124,7 +129,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         state = _random_complex_state(rng)
         d1 = grid.density_exact(state, **work)
         np.subtract(d1, grid.density_closed_form(state, out=d2), out=d1)
-        worst = max(worst, float(np.max(np.abs(d1, out=d1))))
+        worst = _worst(worst, float(np.max(np.abs(d1, out=d1))))
     add("closed-form-equivalence", "50 random complex states on a 256x64 grid",
         worst, 1e-12 / a)
     del grid, work, d1, d2
@@ -137,8 +142,8 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     for _ in range(20):
         state = _random_complex_state(rng)
         norms = _simpson_norm(cfg, grid.density_exact(state, **work))
-        worst_norm = max(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
-        worst_spread = max(worst_spread, float(np.max(norms) - np.min(norms)))
+        worst_norm = _worst(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
+        worst_spread = _worst(worst_spread, float(np.max(norms) - np.min(norms)))
     add("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", worst_norm, 1e-8)
     add("norm-constancy", "norm spread over 10 times per state", worst_spread, 1e-10)
     del grid, work
@@ -149,7 +154,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         state = _random_complex_state(rng)
         t = float(rng.uniform(0.0, T))
         d1, d2 = density_exact(cfg, state, xg, np.array([[t], [t + T]]))
-        worst = max(worst, float(np.max(np.abs(d1 - d2))))
+        worst = _worst(worst, float(np.max(np.abs(d1 - d2))))
     add("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", worst, 1e-12 / a)
 
     # pure eigenstates have static densities
@@ -157,7 +162,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     for coeffs in ((1.0, 0.0), (0.0, 1.0)):
         state = TwoStateSuperposition(*coeffs)
         profiles = density_exact(cfg, state, xg, np.linspace(0.0, T, 7)[:, None])
-        worst = max(worst, float(np.max(profiles.max(axis=0) - profiles.min(axis=0))))
+        worst = _worst(worst, float(np.max(profiles.max(axis=0) - profiles.min(axis=0))))
     add("stationary-eigenstate", "density variation of pure psi_1 and psi_2", worst,
         1e-13 / a)
 
@@ -197,7 +202,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
             break
         measured = 0.5 * (x_0 - x_half)
         # oscillation_amplitude is (a/pi) arcsin A, so one term covers both
-        worst = max(worst, abs(measured - oscillation_amplitude(cfg, A)))
+        worst = _worst(worst, abs(measured - oscillation_amplitude(cfg, A)))
     add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
         "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
 
@@ -211,7 +216,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for A, x in zip(ratios.tolist(), tracks):
         sampled = np.mean(x[:-1])
-        worst = max(worst, abs(sampled - time_avg_node_position(cfg, A)))
+        worst = _worst(worst, abs(sampled - time_avg_node_position(cfg, A)))
     add("mean-node-position", "sampled time average of x(t) vs a/2 for A up to 0.99",
         worst, 1e-9 * a)
 
@@ -225,7 +230,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         state = _random_complex_state(rng)
         sampled = np.mean(grid.density_exact(state, **work), axis=1)
         avg = time_avg_density(cfg, state, xg)
-        worst = max(worst, float(np.max(np.abs(avg - sampled))))
+        worst = _worst(worst, float(np.max(np.abs(avg - sampled))))
     add("time-avg-density-static-part", "midpoint time average of the density vs "
         "stationary profile", worst, 1e-10 / a)
     del grid, work
@@ -246,9 +251,9 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         if None in (x_formula, x_re, x_min):
             worst_pos = math.inf
         else:
-            worst_pos = max(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
+            worst_pos = _worst(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
         rho_min = math.inf if x_min is None else float(density_exact(cfg, state, x_min, t))
-        worst_rho = max(worst_rho, rho_min)
+        worst_rho = _worst(worst_rho, rho_min)
     add("special-time-agreement", "three node definitions at t = 0, T/2, T",
         worst_pos, 1e-8 * a)
     add("special-time-zero-depth", "density at the common node", worst_rho, 1e-10 / a)
@@ -257,7 +262,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     # length, so k scales with a while the exponent p is dimensionless
     sweep = amplitude_sweep(cfg, SweepSpec(a_min=0.05, a_max=1.0, count=64))
     fit = fit_power_law(sweep)
-    band_err = max(0.0, abs(fit.coefficient / a - 0.42) - 0.05,
+    band_err = _worst(0.0, abs(fit.coefficient / a - 0.42) - 0.05,
                    abs(fit.exponent - 1.32) - 0.15)
     add("power-law-band", f"fit k = {fit.coefficient!r}, p = {fit.exponent!r}",
         band_err, 0.0)

@@ -5,19 +5,21 @@ stationary states are sqrt(2/a) sin(n pi x / a), energies are
 n^2 pi^2 hbar^2 / (2 m a^2), and time evolution of a superposition is a sum
 of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
-The density kernels share one private grid type. When it is built, it
-checks the positions and the times once and computes every
-state-independent factor of one (x, t) grid: the modes, the phases
-e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode products.
-evaluate_psi, density_exact, density_closed_form and norm_integral build one
-grid per call; verify builds one per check and evaluates each random state
-on it into work arrays it reuses.
+psi_1 and psi_2 come from one pass, stacked as two rows, with one position
+check, one wall mask and one ufunc call per step. The density kernels share
+one private grid type. When it is built, it checks the positions and the
+times once and computes every state-independent factor of one (x, t) grid:
+the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode
+products. evaluate_psi, density_exact, density_closed_form and norm_integral
+build one grid per call; verify builds one per check and evaluates each
+random state on it into work arrays it reuses.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,8 @@ class WellConfig:
                 f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
         object.__setattr__(self, "_omega_1", omega(self, 1))
         object.__setattr__(self, "_omega_2", w2)
+        if not math.isfinite(2.0 / self.width_a):  # a below 2/DBL_MAX, about 1.1e-308
+            raise ValueError(f"the mode amplitude sqrt(2/a) is not finite for a={self.width_a!r}")
 
 
 @dataclass(frozen=True)
@@ -123,21 +127,20 @@ def _check_position(cfg: WellConfig, x) -> np.ndarray:
     return xs
 
 
-def _walls(cfg: WellConfig, xs: np.ndarray) -> np.ndarray:
-    return (xs == 0.0) | (xs == cfg.width_a)
+_MODE_N_PI = np.array([math.pi, 2.0 * math.pi])
 
 
-def _mode(cfg: WellConfig, n: int, xs: np.ndarray, walls: np.ndarray) -> np.ndarray:
-    """sqrt(2/a) sin(n pi x / a) on checked positions, exactly 0.0 on the walls."""
-    a = cfg.width_a
-    return np.where(walls, 0.0, math.sqrt(2.0 / a) * np.sin(n * math.pi * xs / a))
-
-
-def _modes(cfg: WellConfig, x) -> tuple[np.ndarray, np.ndarray]:
-    """psi_1 and psi_2 at x, with one position check and one wall mask."""
+def _modes(cfg: WellConfig, x, n_pi: np.ndarray = _MODE_N_PI) -> np.ndarray:
+    """sqrt(2/a) sin(n pi x / a) at x, exactly 0.0 on the walls, for each n pi
+    in n_pi (psi_1 and psi_2 by default) stacked on a new first axis; each
+    step, (n pi) x, / a, sin and times sqrt(2/a), is one ufunc call for all."""
     xs = _check_position(cfg, x)
-    walls = _walls(cfg, xs)
-    return _mode(cfg, 1, xs, walls), _mode(cfg, 2, xs, walls)
+    modes = np.multiply.outer(n_pi, xs)
+    modes /= cfg.width_a
+    np.sin(modes, out=modes)
+    modes *= math.sqrt(2.0 / cfg.width_a)
+    np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == cfg.width_a))
+    return modes
 
 
 def _ret(values):
@@ -153,8 +156,7 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     exactly 0.0, not a rounded sin(n pi).
     """
     n = _check_index(n)
-    xs = _check_position(cfg, x)
-    return _ret(_mode(cfg, n, xs, _walls(cfg, xs)))
+    return _ret(_modes(cfg, x, np.array([n * math.pi]))[0])
 
 
 def energy(cfg: WellConfig, n: int) -> float:
@@ -227,6 +229,26 @@ def _check_phase(cfg: WellConfig, t) -> None:
                          f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
 
 
+def _uniform_times(t_start: float, t_end: float, n: int) -> np.ndarray:
+    """np.linspace(t_start, t_end, n) for n >= 2 and a finite t_end - t_start,
+    by numpy's own arithmetic, bit for bit, without its per-call cost: arange(n)
+    times the step, or, where the step underflows to 0, divided by n - 1 and
+    then times the width; plus t_start, and the last value set to t_end."""
+    n = operator.index(n)
+    div = n - 1
+    delta = t_end - t_start
+    ts = np.arange(n, dtype=float)
+    step = delta / div
+    if step == 0.0:
+        ts /= div
+        ts *= delta
+    else:
+        ts *= step
+    ts += t_start
+    ts[-1] = t_end
+    return ts
+
+
 class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
@@ -240,7 +262,8 @@ class _Grid:
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
-        self.p1, self.p2 = _modes(cfg, x)
+        modes = _modes(cfg, x)
+        self.p1, self.p2 = modes[0, ...], modes[1, ...]  # 0-d for a scalar x
         ts = np.asarray(t, dtype=float)
         _check_phase(cfg, ts)
         # the shape of every full-grid result, and of the arrays passed as out
@@ -248,8 +271,8 @@ class _Grid:
         self.phase1 = np.exp(-1j * cfg._omega_1 * ts)
         self.phase2 = np.exp(-1j * cfg._omega_2 * ts)
         self.beat = np.exp(1j * cfg._dw * ts)
-        self.p1_sq = self.p1**2
-        self.p2_sq = self.p2**2
+        squares = np.square(modes)
+        self.p1_sq, self.p2_sq = squares[0, ...], squares[1, ...]
         self.two_p1p2 = 2.0 * self.p1 * self.p2
 
     def psi(self, state: TwoStateSuperposition, out=None, tmp=None):
@@ -286,7 +309,7 @@ _NORM_INTERVALS = 2048
 def _norm_grid(cfg: WellConfig, t) -> _Grid:
     """The grid norm_integral integrates on: the 2049 Simpson nodes across the
     well along the last axis, one row per instant of t."""
-    xs = np.linspace(0.0, cfg.width_a, _NORM_INTERVALS + 1)
+    xs = _uniform_times(0.0, cfg.width_a, _NORM_INTERVALS + 1)
     return _Grid(cfg, xs, np.asarray(t, dtype=float)[..., None])
 
 

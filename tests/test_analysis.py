@@ -140,6 +140,31 @@ class TestSweepAndFit:
             assert np.isfinite(vals).all() and (vals >= a_min).all() \
                 and (vals <= a_max).all(), spec
 
+    def test_spec_values_are_numpys_bits(self):
+        # values() repeats geomspace's and linspace's arithmetic without their
+        # calls: byte for byte the numpy functions' arrays, on this numpy's
+        # log10 and power kernels, down to subnormal a_min
+        rng = np.random.default_rng(2626)
+        bounds = [(5e-324, 1.0), (5e-324, 1e-323), (1e-310, 1e-309), (0.05, 1.0),
+                  (0.5, math.nextafter(0.5, 1.0)), (math.nextafter(1.0, 0.0), 1.0)]
+        bounds += [tuple(np.sort(10.0 ** rng.uniform(-323.5, 0.0, 2)).tolist())
+                   for _ in range(700)]
+        bounds += [(float(rng.uniform(0.0, 1e-300)), 1.0) for _ in range(150)]
+        bounds += [tuple(np.sort(rng.uniform(0.0, 1.0, 2)).tolist()) for _ in range(150)]
+        checked = 0
+        for a_min, a_max in bounds:
+            if not 0.0 < a_min < a_max:
+                continue
+            for count in (2, 3, int(rng.integers(4, 300))):
+                for spacing, numpy_values in (("logarithmic", np.geomspace),
+                                              ("linear", np.linspace)):
+                    got = SweepSpec(a_min, a_max, count, spacing).values()
+                    want = numpy_values(a_min, a_max, count)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (a_min, a_max, count, spacing)
+                    checked += 1
+        assert checked >= 6000
+
     def test_sweep_is_monotone_in_ratio(self):
         sweep = amplitude_sweep(UNIT, SweepSpec(a_min=0.05, a_max=1.0, count=32))
         assert (np.diff(sweep.amplitudes) > 0.0).all()
@@ -241,6 +266,38 @@ class TestSweepAndFit:
         with pytest.raises(ValueError, match=rf"entry 1 has {name} {re.escape(repr(bad))}$"):
             fit_power_law(AmplitudeSweep(*columns))
         assert capfd.readouterr() == ("", "")
+
+    def test_fit_keeps_its_input_errors_and_their_order(self):
+        # the fit validates with the min and max it needs; on failure it runs
+        # the entry checks it had before, in their order, so every message and
+        # the entry it names stay as they were: a non-finite ratio, then a
+        # non-finite amplitude, then any entry <= 0
+        def old_checks(ratios, amps):
+            for name, column in (("ratio", ratios), ("amplitude", amps)):
+                if not np.isfinite(column).all():
+                    bad = int(np.flatnonzero(~np.isfinite(column))[0])
+                    return (f"power-law fit needs finite data: entry {bad} "
+                            f"has {name} {float(column[bad])!r}")
+            if (ratios <= 0.0).any() or (amps <= 0.0).any():
+                return "power-law fit needs strictly positive data"
+            return None
+
+        rng = np.random.default_rng(2727)
+        values = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -5e-324]
+        messages = set()
+        for _ in range(600):
+            columns = np.array([np.sort(rng.uniform(0.05, 1.0, 6)),
+                                np.sort(rng.uniform(0.01, 0.4, 6))])
+            for _ in range(int(rng.integers(1, 4))):
+                columns[rng.integers(0, 2), rng.integers(0, 6)] = rng.choice(values)
+            want = old_checks(*columns)
+            assert want is not None
+            messages.add(want.split(":")[0])
+            with pytest.raises(ValueError) as caught:
+                fit_power_law(AmplitudeSweep(*columns))
+            assert str(caught.value) == want
+        assert messages == {"power-law fit needs finite data",
+                            "power-law fit needs strictly positive data"}
 
     def test_fit_residual_where_the_model_underflows(self):
         # 1e150 A**2 on A in [1e-200, 1e-100]: A**2 underflows to 0 below 1e-162,

@@ -202,6 +202,46 @@ _TAMPERS = [
 ]
 
 
+def _nan(real, *args, **kwargs):
+    return real(*args, **kwargs) * math.nan
+
+
+def _nan_field(field):
+    def tamper(real, *args):
+        result = real(*args)
+        return dataclasses.replace(result, **{field: getattr(result, field) * math.nan})
+    return tamper
+
+
+def _nan_node(real, *args):
+    return None if real(*args) is None else math.nan
+
+
+# the same, with the kernel of each check returning NaN: an error of NaN must
+# fail its check, wherever it falls among the errors the check takes the
+# largest of
+_NAN_TAMPERS = [
+    ("delta-omega-formula", verify_module, "delta_omega", lambda real, *args: math.nan),
+    ("wall-boundary-zeros", verify_module, "evaluate_psi", _nan),
+    ("closed-form-equivalence", verify_module._Grid, "density_closed_form", _nan),
+    ("norm-value", verify_module, "_simpson_norm", _nan),
+    ("norm-constancy", verify_module, "_simpson_norm", _nan),
+    ("density-beat-periodicity", verify_module, "density_exact", _nan),
+    ("stationary-eigenstate", verify_module, "density_exact", _nan),
+    ("eigenfunction-node-count", verify_module, "eigenfunction", _nan),
+    ("trajectory-periodicity", verify_module, "track_trajectory", _nan_field("positions")),
+    ("trajectory-reflection", verify_module, "track_trajectory", _nan_field("positions")),
+    ("amplitude-arcsin", verify_module, "oscillation_amplitude", _nan),
+    ("mean-node-position", verify_module, "time_avg_node_position", _nan),
+    ("time-avg-density-static-part", verify_module, "time_avg_density", _nan),
+    ("heatmap-row-normalization", verify_module, "heatmap", _nan_field("values")),
+    ("special-time-agreement", verify_module, "node_position", _nan_node),
+    ("special-time-zero-depth", verify_module, "density_exact", _nan),
+    ("power-law-band", verify_module, "fit_power_law", _nan_field("coefficient")),
+    ("power-law-residual", verify_module, "fit_power_law", _nan_field("rms_log_residual")),
+]
+
+
 class TestVerifyCommand:
     def test_passes_and_prints_delta_omega(self, capsys):
         assert run_cli(["verify"]) == 0
@@ -289,8 +329,9 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak <= 1.2 * 2**20
 
-    @pytest.mark.parametrize("row, owner, name, tamper", _TAMPERS,
-                             ids=[case[0] for case in _TAMPERS])
+    @pytest.mark.parametrize("row, owner, name, tamper", _TAMPERS + _NAN_TAMPERS,
+                             ids=[case[0] for case in _TAMPERS]
+                             + [f"{case[0]}-nan" for case in _NAN_TAMPERS])
     def test_tampered_tolerance_fails(self, row, owner, name, tamper, monkeypatch, capsys):
         # each check the acceptance battery asserts fails when what it
         # measures moves past its tolerance
@@ -372,6 +413,8 @@ _EDGE_ARGV = [
     ("heatmap --grid 4", "8 points"),
     ("heatmap --mix-count 4", "8 points"),
     ("heatmap --time-samples 1", "time samples"),
+    # dw is finite, but 2/a is not: the modes would be inf and the cells null
+    ("heatmap --a 1e-308 --mass 1e300 --hbar 1e-310", "mode amplitude"),
     # sizes numpy refuses before it touches memory
     ("trajectory --time-samples 1000000000000000", "allocate"),
     ("amplitude-sweep --a-count 1000000000000000", "allocate"),

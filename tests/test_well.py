@@ -21,6 +21,7 @@ from boxnodes.well import (
     WellConfig,
     _beat_frequency,
     _Grid,
+    _modes,
     _norm_grid,
     _simpson_norm,
     beat_period,
@@ -84,6 +85,26 @@ class TestConfig:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"omega_2 = inf .* hbar=1\.2e\+307"):
                 WellConfig(hbar=1.2e307)
+
+    @pytest.mark.parametrize("args", [(1e-308, 1e300, 1e-310), (1e-309, 1e300, 1e-312),
+                                      (5e-324, 1e300, 1e-300)])
+    def test_width_whose_mode_amplitude_overflows_rejected(self, args):
+        # dw is finite on these wells, but 2/a is not, so sqrt(2/a) psi would
+        # be inf, the time-averaged density inf and heatmap cells null
+        assert not math.isfinite(2.0 / args[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(_beat_frequency(*args))
+            with pytest.raises(ValueError, match=rf"sqrt\(2/a\) .* a={args[0]!r}$"):
+                WellConfig(*args)
+
+    def test_narrowest_width_accepted(self):
+        # a width just above 2/DBL_MAX keeps finite modes
+        a = math.nextafter(2.0 / sys.float_info.max, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = WellConfig(a, 1e300, 1e-310)
+            assert math.isfinite(eigenfunction(cfg, 1, 0.5 * a))
 
 
 def _frequencies(cfg):
@@ -494,6 +515,44 @@ class TestKernelBits:
     @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
     def test_heatmap_keeps_its_bits(self, cfg):
         _same_bits(heatmap(cfg, 64, 64).values, _ref_heatmap_values(cfg, 64, 64))
+
+    def test_stacked_modes_keep_each_rows_bits(self):
+        # _modes evaluates psi_1 and psi_2 in one pass, stacked on a new first
+        # axis: each row, and every kernel that reads them, keeps the bits of
+        # the per-mode passes above, on seeded and extreme wells, for scalar,
+        # 1-D and 2-D x, x = a and x = +-0.0
+        rng = np.random.default_rng(26)
+        for cfg in _WELLS:
+            a = cfg.width_a
+            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-100.0, 100.0)
+            state = TwoStateSuperposition(complex(c[0], c[1]), complex(c[2], c[3]))
+            # the beat period of --a 1e155 overflows
+            t = float(rng.uniform(0.0, 1.0)) * min(beat_period(cfg), 1e300)
+            for x in (float(rng.uniform(0.0, a)), 0.0, -0.0, a, np.asarray(0.25 * a),
+                      rng.uniform(0.0, a, 33), rng.uniform(0.0, a, (5, 7)),
+                      np.array([0.0, -0.0, a, 0.5 * a])):
+                modes = _modes(cfg, x)
+                assert modes.shape == (2, *np.shape(x))
+                for n in (1, 2):
+                    _same_bits(np.asarray(modes[n - 1]),
+                               np.asarray(_ref_eigenfunction(cfg, n, x)))
+                    _same_bits(eigenfunction(cfg, n, x), _ref_eigenfunction(cfg, n, x))
+                _same_bits(time_avg_density(cfg, state, x),
+                           _ref_time_avg_density(cfg, state, x))
+                for got, want in ((evaluate_psi, _ref_evaluate_psi),
+                                  (density_exact, _ref_density_exact),
+                                  (density_closed_form, _ref_density_closed_form)):
+                    _same_bits(got(cfg, state, x, t), want(cfg, state, x, t))
+
+    def test_heatmap_keeps_its_bits_on_seeded_wells(self):
+        # both axes are np.linspace's, and the values the outer products' above
+        rng = np.random.default_rng(27)
+        for cfg in _WELLS:
+            x_count, mix_count = (int(n) for n in rng.integers(8, 100, 2))
+            grid = heatmap(cfg, x_count, mix_count)
+            _same_bits(grid.values, _ref_heatmap_values(cfg, x_count, mix_count))
+            _same_bits(grid.x_values, np.linspace(0.0, cfg.width_a, x_count))
+            _same_bits(grid.mix_values, np.linspace(0.0, math.pi / 2.0, mix_count))
 
     def test_scalars_and_walls(self):
         cfg = KERNEL_WELLS[1]
