@@ -13,6 +13,7 @@ verify measures them independently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.a_min < self.a_max <= 1.0):
             raise ValueError("need 0 < a_min < a_max <= 1")
-        if self.count < 2:
+        if _count("count", self.count) < 2:
             raise ValueError("need at least two sweep points")
         if self.spacing not in ("logarithmic", "linear"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
@@ -109,6 +110,15 @@ class HeatmapGrid:
     x_values: np.ndarray
     mix_values: np.ndarray
     values: np.ndarray
+
+
+def _count(name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer; else a ValueError
+    that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_ratio(ratio: float) -> float:
@@ -288,10 +298,12 @@ def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x):
     The interference term oscillates at dw and averages to zero, which leaves
     |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2.
     """
-    squares = np.square(_modes(cfg, x))
-    # the transpose has the rows along its last axis, whatever the shape of x
-    np.multiply(squares.T, (abs(state.c1) ** 2, abs(state.c2) ** 2), out=squares.T)
-    return _ret(np.add(squares[0], squares[1]))
+    squares = _modes(cfg, x)
+    np.square(squares, out=squares)
+    p1_sq, p2_sq = squares[0, ...], squares[1, ...]  # 0-d for a scalar x
+    p1_sq *= abs(state.c1) ** 2
+    p2_sq *= abs(state.c2) ** 2
+    return _ret(np.add(p1_sq, p2_sq, out=p1_sq))
 
 
 def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
@@ -301,11 +313,14 @@ def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
     the pure ground state to the pure first excited state; its average
     density is cos^2 theta_i psi_1^2 + sin^2 theta_i psi_2^2.
     """
-    if x_count < 8 or mix_count < 8:
+    if _count("x_count", x_count) < 8 or _count("mix_count", mix_count) < 8:
         raise ValueError("heatmap grid needs at least 8 points per axis")
     xs = _uniform_times(0.0, cfg.width_a, x_count)
     thetas = _uniform_times(0.0, math.pi / 2.0, mix_count)
+    weights = np.empty((2, mix_count))
+    np.cos(thetas, out=weights[0])
+    np.sin(thetas, out=weights[1])
+    np.square(weights, out=weights)
     # cos^2 and sin^2 as columns times psi_1^2 and psi_2^2 as rows
-    terms = np.multiply(np.square([np.cos(thetas), np.sin(thetas)])[:, :, None],
-                        np.square(_modes(cfg, xs))[:, None, :])
+    terms = np.multiply(weights[:, :, None], np.square(_modes(cfg, xs))[:, None, :])
     return HeatmapGrid(x_values=xs, mix_values=thetas, values=np.add(terms[0], terms[1]))

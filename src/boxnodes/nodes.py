@@ -287,6 +287,9 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     if kind is not NodeKind.ANALYTIC and grid_n < 16:
         raise ValueError("grid_n too small to isolate nodes")
 
-    ts = _uniform_times(t_start, t_end, n_samples)
+    try:
+        ts = _uniform_times(t_start, t_end, n_samples)
+    except TypeError:  # from operator.index
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     return NodeTrajectory(times=ts, positions=_positions(cfg, _node_v(cfg, state, kind, ts)),
                           kind=kind)

@@ -5,8 +5,10 @@ stationary states are sqrt(2/a) sin(n pi x / a), energies are
 n^2 pi^2 hbar^2 / (2 m a^2), and time evolution of a superposition is a sum
 of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
-psi_1 and psi_2 come from one pass, stacked as two rows, with one position
-check, one wall mask and one ufunc call per step. The density kernels share
+psi_1 and psi_2 come from one pass, stacked as two rows, with one ufunc
+call per step. One NaN-skipping min and max check the positions, and reject
+a well so wide that the phase n pi x overflows inside it; the wall mask runs
+only when one of them lies on a wall. The density kernels share
 one private grid type. When it is built, it checks the positions and the
 times once and computes every state-independent factor of one (x, t) grid:
 the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode
@@ -117,29 +119,39 @@ def _check_index(n: int) -> int:
     return int(n)
 
 
-def _check_position(cfg: WellConfig, x) -> np.ndarray:
-    """x as a float array, once it is known to lie in [0, a]."""
-    xs = np.asarray(x, dtype=float)
-    # count_nonzero takes half the time of .any() on the small arrays the
-    # kernels see; NaN compares false, so it passes as before
-    if np.count_nonzero(xs < 0.0) or np.count_nonzero(xs > cfg.width_a):
-        raise ValueError(f"position outside the well [0, {cfg.width_a}]")
-    return xs
-
-
 _MODE_N_PI = np.array([math.pi, 2.0 * math.pi])
 
 
 def _modes(cfg: WellConfig, x, n_pi: np.ndarray = _MODE_N_PI) -> np.ndarray:
     """sqrt(2/a) sin(n pi x / a) at x, exactly 0.0 on the walls, for each n pi
-    in n_pi (psi_1 and psi_2 by default) stacked on a new first axis; each
-    step, (n pi) x, / a, sin and times sqrt(2/a), is one ufunc call for all."""
-    xs = _check_position(cfg, x)
+    in n_pi, ascending (psi_1 and psi_2 by default), stacked on a new first
+    axis; each step, (n pi) x, / a, sin and times sqrt(2/a), is one ufunc call
+    for all.
+
+    One NaN-skipping min and max check x: it must lie in [0, a], and the
+    largest phase (n pi) x must be finite, which fails on a well wider than
+    DBL_MAX / (2 pi), about 2.9e307, for psi_2 near the far wall; each
+    raises ValueError. A NaN position passes and gives NaN. The wall mask
+    runs only when the min or the max lies on a wall, so never for an empty
+    or all-NaN x.
+    """
+    xs = np.asarray(x, dtype=float)
+    a = cfg.width_a
+    # fmin and fmax skip NaN: lo = inf and hi = -inf when nothing else is there
+    lo = float(np.fmin.reduce(xs, axis=None, initial=math.inf))
+    hi = float(np.fmax.reduce(xs, axis=None, initial=-math.inf))
+    if lo < 0.0 or hi > a:
+        raise ValueError(f"position outside the well [0, {a}]")
+    # Python floats: inf, not an overflow warning
+    if not n_pi.item(-1) * hi < math.inf:
+        raise ValueError(f"the mode phase n pi x overflows at x={hi!r} "
+                         f"in the well of width a={a!r}")
     modes = np.multiply.outer(n_pi, xs)
-    modes /= cfg.width_a
+    modes /= a
     np.sin(modes, out=modes)
-    modes *= math.sqrt(2.0 / cfg.width_a)
-    np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == cfg.width_a))
+    modes *= math.sqrt(2.0 / a)
+    if not (lo > 0.0 and hi < a):
+        np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == a))
     return modes
 
 
@@ -152,8 +164,8 @@ def _ret(values):
 def eigenfunction(cfg: WellConfig, n: int, x):
     """Normalized stationary state sqrt(2/a) sin(n pi x / a).
 
-    Accepts scalar or array x inside [0, a]. The value at the walls is
-    exactly 0.0, not a rounded sin(n pi).
+    Accepts scalar or array x inside [0, a] at which n pi x is finite. The
+    value at the walls is exactly 0.0, not a rounded sin(n pi).
     """
     n = _check_index(n)
     return _ret(_modes(cfg, x, np.array([n * math.pi]))[0])

@@ -415,6 +415,10 @@ _EDGE_ARGV = [
     ("heatmap --time-samples 1", "time samples"),
     # dw is finite, but 2/a is not: the modes would be inf and the cells null
     ("heatmap --a 1e-308 --mass 1e300 --hbar 1e-310", "mode amplitude"),
+    # dw is finite, but the phase 2 pi x of psi_2 overflows past x = 2.9e307:
+    # the cells were null; verify's psi_6 overflows on this well as well
+    ("heatmap --a 1e308 --mass 1e-300 --hbar 1e300", "a=1e+308"),
+    ("verify --a 1e308 --mass 1e-300 --hbar 1e300", "a=1e+308"),
     # sizes numpy refuses before it touches memory
     ("trajectory --time-samples 1000000000000000", "allocate"),
     ("amplitude-sweep --a-count 1000000000000000", "allocate"),
@@ -445,6 +449,8 @@ _VALID_EDGE_ARGV = [
     ("amplitude-sweep --a-min 1e-300 --a-max 1e-299", "amplitude", 64),
     # subnormal ratios: the fit scales them by a power of two as well
     ("amplitude-sweep --a-min 1e-310 --a-max 1e-309", "amplitude", 64),
+    # 2 pi a is just below DBL_MAX: every cell off the two walls is positive
+    ("heatmap --a 2.8e307 --mass 1e-300 --hbar 1e300", "avg_density", 64 * 62),
 ]
 
 

@@ -807,6 +807,13 @@ class TestTrackTrajectory:
             track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 1)
 
     @pytest.mark.parametrize("kind", list(NodeKind))
+    def test_sample_count_must_be_an_integer(self, kind):
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer, got 8\.0$"):
+            track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8.0)
+        for n in (np.int64(8), np.int32(8), 8):
+            assert track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, n).times.shape == (8,)
+
+    @pytest.mark.parametrize("kind", list(NodeKind))
     def test_overflowing_window_width_rejected(self, kind):
         # both ends are finite and omega_2 t is finite at both in this well,
         # but t_end - t_start is inf: the instants were [nan, inf, 1.5e308]

@@ -107,6 +107,66 @@ class TestConfig:
             assert math.isfinite(eigenfunction(cfg, 1, 0.5 * a))
 
 
+class TestWideWell:
+    """On a well wider than DBL_MAX / (2 pi), about 2.9e307, the phase 2 pi x
+    of psi_2 overflows near the far wall: the kernels name x and the well
+    in a ValueError instead of warning and returning NaN."""
+
+    WIDE = WellConfig(1e308, 1e-300, 1e300)
+    # 2 pi a is finite, 3 pi a is not
+    EDGE = WellConfig(2.8e307, 1e-300, 1e300)
+
+    def test_overflowing_phase_rejected(self):
+        cfg, x = self.WIDE, [0.5e308, 1e308]
+        kernels = [lambda: _modes(cfg, x), lambda: eigenfunction(cfg, 2, x),
+                   lambda: evaluate_psi(cfg, EQUAL_MIX, x, 0.0),
+                   lambda: density_exact(cfg, EQUAL_MIX, x, 0.0),
+                   lambda: density_closed_form(cfg, EQUAL_MIX, x, 0.0),
+                   lambda: norm_integral(cfg, EQUAL_MIX),
+                   lambda: time_avg_density(cfg, EQUAL_MIX, x), lambda: heatmap(cfg, 8, 8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kernel in kernels:
+                with pytest.raises(ValueError, match=r"phase .* x=1e\+308 .* a=1e\+308$"):
+                    kernel()
+
+    def test_phase_is_checked_at_the_largest_position(self):
+        # the largest x at which 2 pi x is finite passes, the next float does not
+        x = sys.float_info.max / (2.0 * math.pi)
+        while math.isfinite(2.0 * math.pi * math.nextafter(x, math.inf)):
+            x = math.nextafter(x, math.inf)
+        while not math.isfinite(2.0 * math.pi * x):
+            x = math.nextafter(x, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modes = _modes(self.WIDE, [0.0, math.nan, x])
+            assert np.isfinite(modes[:, ::2]).all() and np.isnan(modes[:, 1]).all()
+            assert math.isfinite(eigenfunction(self.WIDE, 1, 2.0 * x))
+            with pytest.raises(ValueError, match="phase"):
+                _modes(self.WIDE, [math.nextafter(x, math.inf), 0.0])
+            # psi_2 is finite on the whole of the narrower well, psi_3 is not
+            assert math.isfinite(eigenfunction(self.EDGE, 2, 2.8e307))
+            with pytest.raises(ValueError, match="phase"):
+                eigenfunction(self.EDGE, 3, 2.8e307)
+
+    def test_positions_without_a_phase_pass(self):
+        # an empty or all-NaN x has no largest position
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _modes(self.WIDE, []).shape == (2, 0)
+            assert np.isnan(time_avg_density(self.WIDE, EQUAL_MIX, [math.nan])).all()
+
+    def test_widest_kernels_run_without_warnings(self):
+        cfg = self.EDGE
+        x = np.linspace(0.0, cfg.width_a, 65)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            avg = time_avg_density(cfg, EQUAL_MIX, x)
+            grid = heatmap(cfg, 64, 64)
+        assert np.isfinite(avg).all() and (avg[1:-1] > 0.0).all()
+        assert np.isfinite(grid.values).all()
+
+
 def _frequencies(cfg):
     """The frequencies a well keeps, as hex strings: dw, omega_1, omega_2."""
     return cfg._dw.hex(), cfg._omega_1.hex(), cfg._omega_2.hex()
@@ -482,6 +542,42 @@ def _same_bits(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+# _modes as it was before one NaN-skipping min and max checked the positions
+# and gated the wall mask: two counts of positions outside the well, and the
+# mask on every call
+def _always_masked_modes(cfg, x, n_pi=np.array([math.pi, 2.0 * math.pi])):
+    xs = np.asarray(x, dtype=float)
+    if np.count_nonzero(xs < 0.0) or np.count_nonzero(xs > cfg.width_a):
+        raise ValueError(f"position outside the well [0, {cfg.width_a}]")
+    modes = np.multiply.outer(n_pi, xs)
+    modes /= cfg.width_a
+    np.sin(modes, out=modes)
+    modes *= math.sqrt(2.0 / cfg.width_a)
+    np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == cfg.width_a))
+    return modes
+
+
+def _gate_positions(a, rng):
+    """Positions that reach each branch of the position check and the wall
+    mask: the walls as scalars, 0-d arrays and either end of an array,
+    -0.0, NaN at every index, all-NaN, empty, and 2-D arrays."""
+    inner = rng.uniform(0.0, a, 6)
+    walls = inner.copy()
+    walls[0], walls[-1] = 0.0, a
+    positions = [0.0, -0.0, a, float(inner[0]), np.asarray(a), np.asarray(0.0),
+                 np.asarray(float(inner[1])), math.nan, np.asarray(math.nan), inner, walls,
+                 walls[::-1].copy(), np.array([-0.0, *inner[1:]]), np.array([]),
+                 np.full(4, math.nan), np.empty((0, 3)), inner.reshape(2, 3),
+                 walls.reshape(3, 2), np.full((2, 2), math.nan)]
+    for i in range(len(walls)):
+        for base in (inner, walls):
+            with_nan = base.copy()
+            with_nan[i] = math.nan
+            positions.append(with_nan)
+    positions.append(positions[-1].reshape(2, 3))
+    return positions
+
+
 KERNEL_WELLS = [UNIT, WellConfig(1.3, 0.7, 2.0)]
 KERNEL_STATE = TwoStateSuperposition(0.6 - 0.3j, -0.5 + 0.55j)
 
@@ -544,6 +640,21 @@ class TestKernelBits:
                                   (density_closed_form, _ref_density_closed_form)):
                     _same_bits(got(cfg, state, x, t), want(cfg, state, x, t))
 
+    def test_gated_mask_keeps_the_always_masked_bits(self):
+        # the min and max that check the positions also skip the wall mask
+        # where no position can be on a wall: _modes and eigenfunction keep
+        # the bits and types of the always-masked sequence on every branch
+        rng = np.random.default_rng(27)
+        for cfg in _WELLS:
+            for x in _gate_positions(cfg.width_a, rng):
+                got = _modes(cfg, x)
+                _same_bits(got, _always_masked_modes(cfg, x))
+                assert got.shape == (2, *np.shape(x))
+                for n in (1, 2, 3):
+                    want = _scalar_or_array(
+                        _always_masked_modes(cfg, x, np.array([n * math.pi]))[0])
+                    _same_bits(eigenfunction(cfg, n, x), want)
+
     def test_heatmap_keeps_its_bits_on_seeded_wells(self):
         # both axes are np.linspace's, and the values the outer products' above
         rng = np.random.default_rng(27)
@@ -565,7 +676,8 @@ class TestKernelBits:
         assert not np.signbit(time_avg_density(cfg, KERNEL_STATE, -0.0))
 
     @pytest.mark.parametrize("x", [-1e-300, np.nextafter(1.3, 2.0), [math.nan, -1.0],
-                                   np.array([[0.5], [1.4]])])
+                                   np.array([[0.5], [1.4]]),
+                                   [math.nan, np.nextafter(1.3, math.inf)]])
     def test_every_kernel_rejects_the_same_position(self, x):
         cfg = KERNEL_WELLS[1]
         kernels = [lambda: eigenfunction(cfg, 1, x), lambda: eigenfunction(cfg, 2, x),
@@ -576,6 +688,20 @@ class TestKernelBits:
         for kernel in kernels:
             with pytest.raises(ValueError, match=r"^position outside the well \[0, 1\.3\]$"):
                 kernel()
+
+    @pytest.mark.parametrize("x", [math.nan, [math.nan, math.nan], np.full((2, 3), math.nan)],
+                             ids=["scalar", "1-D", "2-D"])
+    def test_every_kernel_accepts_all_nan_positions(self, x):
+        # a NaN position is not outside the well: it gives NaN, without a warning
+        cfg = KERNEL_WELLS[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (eigenfunction(cfg, 1, x), eigenfunction(cfg, 3, x),
+                        evaluate_psi(cfg, KERNEL_STATE, x, 0.0),
+                        density_exact(cfg, KERNEL_STATE, x, 0.0),
+                        density_closed_form(cfg, KERNEL_STATE, x, 0.0),
+                        time_avg_density(cfg, KERNEL_STATE, x)):
+                assert np.shape(got) == np.shape(x) and np.isnan(got).all()
 
     def test_index_is_checked_before_position(self):
         with pytest.raises(ValueError, match="eigenstate index"):
