@@ -12,9 +12,12 @@ only when one of them lies on a wall. The density kernels share
 one private grid type. When it is built, it checks the positions and the
 times once and computes every state-independent factor of one (x, t) grid:
 the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode
-products. evaluate_psi, density_exact, density_closed_form and norm_integral
-build one grid per call; verify builds one per check and evaluates each
-random state on it into work arrays it reuses.
+products; the two modes and the two phases are also kept stacked, each in
+its own broadcast shape. evaluate_psi, density_exact, density_closed_form
+and norm_integral build one grid per call. verify builds one per check and
+evaluates each random state on it through one complex work array: one
+product of the coefficient-weighted modes and the phases, one sum of its
+halves, and that sum squared in place through its float view.
 """
 
 from __future__ import annotations
@@ -165,10 +168,17 @@ def eigenfunction(cfg: WellConfig, n: int, x):
     """Normalized stationary state sqrt(2/a) sin(n pi x / a).
 
     Accepts scalar or array x inside [0, a] at which n pi x is finite. The
-    value at the walls is exactly 0.0, not a rounded sin(n pi).
+    value at the walls is exactly 0.0, not a rounded sin(n pi). An n for
+    which n pi is not a finite float raises ValueError.
     """
     n = _check_index(n)
-    return _ret(_modes(cfg, x, np.array([n * math.pi]))[0])
+    try:
+        n_pi = n * math.pi
+    except OverflowError:  # n itself is beyond the float range
+        n_pi = math.inf
+    if not math.isfinite(n_pi):
+        raise ValueError("eigenstate index n is too large: n pi is not a finite float")
+    return _ret(_modes(cfg, x, np.array([n_pi]))[0])
 
 
 def energy(cfg: WellConfig, n: int) -> float:
@@ -267,10 +277,14 @@ class _Grid:
     The positions and the times (omega_2 t must be finite) are checked and
     every factor is computed when the grid is built: the modes, the phases
     e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode products, so a
-    loop over states computes each once. The methods evaluate one state.
-    Given arrays of the grid's shape (ufunc out=), they write the full-grid
-    result there, so such a loop allocates no full-grid temporary per state;
-    without them, the ufuncs allocate the result, except in psi (see there).
+    loop over states computes each once. The two modes and the two phases
+    are also kept stacked on a first axis, each padded to the grid's rank in
+    its own broadcast shape and never copied out to the full grid, for
+    density_exact's single work path. The methods evaluate one state. Given
+    out (and, for density_exact, the complex work array), density_exact and
+    density_closed_form write the full-grid result into out, so such a loop
+    allocates no full-grid temporary per state; without them, the ufuncs
+    allocate the result, and 0-d input keeps numpy's scalar bits (see psi).
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
@@ -280,32 +294,46 @@ class _Grid:
         _check_phase(cfg, ts)
         # the shape of every full-grid result, and of the arrays passed as out
         self.shape = np.broadcast_shapes(self.p1.shape, ts.shape)
-        self.phase1 = np.exp(-1j * cfg._omega_1 * ts)
-        self.phase2 = np.exp(-1j * cfg._omega_2 * ts)
+        phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
+        self.phase1, self.phase2 = phases  # numpy scalars for a scalar t
         self.beat = np.exp(1j * cfg._dw * ts)
         squares = np.square(modes)
         self.p1_sq, self.p2_sq = squares[0, ...], squares[1, ...]
         self.two_p1p2 = 2.0 * self.p1 * self.p2
+        # both stacks padded with unit axes to the grid's rank, so that they
+        # broadcast against each other behind their common first axis
+        rank = len(self.shape) + 1
+        self.modes = modes.reshape(2, *(1,) * (rank - modes.ndim), *modes.shape[1:])
+        self.phases = phases.reshape(2, *(1,) * (rank - phases.ndim), *phases.shape[1:])
 
-    def psi(self, state: TwoStateSuperposition, out=None, tmp=None):
-        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}; with complex arrays out
-        and tmp, the result is written into out and tmp is overwritten."""
-        if out is None:
-            # numpy's operators, not its ufuncs: on 0-d input they run numpy's
-            # scalar complex multiply, which differs from the ufunc loop in
-            # the last bit on about 43% of random products (numpy 2.4,
-            # x86-64), and the public kernels keep the scalar bits
-            return state.c1 * self.p1 * self.phase1 + state.c2 * self.p2 * self.phase2
-        np.multiply(state.c1 * self.p1, self.phase1, out=out)
-        return np.add(out, np.multiply(state.c2 * self.p2, self.phase2, out=tmp), out=out)
+    def psi(self, state: TwoStateSuperposition):
+        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}."""
+        # numpy's operators, not its ufuncs: on 0-d input they run numpy's
+        # scalar complex multiply, which differs from the ufunc loop in the
+        # last bit on about 43% of random products (numpy 2.4, x86-64), and
+        # the public kernels keep the scalar bits
+        return state.c1 * self.p1 * self.phase1 + state.c2 * self.p2 * self.phase2
 
-    def density_exact(self, state: TwoStateSuperposition, out=None, psi=None, tmp=None):
-        """|Psi|^2 through the complex wavefunction; with a float array out and
-        complex arrays psi and tmp, the result is written into out and the
-        other two are overwritten."""
-        # a 0-d psi is made an array, so its imaginary part can be written
-        z = np.asarray(self.psi(state, out=psi, tmp=tmp))
-        return np.add(np.square(z.real, out=out), np.square(z.imag, out=z.imag), out=out)
+    def density_exact(self, state: TwoStateSuperposition, out=None, work=None):
+        """|Psi|^2 through the complex wavefunction.
+
+        With a float array out of the grid's shape and a complex array work
+        of shape (2, *shape), the result is written into out and work is
+        overwritten: [c1 psi_1, c2 psi_2] times the stacked phases into
+        work, the two halves added into work[0], that sum's float view
+        squared in place, and its even (real) and odd (imaginary) columns
+        added into out. These are the rounded operations of the operator
+        path below, so both give the same bits on an array grid.
+        """
+        if work is None:
+            # a 0-d psi is made an array, so its imaginary part can be written
+            z = np.asarray(self.psi(state))
+            return np.add(np.square(z.real, out=out), np.square(z.imag, out=z.imag), out=out)
+        coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
+        np.multiply(coeffs * self.modes, self.phases, out=work)
+        z = np.add(work[0], work[1], out=work[0]).view(float)
+        np.square(z, out=z)
+        return np.add(z[..., 0::2], z[..., 1::2], out=out)
 
     def density_closed_form(self, state: TwoStateSuperposition, out=None):
         """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}];

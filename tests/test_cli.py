@@ -316,6 +316,31 @@ class TestVerifyCommand:
         assert "PASS delta-omega-formula" in captured.out
         assert captured.err == ""
 
+    def test_wide_well_passes_without_warning(self):
+        # the 256 positions near a/2 of a mean-node-position row sum past
+        # DBL_MAX on this well; such a row is averaged on its positions scaled
+        # by 2**-8, so the check passes and numpy raises no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["verify", "--a", "9e306", "--mass", "1e-300", "--hbar", "1e300"]) == 0
+
+    @pytest.mark.parametrize("count", [1, 5, 20, 50])
+    @pytest.mark.parametrize("seed", [0, 3, 11, 904])
+    def test_states_drawn_at_once_follow_the_single_draw_stream(self, count, seed):
+        # one standard_normal((count, 2, 2)) call gives the states, bit for
+        # bit, of count draws of standard_normal(2) + 1j * standard_normal(2),
+        # and leaves the generator at the same next draw
+        batched, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = verify_module._random_complex_states(batched, count)
+        assert len(got) == count
+        for state in got:
+            c = single.standard_normal(2) + 1j * single.standard_normal(2)
+            want = verify_module.normalize(TwoStateSuperposition(c[0], c[1]))
+            for z, w in ((state.c1, want.c1), (state.c2, want.c2)):
+                assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+        assert batched.bit_generator.state == single.bit_generator.state
+        assert batched.standard_normal() == single.standard_normal()
+
     def test_peak_memory_of_one_run(self):
         # each random-state check lets its grid and work arrays go before the
         # next check builds its own, so one check's arrays are alive at a

@@ -703,6 +703,15 @@ class TestKernelBits:
                         time_avg_density(cfg, KERNEL_STATE, x)):
                 assert np.shape(got) == np.shape(x) and np.isnan(got).all()
 
+    @pytest.mark.parametrize("n", [10**400, 2**1023], ids=["beyond-float", "n-pi-overflows"])
+    def test_index_whose_phase_overflows_is_named(self, n):
+        # 10**400 cannot be converted to a float, and 2**1023 * pi is inf
+        with pytest.raises(ValueError, match=r"^eigenstate index n is too large: "
+                                             r"n pi is not a finite float$"):
+            eigenfunction(UNIT, n, 0.5)
+        # the frequencies keep returning inf beyond the float range
+        assert omega(UNIT, n) == math.inf and energy(UNIT, n) == math.inf
+
     def test_index_is_checked_before_position(self):
         with pytest.raises(ValueError, match="eigenstate index"):
             eigenfunction(UNIT, 0, -1.0)
@@ -723,16 +732,13 @@ class TestGridReuse:
         else:  # the grid of closed-form-equivalence
             x, t = np.linspace(0.0, a, 256)[:, None], np.linspace(0.0, T, 64)[None, :]
             grid = _Grid(cfg, x, t)
-        psi, tmp = np.full(grid.shape, complex(math.nan, math.nan)), np.empty(grid.shape, complex)
+        work = np.full((2, *grid.shape), complex(math.nan, math.nan))
         rho, closed = np.full(grid.shape, math.nan), np.full(grid.shape, math.nan)
         rng = np.random.default_rng(5)
         for _ in range(3):
             c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             state = TwoStateSuperposition(c[0], c[1])
-            got = grid.psi(state, out=psi, tmp=tmp)
-            assert got is psi
-            _same_bits(got, evaluate_psi(cfg, state, x, t))
-            got = grid.density_exact(state, out=rho, psi=psi, tmp=tmp)
+            got = grid.density_exact(state, rho, work)
             assert got is rho
             _same_bits(got, density_exact(cfg, state, x, t))
             if on_norm_grid:
