@@ -13,12 +13,11 @@ verify measures them independently.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .well import TwoStateSuperposition, WellConfig, _modes, _ret, _uniform_times
+from .well import TwoStateSuperposition, WellConfig, _count, _modes, _ret, _uniform_times
 
 __all__ = [
     "SweepSpec",
@@ -110,15 +109,6 @@ class HeatmapGrid:
     x_values: np.ndarray
     mix_values: np.ndarray
     values: np.ndarray
-
-
-def _count(name: str, value) -> int:
-    """value as an int if it is a Python or numpy integer; else a ValueError
-    that names it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_ratio(ratio: float) -> float:

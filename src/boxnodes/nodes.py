@@ -39,6 +39,7 @@ from .well import (
     TwoStateSuperposition,
     WellConfig,
     _check_phase,
+    _count,
     _uniform_times,
     beat_period,
 )
@@ -236,12 +237,13 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     For 0 < |A| < 1, A = c1 / (2 c2), the zeros are the instants k T/2, where
     sin(dw t) = 0. Otherwise the list is empty: at |A| = 1 the zero touches a
     wall, which is not interior. A window whose end period_count * T is not
-    a finite float raises ValueError. grid_n is validated but has no effect.
+    a finite float raises ValueError, as does a count that is not an
+    integer. grid_n is validated but has no effect.
     """
     c1, c2 = _require_real(state)
-    if period_count < 1:
+    if _count("period_count", period_count) < 1:
         raise ValueError("period_count must be at least 1")
-    if grid_n < 16 or samples_per_period < 16:
+    if _count("grid_n", grid_n) < 16 or _count("samples_per_period", samples_per_period) < 16:
         raise ValueError("scan resolution too small")
     T = beat_period(cfg)
     t_end = period_count * T
@@ -277,19 +279,16 @@ def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKi
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("need finite t_start < t_end")
     t_start, t_end = float(t_start), float(t_end)
-    if n_samples < 2:
+    if _count("n_samples", n_samples) < 2:
         raise ValueError("need at least two samples")
     _check_phase(cfg, max(t_start, t_end, key=abs))
     if not math.isfinite(t_end - t_start):
         raise ValueError(f"the window width t_end - t_start overflows for "
                          f"t_start={t_start!r}, t_end={t_end!r}")
 
-    if kind is not NodeKind.ANALYTIC and grid_n < 16:
+    if kind is not NodeKind.ANALYTIC and _count("grid_n", grid_n) < 16:
         raise ValueError("grid_n too small to isolate nodes")
 
-    try:
-        ts = _uniform_times(t_start, t_end, n_samples)
-    except TypeError:  # from operator.index
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
+    ts = _uniform_times(t_start, t_end, n_samples)
     return NodeTrajectory(times=ts, positions=_positions(cfg, _node_v(cfg, state, kind, ts)),
                           kind=kind)

@@ -115,33 +115,30 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
 
     # closed-form density equals the complex-arithmetic density; this check
     # and the norm and time-average checks each draw their states at once,
-    # build one grid and its work arrays, evaluate every state into them, and
-    # let both go before the next check builds its own
+    # build one grid, loop over its densities, and let the grid and the last
+    # density go before the next check builds its own
     xg = np.linspace(0.0, a, 256)
     grid = _Grid(cfg, xg[:, None], np.linspace(0.0, T, 64)[None, :])
-    out, work = np.empty(grid.shape), np.empty((2, *grid.shape), complex)
-    d2 = np.empty(grid.shape)
+    closed = np.empty(grid.shape)
     worst = 0.0
-    for state in _random_complex_states(rng, 50):
-        d = np.subtract(grid.density_exact(state, out, work),
-                        grid.density_closed_form(state, out=d2), out=out)
-        worst = _worst(worst, float(d.max()), -float(d.min()))
+    for state, rho in grid.densities(_random_complex_states(rng, 50)):
+        np.subtract(rho, grid.density_closed_form(state, out=closed), out=rho)
+        worst = _worst(worst, float(rho.max()), -float(rho.min()))
     add("closed-form-equivalence", "50 random complex states on a 256x64 grid",
         worst, 1e-12 / a)
-    del grid, out, work, d, d2
+    del grid, closed, rho
 
     # Simpson norm equals |c1|^2 + |c2|^2 and does not drift in time
     grid = _norm_grid(cfg, np.linspace(0.0, T, 10))
-    out, work = np.empty(grid.shape), np.empty((2, *grid.shape), complex)
     worst_norm = 0.0
     worst_spread = 0.0
-    for state in _random_complex_states(rng, 20):
-        norms = _simpson_norm(cfg, grid.density_exact(state, out, work))
+    for state, rho in grid.densities(_random_complex_states(rng, 20)):
+        norms = _simpson_norm(cfg, rho)
         worst_norm = _worst(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
         worst_spread = _worst(worst_spread, float(np.max(norms) - np.min(norms)))
     add("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", worst_norm, 1e-8)
     add("norm-constancy", "norm spread over 10 times per state", worst_spread, 1e-10)
-    del grid, out, work
+    del grid, rho
 
     # the density repeats after one beat period
     worst = 0.0
@@ -226,15 +223,14 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     # over one beat period is exact for a single harmonic
     t_mid = (np.arange(64) + 0.5) * (T / 64)
     grid = _Grid(cfg, xg[:, None], t_mid[None, :])
-    out, work = np.empty(grid.shape), np.empty((2, *grid.shape), complex)
     worst = 0.0
-    for state in _random_complex_states(rng, 5):
-        sampled = np.mean(grid.density_exact(state, out, work), axis=1)
+    for state, rho in grid.densities(_random_complex_states(rng, 5)):
+        sampled = np.mean(rho, axis=1)
         avg = time_avg_density(cfg, state, xg)
         worst = _worst(worst, float(np.max(np.abs(avg - sampled))))
     add("time-avg-density-static-part", "midpoint time average of the density vs "
         "stationary profile", worst, 1e-10 / a)
-    del grid, out, work
+    del grid, rho
 
     # every heatmap row stays a normalized density profile
     grid = heatmap(cfg, 64, 16)

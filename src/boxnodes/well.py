@@ -8,16 +8,17 @@ of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 psi_1 and psi_2 come from one pass, stacked as two rows, with one ufunc
 call per step. One NaN-skipping min and max check the positions, and reject
 a well so wide that the phase n pi x overflows inside it; the wall mask runs
-only when one of them lies on a wall. The density kernels share
-one private grid type. When it is built, it checks the positions and the
-times once and computes every state-independent factor of one (x, t) grid:
-the modes, the phases e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode
-products; the two modes and the two phases are also kept stacked, each in
-its own broadcast shape. evaluate_psi, density_exact, density_closed_form
-and norm_integral build one grid per call. verify builds one per check and
-evaluates each random state on it through one complex work array: one
-product of the coefficient-weighted modes and the phases, one sum of its
-halves, and that sum squared in place through its float view.
+only when one of them lies on a wall. The density kernels share one private
+grid type. When it is built, it checks the positions and the times once and
+computes every state-independent factor of one (x, t) grid, each kept once:
+the modes, the phases e^{-i w1 t} and e^{-i w2 t} and the mode squares,
+each stacked on a first axis, and e^{i dw t} and 2 psi_1 psi_2.
+evaluate_psi, density_exact, density_closed_form and norm_integral build
+one grid per call. verify builds one per check and loops over its random
+states with the grid's densities generator, which evaluates each state in
+one complex work array: one product of the coefficient-weighted modes and
+the phases, one sum of its halves, and that sum squared in place through
+its float view.
 """
 
 from __future__ import annotations
@@ -117,9 +118,13 @@ class TwoStateSuperposition:
 
 
 def _check_index(n: int) -> int:
-    if n != int(n) or int(n) < 1:
-        raise ValueError(f"eigenstate index must be a positive integer, got {n!r}")
-    return int(n)
+    """n as an int if it equals a positive integer; else a ValueError that names it."""
+    try:
+        if n == int(n) and n >= 1:
+            return int(n)
+    except (TypeError, ValueError, OverflowError):  # from int()
+        pass
+    raise ValueError(f"eigenstate index must be a positive integer, got {n!r}")
 
 
 _MODE_N_PI = np.array([math.pi, 2.0 * math.pi])
@@ -251,6 +256,15 @@ def _check_phase(cfg: WellConfig, t) -> None:
                          f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
 
 
+def _count(name: str, value) -> int:
+    """value as an int if it is a Python or numpy integer; else a ValueError
+    that names it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _uniform_times(t_start: float, t_end: float, n: int) -> np.ndarray:
     """np.linspace(t_start, t_end, n) for n >= 2 and a finite t_end - t_start,
     by numpy's own arithmetic, bit for bit, without its per-call cost: arange(n)
@@ -274,37 +288,30 @@ def _uniform_times(t_start: float, t_end: float, n: int) -> np.ndarray:
 class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
-    The positions and the times (omega_2 t must be finite) are checked and
-    every factor is computed when the grid is built: the modes, the phases
-    e^{-i w1 t}, e^{-i w2 t} and e^{i dw t}, and the mode products, so a
-    loop over states computes each once. The two modes and the two phases
-    are also kept stacked on a first axis, each padded to the grid's rank in
-    its own broadcast shape and never copied out to the full grid, for
-    density_exact's single work path. The methods evaluate one state. Given
-    out (and, for density_exact, the complex work array), density_exact and
-    density_closed_form write the full-grid result into out, so such a loop
-    allocates no full-grid temporary per state; without them, the ufuncs
-    allocate the result, and 0-d input keeps numpy's scalar bits (see psi).
+    The positions and the times (omega_2 t must be finite) are checked, and
+    each factor is computed once, when the grid is built: the modes, the
+    phases e^{-i w1 t}, e^{-i w2 t} and the mode squares, each stacked on a
+    first axis and padded to the grid's rank in its own broadcast shape,
+    never copied out to the full grid, and e^{i dw t} and 2 psi_1 psi_2.
+    psi, density_exact and density_closed_form evaluate one state, and 0-d
+    input keeps numpy's scalar bits (see psi); densities loops over states.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
         modes = _modes(cfg, x)
-        self.p1, self.p2 = modes[0, ...], modes[1, ...]  # 0-d for a scalar x
         ts = np.asarray(t, dtype=float)
         _check_phase(cfg, ts)
-        # the shape of every full-grid result, and of the arrays passed as out
-        self.shape = np.broadcast_shapes(self.p1.shape, ts.shape)
+        # the shape of every full-grid result
+        self.shape = np.broadcast_shapes(modes.shape[1:], ts.shape)
         phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
-        self.phase1, self.phase2 = phases  # numpy scalars for a scalar t
         self.beat = np.exp(1j * cfg._dw * ts)
-        squares = np.square(modes)
-        self.p1_sq, self.p2_sq = squares[0, ...], squares[1, ...]
-        self.two_p1p2 = 2.0 * self.p1 * self.p2
+        self.two_p1p2 = 2.0 * modes[0] * modes[1]
         # both stacks padded with unit axes to the grid's rank, so that they
         # broadcast against each other behind their common first axis
         rank = len(self.shape) + 1
         self.modes = modes.reshape(2, *(1,) * (rank - modes.ndim), *modes.shape[1:])
         self.phases = phases.reshape(2, *(1,) * (rank - phases.ndim), *phases.shape[1:])
+        self.squares = np.square(self.modes)
 
     def psi(self, state: TwoStateSuperposition):
         """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}."""
@@ -312,34 +319,37 @@ class _Grid:
         # scalar complex multiply, which differs from the ufunc loop in the
         # last bit on about 43% of random products (numpy 2.4, x86-64), and
         # the public kernels keep the scalar bits
-        return state.c1 * self.p1 * self.phase1 + state.c2 * self.p2 * self.phase2
+        return (state.c1 * self.modes[0] * self.phases[0]
+                + state.c2 * self.modes[1] * self.phases[1])
 
-    def density_exact(self, state: TwoStateSuperposition, out=None, work=None):
-        """|Psi|^2 through the complex wavefunction.
+    def density_exact(self, state: TwoStateSuperposition):
+        """|Psi|^2 through the complex wavefunction: the squares of its real
+        and imaginary parts, added."""
+        # a 0-d psi is made an array, so its imaginary part can be written
+        z = np.asarray(self.psi(state))
+        return np.add(np.square(z.real), np.square(z.imag, out=z.imag))
 
-        With a float array out of the grid's shape and a complex array work
-        of shape (2, *shape), the result is written into out and work is
-        overwritten: [c1 psi_1, c2 psi_2] times the stacked phases into
-        work, the two halves added into work[0], that sum's float view
-        squared in place, and its even (real) and odd (imaginary) columns
-        added into out. These are the rounded operations of the operator
-        path below, so both give the same bits on an array grid.
-        """
-        if work is None:
-            # a 0-d psi is made an array, so its imaginary part can be written
-            z = np.asarray(self.psi(state))
-            return np.add(np.square(z.real, out=out), np.square(z.imag, out=z.imag), out=out)
-        coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
-        np.multiply(coeffs * self.modes, self.phases, out=work)
-        z = np.add(work[0], work[1], out=work[0]).view(float)
-        np.square(z, out=z)
-        return np.add(z[..., 0::2], z[..., 1::2], out=out)
+    def densities(self, states):
+        """Yield (state, |Psi|^2) for each state on an array grid, in one result
+        array, yielded every time, and one complex work array of shape
+        (2, *shape), both allocated once: [c1 psi_1, c2 psi_2] times the
+        stacked phases into work, its halves added into work[0], that sum's
+        float view squared in place, and its even (real) and odd (imaginary)
+        columns added into the result. These are density_exact's rounded
+        operations, so both give the same bits."""
+        out, work = np.empty(self.shape), np.empty((2, *self.shape), complex)
+        for state in states:
+            coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
+            np.multiply(coeffs * self.modes, self.phases, out=work)
+            z = np.add(work[0], work[1], out=work[0]).view(float)
+            np.square(z, out=z)
+            yield state, np.add(z[..., 0::2], z[..., 1::2], out=out)
 
     def density_closed_form(self, state: TwoStateSuperposition, out=None):
         """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}];
-        with a float array out, the result is written there."""
+        with a float array out of the grid's shape, the result is written there."""
         osc = np.real(state.c1 * np.conj(state.c2) * self.beat)
-        static = abs(state.c1) ** 2 * self.p1_sq + abs(state.c2) ** 2 * self.p2_sq
+        static = abs(state.c1) ** 2 * self.squares[0] + abs(state.c2) ** 2 * self.squares[1]
         return np.add(static, np.multiply(self.two_p1p2, osc, out=out), out=out)
 
 
@@ -392,9 +402,10 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
     evolution is unitary, so the result equals |c1|^2 + |c2|^2 at any t up to
     quadrature error (~1e-10). The density comes from the same grid type as
     density_exact, built on the Simpson nodes with one row per instant, so a
-    caller that integrates many states can build that grid once and reuse
-    it. The sum runs in a fixed order, so the result is reproducible bit for
-    bit, and an array gives each instant's scalar bits.
+    caller that integrates many states can build that grid once and loop
+    over them with its densities generator. The sum runs in a fixed order,
+    so the result is reproducible bit for bit, and an array gives each
+    instant's scalar bits.
     """
     return _ret(_simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state)))
 

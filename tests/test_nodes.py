@@ -314,6 +314,21 @@ class TestExactZeroTimes:
             with pytest.raises(ValueError, match=r"T = inf is not finite for a=1e\+158, m=1\.0"):
                 exact_zero_times(cfg, TwoStateSuperposition(c1, 0.8))
 
+    @pytest.mark.parametrize("c1, name, value", [
+        (0.6, "period_count", 1.5), (0.0, "samples_per_period", 20.5),
+        (0.6, "grid_n", None), (0.0, "period_count", None), (0.6, "grid_n", 1024.0),
+    ])
+    def test_counts_must_be_integers(self, c1, name, value):
+        # period_count=1.5 and samples_per_period=20.5 reached range() and
+        # _uniform_times, and None the < 16 comparison, each as a TypeError
+        state = TwoStateSuperposition(c1, 0.8)
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            exact_zero_times(UNIT, state, **{name: value})
+        counts = {"period_count": np.int64(2), "grid_n": np.int32(64),
+                  "samples_per_period": np.int64(16)}
+        assert exact_zero_times(UNIT, state, **counts) == \
+            exact_zero_times(UNIT, state, period_count=2, grid_n=64, samples_per_period=16)
+
     @pytest.mark.parametrize("c1", [0.6, 0.0])
     def test_overflowing_window_rejected(self, c1):
         # T = 4.2e299 is finite, 1e9 T is not
@@ -812,6 +827,18 @@ class TestTrackTrajectory:
             track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8.0)
         for n in (np.int64(8), np.int32(8), 8):
             assert track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, n).times.shape == (8,)
+
+    @pytest.mark.parametrize("name, value", [("n_samples", None), ("grid_n", None),
+                                             ("grid_n", 2048.0)])
+    @pytest.mark.parametrize("kind", [NodeKind.REAL_PART_ZERO, NodeKind.DENSITY_MINIMUM])
+    def test_counts_must_be_integers(self, kind, name, value):
+        # None reached the < 2 and < 16 comparisons as a TypeError
+        counts = {"n_samples": 8, "grid_n": 64}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, **{**counts, name: value})
+        got = track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, np.int64(8), np.int32(64))
+        want = track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8, 64)
+        assert got.positions.tobytes() == want.positions.tobytes()
 
     @pytest.mark.parametrize("kind", list(NodeKind))
     def test_overflowing_window_width_rejected(self, kind):

@@ -256,6 +256,22 @@ class TestEigenfunction:
         with pytest.raises(ValueError):
             energy(UNIT, -3)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, None, 2.5, -math.inf],
+                             ids=["inf", "nan", "none", "fraction", "minus-inf"])
+    def test_non_integer_index_is_named(self, n):
+        # int() of inf, NaN and None raised OverflowError, ValueError and
+        # TypeError without naming the index
+        message = rf"^eigenstate index must be a positive integer, got {re.escape(repr(n))}$"
+        for kernel in (lambda: eigenfunction(UNIT, n, 0.5), lambda: omega(UNIT, n),
+                       lambda: energy(UNIT, n)):
+            with pytest.raises(ValueError, match=message):
+                kernel()
+
+    @pytest.mark.parametrize("n", [2.0, np.int64(2), np.int32(2), np.float64(2.0)])
+    def test_integral_index_is_accepted(self, n):
+        assert eigenfunction(UNIT, n, 0.3) == eigenfunction(UNIT, 2, 0.3)
+        assert omega(UNIT, n) == omega(UNIT, 2) and energy(UNIT, n) == energy(UNIT, 2)
+
     @given(st.integers(min_value=1, max_value=8), positions)
     def test_bounded_by_normalization(self, n, x):
         assert abs(eigenfunction(UNIT, n, x)) <= math.sqrt(2.0) + 1e-12
@@ -718,9 +734,9 @@ class TestKernelBits:
 
 
 class TestGridReuse:
-    """verify evaluates its random states on one grid into arrays it reuses;
-    each result must keep the one-shot kernel's bits, whatever the arrays
-    held before."""
+    """verify evaluates its random states on one grid with its densities
+    generator, which reuses one result array; each result must keep the
+    one-shot kernel's bits, whatever the arrays held before."""
 
     @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
     @pytest.mark.parametrize("on_norm_grid", [False, True], ids=["256x64", "10x2049"])
@@ -732,17 +748,20 @@ class TestGridReuse:
         else:  # the grid of closed-form-equivalence
             x, t = np.linspace(0.0, a, 256)[:, None], np.linspace(0.0, T, 64)[None, :]
             grid = _Grid(cfg, x, t)
-        work = np.full((2, *grid.shape), complex(math.nan, math.nan))
-        rho, closed = np.full(grid.shape, math.nan), np.full(grid.shape, math.nan)
+        closed = np.full(grid.shape, math.nan)
         rng = np.random.default_rng(5)
+        states = []
         for _ in range(3):
             c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            state = TwoStateSuperposition(c[0], c[1])
-            got = grid.density_exact(state, rho, work)
-            assert got is rho
-            _same_bits(got, density_exact(cfg, state, x, t))
+            states.append(TwoStateSuperposition(c[0], c[1]))
+        yielded = []
+        for state, rho in grid.densities(states):
+            yielded.append(rho)
+            _same_bits(rho, density_exact(cfg, state, x, t))
             if on_norm_grid:
                 _same_bits(_simpson_norm(cfg, rho), norm_integral(cfg, state, t[:, 0]))
             got = grid.density_closed_form(state, out=closed)
             assert got is closed
             _same_bits(got, density_closed_form(cfg, state, x, t))
+        # one result array, yielded for every state
+        assert len(yielded) == 3 and all(rho is yielded[0] for rho in yielded)
