@@ -111,6 +111,9 @@ class TwoStateSuperposition:
             raise ValueError(f"|c1|^2 + |c2|^2 overflows for c1={self.c1!r}, "
                              f"c2={self.c2!r}")
         if norm_sq == 0.0:
+            if self.c1 or self.c2:  # a nonzero state whose |c|^2 are below the float range
+                raise ValueError(f"|c1|^2 + |c2|^2 underflows to 0 for c1={self.c1!r}, "
+                                 f"c2={self.c2!r}")
             raise ValueError("zero state: need |c1|^2 + |c2|^2 > 0")
 
     def norm_sq(self) -> float:

@@ -28,8 +28,6 @@ from boxnodes.analysis import (
 )
 from boxnodes.well import TwoStateSuperposition, WellConfig, eigenfunction
 from peaks import local_max_positions, peak_separation
-from test_well import _WELLS, _always_masked_modes, _gate_positions, _same_bits, \
-    _scalar_or_array
 
 UNIT = WellConfig()
 EQUAL_MIX = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -447,22 +445,6 @@ class TestTimeAverages:
         state = TwoStateSuperposition(0.0, 1.0)
         assert time_avg_density(UNIT, state, 0.5) == pytest.approx(0.0, abs=1e-12)
 
-    def test_avg_density_keeps_the_square_weight_add_bits(self):
-        # the squares weighted in place, row by row, keep the bits and types
-        # of squaring the stacked modes, weighting both rows by the tuple
-        # (|c1|^2, |c2|^2) and adding them into a new array
-        rng = np.random.default_rng(28)
-        for cfg in _WELLS:
-            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-100.0, 100.0)
-            for state in (TwoStateSuperposition(complex(c[0], c[1]), complex(c[2], c[3])),
-                          TwoStateSuperposition(0.0, c[2]), TwoStateSuperposition(c[0], 0.0)):
-                weights = (abs(state.c1) ** 2, abs(state.c2) ** 2)
-                for x in _gate_positions(cfg.width_a, rng):
-                    squares = np.square(_always_masked_modes(cfg, x))
-                    np.multiply(squares.T, weights, out=squares.T)
-                    _same_bits(time_avg_density(cfg, state, x),
-                               _scalar_or_array(np.add(squares[0], squares[1])))
-
     def test_avg_density_array_matches_scalar(self):
         xs = np.array([0.1, 0.25, 0.7])
         vec = time_avg_density(UNIT, EQUAL_MIX, xs)
@@ -526,18 +508,6 @@ class TestHeatmap:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             heatmap(UNIT, *counts)
         assert heatmap(UNIT, np.int64(16), np.int32(8)).values.shape == (8, 16)
-
-    def test_weights_squared_in_place_keep_their_bits(self):
-        # cos and sin written into one array and squared in place keep the
-        # bits of squaring the list [cos, sin], on seeded wells and sizes
-        rng = np.random.default_rng(29)
-        for cfg in _WELLS:
-            x_count, mix_count = (int(n) for n in rng.integers(8, 100, 2))
-            xs = np.linspace(0.0, cfg.width_a, x_count)
-            thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
-            terms = np.multiply(np.square([np.cos(thetas), np.sin(thetas)])[:, :, None],
-                                np.square(_always_masked_modes(cfg, xs))[:, None, :])
-            _same_bits(heatmap(cfg, x_count, mix_count).values, np.add(terms[0], terms[1]))
 
 
 class TestPeakHelpers:

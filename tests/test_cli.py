@@ -199,6 +199,8 @@ _TAMPERS = [
     ("trajectory-periodicity", verify_module, "track_trajectory", _shifted_track),
     # the real-part zero goes missing at T/2 and T: a FAIL, not a crash
     ("special-time-agreement", verify_module, "node_position", _lost_real_part_zero),
+    # the turning points are NaN: the check reports error=inf
+    ("amplitude-arcsin", verify_module, "_positions", lambda real, *args: real(*args) * math.nan),
 ]
 
 
@@ -387,6 +389,8 @@ _EDGE_ARGV = [
     ("trajectory --c1 inf", "c1"),
     ("trajectory --c2 nan", "c2"),
     ("trajectory --c1 0 --c2 0", "zero state"),
+    # a nonzero state whose |c1|^2 + |c2|^2 is below the float range
+    ("trajectory --c1 1e-170 --c2 1e-170", "underflows to 0 for c1="),
     ("trajectory --c1 1e308 --c2 1e-308", "overflows"),
     ("trajectory --c1 1e200 --c2 1e200 --kind minimum", "overflows"),
     ("trajectory --c1 1e200 --c2 1e200 --kind repart", "overflows"),
@@ -653,6 +657,15 @@ class TestOutputSpec:
             with pytest.raises(ValueError):
                 write_columns(path, {"x": x, "y": y})
             assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("col, kind", [(np.zeros((2, 1)), "2-D float64"),
+                                           (np.zeros(2, np.float32), "1-D float32")])
+    def test_array_column_not_1d_float64_rejected(self, tmp_path, fmt, col, kind):
+        path = tmp_path / f"c.{fmt}"
+        with pytest.raises(ValueError, match=f"^an array column must be 1-D float64, got {kind}$"):
+            write_columns(path, {"x": col})
+        assert not path.exists()
 
 
 def _assert_table(path, fmt, header, rows, trailer=()):

@@ -87,6 +87,17 @@ class TestAnalyticPosition:
         assert pos is not None
         assert pos == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a1.37"])
+    def test_node_exactly_on_a_wall_is_present(self, cfg):
+        # |A cos(dw t)| = 1 at t = 0, T/2 and T for A = +-1: the analytic node
+        # sits on a wall, where the real-part zero's open range has none
+        a, period = cfg.width_a, beat_period(cfg)
+        for c1, walls in ((2.0, [a, 0.0, a]), (-2.0, [0.0, a, 0.0])):
+            state = TwoStateSuperposition(c1, 1.0)
+            assert [node_position(cfg, state, NodeKind.ANALYTIC, t)
+                    for t in (0.0, 0.5 * period, period)] == walls
+            assert node_position(cfg, state, NodeKind.REAL_PART_ZERO, 0.0) is None
+
     def test_nonfinite_ratio_rejected(self):
         # a ratio A enters as the state (2A, 1), which refuses a nonfinite A
         with pytest.raises(ValueError, match="c1"):
@@ -411,88 +422,6 @@ def _position_error(cfg, x, v):
         v_f = float(v)
         arccos = Decimal(math.acos(v_f)) + (Decimal(v_f) - v) / (1 - v * v).sqrt()
         return float(abs(Decimal(x) - Decimal(cfg.width_a) / Decimal(math.pi) * arccos))
-
-
-def _plain_real_part_zero_v(cfg, c1, c2, ts):
-    """_real_part_zero_v as it read before its ufunc passes were cut: omega per
-    call and a two-sided range test."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = -c1 * np.cos(omega(cfg, 1) * ts) / (2.0 * c2 * np.cos(omega(cfg, 2) * ts))
-    return np.where((v > -1.0) & (v < 1.0), v, np.nan)
-
-
-def _plain_density_minimum_v(cfg, state, ts):
-    """_density_minimum_v as it read before its ufunc passes were cut: the sin
-    term for every state, g * g twice, -p / 3 and a two-sided range test on v."""
-    c1, c2 = state.c1, state.c2
-    scale = 2.0 ** -math.frexp(max(abs(c1.real), abs(c1.imag), abs(c2.real), abs(c2.imag)))[1]
-    c1, c2 = c1 * scale, c2 * scale
-    alpha, beta = abs(c1) ** 2, 4.0 * abs(c2) ** 2
-    if beta == 0.0:
-        return np.full(ts.shape, np.nan)
-    cross = c1 * c2.conjugate()
-    phase = delta_omega(cfg) * ts
-    r = alpha / beta
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = (4.0 / beta) * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
-        p = 0.5 * (r - 1.0) - 0.1875 * (g * g)
-        q = g * (g * g - 4.0 * (r + 1.0)) / 32.0
-        u = 1.5 * q / p * np.sqrt(-3.0 / p)
-        v = -2.0 * np.sqrt(-p / 3.0) * np.sin(np.arcsin(u) / 3.0) - 0.25 * g
-    return np.where((np.abs(u) < 1.0) & (v > -1.0) & (v < 1.0), v, np.nan)
-
-
-class TestKernelBits:
-    """The v-space kernels make fewer ufunc calls than the plain expressions
-    above but round the same operations in the same order, so they give
-    the same bits."""
-
-    @staticmethod
-    def _cases():
-        rng = np.random.default_rng(2525)
-        cfgs = [WellConfig(*np.exp(rng.uniform(math.log(0.1), math.log(10.0), 3)))
-                for _ in range(8)] + [UNIT]
-        states = []
-        for _ in range(12):
-            c = rng.standard_normal(4)
-            states += [(float(c[0]), float(c[1])), (complex(c[0], c[1]), complex(c[2], c[3]))]
-        # c1 = 0, c2 = 0, a purely imaginary c1, |A| = 1 (v = -+1 at t = 0),
-        # and tiny beta, against which alpha / beta overflows
-        states += [(0.0, 1.0), (0.0, -0.7), (0.0j, 1.0 + 1.0j), (1.0, 0.0), (1.0j, 0.0),
-                   (1.0j, 1.0), (2.0, 1.0), (-2.0, 1.0), (1.0, 1e-160), (1.0, 1e-155),
-                   (1e-300, 1.0)]
-        states = [TwoStateSuperposition(scale * c1, scale * c2) for c1, c2 in states
-                  for scale in (1.0, 1e153, 1e-153)]
-        for cfg in cfgs:
-            T_cfg = beat_period(cfg)
-            ts = np.concatenate([rng.uniform(-2.0, 2.0, 61) * T_cfg,
-                                 np.arange(-4, 5) * (0.25 * T_cfg)])
-            yield from ((cfg, state, ts) for state in states)
-
-    def test_density_minimum(self):
-        zero_signs = 0
-        for cfg, state, ts in self._cases():
-            got, want = nodes._density_minimum_v(cfg, state, ts), \
-                _plain_density_minimum_v(cfg, state, ts)
-            assert nodes._positions(cfg, got).tobytes() == \
-                nodes._positions(cfg, want).tobytes(), (cfg, state)
-            if (state.c1 * state.c2.conjugate()).imag:
-                assert got.tobytes() == want.tobytes(), (cfg, state)
-            else:
-                # without the sin term, x - 0 sin is x, also where x is -0.0
-                # and the plain expression gives +0.0: only the sign of a
-                # zero v can differ, and acos maps both zeros to a/2
-                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (cfg, state)
-                zero_signs += got.tobytes() != want.tobytes()
-        assert zero_signs  # the c1 = 0 states reach that case
-
-    def test_real_part_zero(self):
-        for cfg, state, ts in self._cases():
-            if state.c1.imag or state.c2.imag:
-                continue
-            c1, c2 = state.c1.real, state.c2.real
-            assert nodes._real_part_zero_v(cfg, c1, c2, ts).tobytes() == \
-                _plain_real_part_zero_v(cfg, c1, c2, ts).tobytes(), (cfg, state)
 
 
 class TestUniformTimes:

@@ -1,6 +1,8 @@
 """The package namespace is the submodules' __all__ lists, re-exported in order,
-and the README's library example runs against it."""
+the README's library example runs against it, and the code-line counter
+that CI reports the source size with."""
 
+import importlib.util
 import inspect
 import os
 import re
@@ -60,3 +62,15 @@ def test_readme_library_example_runs():
     out = subprocess.run([sys.executable, "-c", blocks[0]], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == "", out.stderr
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = ('"""A docstring\nover two lines."""\nimport math  # a comment\n\n\n'
+              'def f(x):\n    """One line."""\n    # a comment alone\n'
+              '    return math.hypot(x,\n                      1.0)\n')
+    # import, def, and both lines of the return
+    assert code_lines.code_lines(source) == 4

@@ -3,12 +3,14 @@
 import cmath
 import copy
 import dataclasses
+import importlib.util
 import math
 import pickle
 import re
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,11 @@ from boxnodes.well import (
     normalize,
     omega,
 )
+
+_spec = importlib.util.spec_from_file_location(
+    "kernel_bits", Path(__file__).resolve().parents[1] / "scripts" / "kernel_bits.py")
+kernel_bits = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(kernel_bits)
 
 UNIT = WellConfig()
 EQUAL_MIX = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -65,6 +72,13 @@ class TestConfig:
         # each |c|^2 is finite, only their sum overflows
         with pytest.raises(ValueError, match="overflows"):
             TwoStateSuperposition(1e154, 1e154)
+
+    @pytest.mark.parametrize("c1, c2", [(1e-170, 1e-170), (0.0, 1e-170j), (-1e-200, 0.0)])
+    def test_underflowing_norm_rejected(self, c1, c2):
+        # a nonzero state whose |c1|^2 + |c2|^2 rounds to 0
+        with pytest.raises(ValueError, match=r"^\|c1\|\^2 \+ \|c2\|\^2 underflows to 0 "
+                                             r"for c1=.*, c2=.*$"):
+            TwoStateSuperposition(c1, c2)
 
     def test_numpy_scalars_stored_as_floats(self):
         cfg = WellConfig(np.float64(2.0), np.float32(0.5), np.int64(3))
@@ -172,13 +186,8 @@ def _frequencies(cfg):
     return cfg._dw.hex(), cfg._omega_1.hex(), cfg._omega_2.hex()
 
 
-# seeded wells, and extremes the CLI accepts: a large dw with T near the bottom
-# of the float range (--hbar 8e306, --a 1e-100 --mass 1e-100) and a subnormal
-# dw (--a 1e155)
-_WELLS = [WellConfig(*row) for row in
-          (10.0 ** np.random.default_rng(25).uniform(-5, 5, size=(50, 3))).tolist()] + [
-    WellConfig(hbar=8e306), WellConfig(1e-100, 1e-100), WellConfig(1e155),
-    WellConfig(1.37, 0.6, 1.9)]
+# the seeded and extreme wells of the kernel sample that the byte gate pins
+_WELLS = kernel_bits.WELLS
 
 
 class TestCachedFrequencies:
@@ -502,55 +511,6 @@ class TestNorm:
             assert out.c1 / out.c2 == pytest.approx(c1 / c2, rel=1e-10)
 
 
-# The kernels as they were written before they shared one validated pair of
-# modes: each mode validated and evaluated on its own.
-def _scalar_or_array(values):
-    out = np.asarray(values)
-    return out.item() if out.ndim == 0 else out
-
-
-def _ref_eigenfunction(cfg, n, x):
-    a = cfg.width_a
-    xs = np.asarray(x, dtype=float)
-    raw = math.sqrt(2.0 / a) * np.sin(n * math.pi * xs / a)
-    return _scalar_or_array(np.where((xs == 0.0) | (xs == a), 0.0, raw))
-
-
-def _ref_evaluate_psi(cfg, state, x, t):
-    ts = np.asarray(t, dtype=float)
-    out = state.c1 * _ref_eigenfunction(cfg, 1, x) * np.exp(-1j * omega(cfg, 1) * ts)
-    out = out + state.c2 * _ref_eigenfunction(cfg, 2, x) * np.exp(-1j * omega(cfg, 2) * ts)
-    return _scalar_or_array(out)
-
-
-def _ref_density_exact(cfg, state, x, t):
-    psi = np.asarray(_ref_evaluate_psi(cfg, state, x, t))
-    return _scalar_or_array(psi.real**2 + psi.imag**2)
-
-
-def _ref_density_closed_form(cfg, state, x, t):
-    p1 = np.asarray(_ref_eigenfunction(cfg, 1, x))
-    p2 = np.asarray(_ref_eigenfunction(cfg, 2, x))
-    cross = state.c1 * np.conj(state.c2)
-    osc = np.real(cross * np.exp(1j * delta_omega(cfg) * np.asarray(t, dtype=float)))
-    return _scalar_or_array(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2
-                            + 2.0 * p1 * p2 * osc)
-
-
-def _ref_time_avg_density(cfg, state, x):
-    p1 = np.asarray(_ref_eigenfunction(cfg, 1, x))
-    p2 = np.asarray(_ref_eigenfunction(cfg, 2, x))
-    return _scalar_or_array(abs(state.c1) ** 2 * p1**2 + abs(state.c2) ** 2 * p2**2)
-
-
-def _ref_heatmap_values(cfg, x_count, mix_count):
-    xs = np.linspace(0.0, cfg.width_a, x_count)
-    thetas = np.linspace(0.0, math.pi / 2.0, mix_count)
-    p1 = np.asarray(_ref_eigenfunction(cfg, 1, xs))
-    p2 = np.asarray(_ref_eigenfunction(cfg, 2, xs))
-    return np.outer(np.cos(thetas) ** 2, p1**2) + np.outer(np.sin(thetas) ** 2, p2**2)
-
-
 def _same_bits(got, want):
     assert type(got) is type(want)
     got, want = np.atleast_1d(got), np.atleast_1d(want)
@@ -558,126 +518,62 @@ def _same_bits(got, want):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# _modes as it was before one NaN-skipping min and max checked the positions
-# and gated the wall mask: two counts of positions outside the well, and the
-# mask on every call
-def _always_masked_modes(cfg, x, n_pi=np.array([math.pi, 2.0 * math.pi])):
-    xs = np.asarray(x, dtype=float)
-    if np.count_nonzero(xs < 0.0) or np.count_nonzero(xs > cfg.width_a):
-        raise ValueError(f"position outside the well [0, {cfg.width_a}]")
-    modes = np.multiply.outer(n_pi, xs)
-    modes /= cfg.width_a
-    np.sin(modes, out=modes)
-    modes *= math.sqrt(2.0 / cfg.width_a)
-    np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == cfg.width_a))
-    return modes
-
-
-def _gate_positions(a, rng):
-    """Positions that reach each branch of the position check and the wall
-    mask: the walls as scalars, 0-d arrays and either end of an array,
-    -0.0, NaN at every index, all-NaN, empty, and 2-D arrays."""
-    inner = rng.uniform(0.0, a, 6)
-    walls = inner.copy()
-    walls[0], walls[-1] = 0.0, a
-    positions = [0.0, -0.0, a, float(inner[0]), np.asarray(a), np.asarray(0.0),
-                 np.asarray(float(inner[1])), math.nan, np.asarray(math.nan), inner, walls,
-                 walls[::-1].copy(), np.array([-0.0, *inner[1:]]), np.array([]),
-                 np.full(4, math.nan), np.empty((0, 3)), inner.reshape(2, 3),
-                 walls.reshape(3, 2), np.full((2, 2), math.nan)]
-    for i in range(len(walls)):
-        for base in (inner, walls):
-            with_nan = base.copy()
-            with_nan[i] = math.nan
-            positions.append(with_nan)
-    positions.append(positions[-1].reshape(2, 3))
-    return positions
-
-
 KERNEL_WELLS = [UNIT, WellConfig(1.3, 0.7, 2.0)]
 KERNEL_STATE = TwoStateSuperposition(0.6 - 0.3j, -0.5 + 0.55j)
 
 
-def _kernel_positions(cfg):
-    a = cfg.width_a
-    rng = np.random.default_rng(11)
-    return [rng.uniform(0.0, a, 97), np.array([0.0, -0.0, a, math.nan, 0.5 * a]),
-            0.3 * a, -0.0, a, math.nan, np.asarray(0.7 * a), np.array([]),
-            np.linspace(0.0, a, 256)[:, None]]
-
-
 class TestKernelBits:
-    @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
-    def test_position_kernels_keep_their_bits(self, cfg):
-        ts = np.linspace(0.0, 2.0 * beat_period(cfg), 64)
-        for x in _kernel_positions(cfg):
-            # times along the other axis: (256, 1) x (1, 64), or (64, 1) x (n,)
-            t = ts[None, :] if np.ndim(x) == 2 else ts[:, None]
-            for n in (1, 2):
-                _same_bits(eigenfunction(cfg, n, x), _ref_eigenfunction(cfg, n, x))
-            _same_bits(time_avg_density(cfg, KERNEL_STATE, x),
-                       _ref_time_avg_density(cfg, KERNEL_STATE, x))
-            for tt in (0.37, t):
-                for got, want in ((evaluate_psi, _ref_evaluate_psi),
-                                  (density_exact, _ref_density_exact),
-                                  (density_closed_form, _ref_density_closed_form)):
-                    _same_bits(got(cfg, KERNEL_STATE, x, tt),
-                               want(cfg, KERNEL_STATE, x, tt))
+    """Each kernel's bits are pinned by scripts/kernel_bits.py through the
+    byte gate; these tests pin the types and shapes, what the kernels
+    accept and reject, and that the stacked modes are eigenfunction's."""
 
     @pytest.mark.parametrize("cfg", KERNEL_WELLS, ids=["a1", "a1.3"])
-    def test_heatmap_keeps_its_bits(self, cfg):
-        _same_bits(heatmap(cfg, 64, 64).values, _ref_heatmap_values(cfg, 64, 64))
+    def test_types_and_shapes(self, cfg):
+        # a scalar or 0-d position gives a Python scalar and an array
+        # position an array of its shape; times along a new first axis add
+        # that axis to the result
+        xs, with_nan = kernel_bits.edge_positions(cfg.width_a, np.random.default_rng(27))
+        ts = np.linspace(0.0, 2.0 * beat_period(cfg), 5)
+        for x in xs + with_nan:
+            results = [(eigenfunction(cfg, n, x), float) for n in (1, 2, 3)] + [
+                (time_avg_density(cfg, KERNEL_STATE, x), float),
+                (evaluate_psi(cfg, KERNEL_STATE, x, 0.37), complex),
+                (density_exact(cfg, KERNEL_STATE, x, 0.37), float),
+                (density_closed_form(cfg, KERNEL_STATE, x, 0.37), float)]
+            for got, dtype in results:
+                if np.ndim(x) == 0:
+                    assert type(got) is dtype
+                else:
+                    assert type(got) is np.ndarray and got.dtype == dtype
+                    assert got.shape == np.shape(x)
+            t = ts.reshape(-1, *(1,) * np.ndim(x))
+            for kernel, dtype in ((evaluate_psi, complex), (density_exact, float),
+                                  (density_closed_form, float)):
+                got = kernel(cfg, KERNEL_STATE, x, t)
+                assert got.dtype == dtype and got.shape == (5, *np.shape(x))
 
     def test_stacked_modes_keep_each_rows_bits(self):
         # _modes evaluates psi_1 and psi_2 in one pass, stacked on a new first
-        # axis: each row, and every kernel that reads them, keeps the bits of
-        # the per-mode passes above, on seeded and extreme wells, for scalar,
-        # 1-D and 2-D x, x = a and x = +-0.0
+        # axis: each row keeps the bits of eigenfunction's one-mode pass, on
+        # seeded and extreme wells, for scalar, 1-D and 2-D x, x = a, x = +-0.0
+        # and NaN
         rng = np.random.default_rng(26)
         for cfg in _WELLS:
             a = cfg.width_a
-            c = rng.standard_normal(4) * 10.0 ** rng.uniform(-100.0, 100.0)
-            state = TwoStateSuperposition(complex(c[0], c[1]), complex(c[2], c[3]))
-            # the beat period of --a 1e155 overflows
-            t = float(rng.uniform(0.0, 1.0)) * min(beat_period(cfg), 1e300)
-            for x in (float(rng.uniform(0.0, a)), 0.0, -0.0, a, np.asarray(0.25 * a),
-                      rng.uniform(0.0, a, 33), rng.uniform(0.0, a, (5, 7)),
-                      np.array([0.0, -0.0, a, 0.5 * a])):
+            xs, with_nan = kernel_bits.edge_positions(a, rng)
+            for x in xs + with_nan + [rng.uniform(0.0, a, 33), rng.uniform(0.0, a, (5, 7))]:
                 modes = _modes(cfg, x)
                 assert modes.shape == (2, *np.shape(x))
                 for n in (1, 2):
-                    _same_bits(np.asarray(modes[n - 1]),
-                               np.asarray(_ref_eigenfunction(cfg, n, x)))
-                    _same_bits(eigenfunction(cfg, n, x), _ref_eigenfunction(cfg, n, x))
-                _same_bits(time_avg_density(cfg, state, x),
-                           _ref_time_avg_density(cfg, state, x))
-                for got, want in ((evaluate_psi, _ref_evaluate_psi),
-                                  (density_exact, _ref_density_exact),
-                                  (density_closed_form, _ref_density_closed_form)):
-                    _same_bits(got(cfg, state, x, t), want(cfg, state, x, t))
-
-    def test_gated_mask_keeps_the_always_masked_bits(self):
-        # the min and max that check the positions also skip the wall mask
-        # where no position can be on a wall: _modes and eigenfunction keep
-        # the bits and types of the always-masked sequence on every branch
-        rng = np.random.default_rng(27)
-        for cfg in _WELLS:
-            for x in _gate_positions(cfg.width_a, rng):
-                got = _modes(cfg, x)
-                _same_bits(got, _always_masked_modes(cfg, x))
-                assert got.shape == (2, *np.shape(x))
-                for n in (1, 2, 3):
-                    want = _scalar_or_array(
-                        _always_masked_modes(cfg, x, np.array([n * math.pi]))[0])
-                    _same_bits(eigenfunction(cfg, n, x), want)
+                    _same_bits(np.asarray(modes[n - 1]), np.asarray(eigenfunction(cfg, n, x)))
 
     def test_heatmap_keeps_its_bits_on_seeded_wells(self):
-        # both axes are np.linspace's, and the values the outer products' above
+        # both axes are np.linspace's
         rng = np.random.default_rng(27)
         for cfg in _WELLS:
             x_count, mix_count = (int(n) for n in rng.integers(8, 100, 2))
             grid = heatmap(cfg, x_count, mix_count)
-            _same_bits(grid.values, _ref_heatmap_values(cfg, x_count, mix_count))
+            assert grid.values.shape == (mix_count, x_count) and grid.values.dtype == float
             _same_bits(grid.x_values, np.linspace(0.0, cfg.width_a, x_count))
             _same_bits(grid.mix_values, np.linspace(0.0, math.pi / 2.0, mix_count))
 
