@@ -9,8 +9,8 @@ reads back to the same float, so equal lines mean equal bits, the sign of
 a zero included (NaN payloads aside). Where a kernel raises ValueError the
 line gives its message. The kernels are eigenfunction (n = 1, 2, 3),
 evaluate_psi, density_exact, density_closed_form, norm_integral,
-time_avg_density, heatmap and the positions of track_trajectory for each
-node kind. The inputs are:
+time_avg_density, heatmap, the positions of track_trajectory for each node
+kind and exact_zero_times. The inputs are:
 
 * 54 wells, 50 seeded and four extremes the CLI accepts, each with
   positions on every branch of the position check and the wall mask, one
@@ -18,7 +18,11 @@ node kind. The inputs are:
   heatmap, and the node tracks of a real state over one beat period;
 * two wells with one complex state on (x, t) grids broadcast both ways;
 * nine wells with 35 states at scales 1 and 1e+-153, whose node tracks
-  reach |A| = 1 at t = 0, c1 = 0, c2 = 0 and a beta far below alpha.
+  reach |A| = 1 at t = 0, c1 = 0, c2 = 0 and a beta far below alpha, and
+  their true-zero instants over two beat periods.
+
+exact_zero_times is printed as a float array, so a list of floats and an
+array of the same values print alike.
 
 Only public boxnodes names are used, so scripts/gate_outputs.sh can run
 this copy of the script against the src/ of the base commit and of the
@@ -29,8 +33,9 @@ import math
 import numpy as np
 
 from boxnodes import (NodeKind, TwoStateSuperposition, WellConfig, beat_period,
-                      density_closed_form, density_exact, eigenfunction, evaluate_psi, heatmap,
-                      norm_integral, time_avg_density, track_trajectory)
+                      density_closed_form, density_exact, eigenfunction, evaluate_psi,
+                      exact_zero_times, heatmap, norm_integral, time_avg_density,
+                      track_trajectory)
 
 # seeded wells, and extremes the CLI accepts: a large dw with T near the bottom
 # of the float range (--hbar 8e306, --a 1e-100 --mass 1e-100) and a subnormal
@@ -83,6 +88,10 @@ def _line(label: str, kernel, *args) -> str:
 
 def track_positions(cfg, state, kind, t_start, t_end, n):
     return track_trajectory(cfg, state, kind, t_start, t_end, n).positions
+
+
+def zero_times(cfg, state):
+    return np.asarray(exact_zero_times(cfg, state, 2, samples_per_period=16), dtype=float)
 
 
 def well_lines(rng: np.random.Generator) -> list[str]:
@@ -156,6 +165,7 @@ def node_lines() -> list[str]:
             lines += [f"track_positions {kind.value} c{i} s{j} " + " ".join(
                 _call(track_positions, cfg, state, kind, *window) for window in windows)
                 for kind in NodeKind]
+            lines.append(f"exact_zero_times c{i} s{j} {_call(zero_times, cfg, state)}")
     return lines
 
 

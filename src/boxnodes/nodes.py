@@ -228,14 +228,15 @@ def node_position(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
 
 
 def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count: int = 1,
-                     grid_n: int = 1024, samples_per_period: int = 512) -> list[float]:
-    """Times in [0, period_count * T] at which |Psi|^2 has a genuine interior zero.
+                     grid_n: int = 1024, samples_per_period: int = 512) -> np.ndarray:
+    """Times in [0, period_count * T] at which |Psi|^2 has a genuine interior zero,
+    as a float array.
 
     The coefficients must be real. A zero needs c1 + 2 c2 v e^{-i dw t} = 0
     with v = cos(pi x / a) in (-1, 1). For c1 = 0 (pure psi_2) the node at a/2
     is permanent, and the samples_per_period instants per period are returned.
     For 0 < |A| < 1, A = c1 / (2 c2), the zeros are the instants k T/2, where
-    sin(dw t) = 0. Otherwise the list is empty: at |A| = 1 the zero touches a
+    sin(dw t) = 0. Otherwise the array is empty: at |A| = 1 the zero touches a
     wall, which is not interior. A window whose end period_count * T is not
     a finite float raises ValueError, as does a count that is not an
     integer. grid_n is validated but has no effect.
@@ -252,10 +253,10 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
                 f"period_count * T = {period_count!r} * {T!r} overflows")
         raise ValueError(f"{what} for a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
     if c1 == 0.0:
-        return _uniform_times(0.0, t_end, period_count * samples_per_period + 1).tolist()
+        return _uniform_times(0.0, t_end, period_count * samples_per_period + 1)
     if abs(c1) < 2.0 * abs(c2):
-        return [k * 0.5 * T for k in range(2 * period_count + 1)]
-    return []
+        return np.arange(2 * period_count + 1, dtype=float) * 0.5 * T
+    return np.empty(0)
 
 
 def track_trajectory(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,

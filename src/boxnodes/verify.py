@@ -1,15 +1,24 @@
 """Self-check battery: every library-level invariant measured in one pass.
 
-Each check reports the worst observed error against a fixed tolerance that
-scales like the quantity it bounds (positions with a, densities with 1/a).
-Randomized checks draw from a seeded generator, so a given seed always
-produces the same printout.
+The battery is the table _CHECKS. Each entry is a measure followed by the
+rows it feeds; a row is a check's name, its detail, the scale of its
+tolerance ("length" multiplies the tolerance by a, "density" divides it by
+a, 1 leaves it as it is) and its tolerance on the unit well. A measure is a
+generator over one shared context (cfg, a, T, dw, the 256 positions xg and
+the seeded generator rng) that yields, for every sample it takes, a tuple of
+one error per row. run_verification drains the measures in table order, so a
+given seed always produces the same printout, and reduces each row's errors
+by one rule: the largest error, NaN if any is NaN, 0.0 before any sample. A
+detail may name context fields in str.format fields, such as {dw!r}. Adding
+a check means adding a measure and a row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +55,8 @@ from .well import (
 
 __all__ = ["CheckResult", "run_verification"]
 
+_Errors = Iterator[tuple[float, ...]]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -76,135 +87,108 @@ def _random_complex_states(rng: np.random.Generator, count: int) -> list[TwoStat
             for (re1, re2), (im1, im2) in z.tolist()]
 
 
-def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
-    """Run every invariant check and return one result per check."""
-    rng = np.random.default_rng(seed)
-    a = cfg.width_a
-    T = beat_period(cfg)
-    if not math.isfinite(2.0 * T):
-        raise ValueError(f"verify samples two beat periods, but 2T = {2.0 * T!r} is not "
-                         f"finite for a={a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
-    dw = delta_omega(cfg)
-    results: list[CheckResult] = []
+# Each measure looks up the library names it calls as module globals when it
+# runs, so a test can patch them here. The measures that evaluate random
+# states on one (x, t) grid draw their states at once and build the grid and
+# its work arrays in their own frame, so these go when the measure is drained,
+# before the next one builds its own.
 
-    def add(name: str, detail: str, error: float, tol: float) -> None:
-        results.append(CheckResult(name=name, detail=detail, error=float(error), tol=tol))
-
+def _beat_frequency(ctx: SimpleNamespace) -> _Errors:
     # beat frequency against the closed form, in exact rationals rounded
     # once, so no intermediate such as a^2 can leave the float range;
     # imported here because fractions (with decimal) adds about 4 ms to
     # every import of the package, and only verify needs it
     from fractions import Fraction
     try:
-        expected_dw = float(Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(cfg.hbar)
-                            / (Fraction(cfg.mass_m) * Fraction(a) ** 2))
-        dw_err = abs(dw - expected_dw) / expected_dw
+        expected = float(Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(ctx.cfg.hbar)
+                         / (Fraction(ctx.cfg.mass_m) * Fraction(ctx.a) ** 2))
     except OverflowError:  # the exact value rounds past the largest float
-        dw_err = math.inf
-    add("delta-omega-formula",
-        f"delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2), relative", dw_err, 1e-12)
+        yield (math.inf,)
+        return
+    yield (abs(ctx.dw - expected) / expected,)
 
-    # wavefunction is exactly zero on the walls
-    walls = np.array([0.0, a])
-    worst = 0.0
+
+def _wall_zeros(ctx: SimpleNamespace) -> _Errors:
+    walls = np.array([0.0, ctx.a])
     for _ in range(10):
-        state, = _random_complex_states(rng, 1)
-        t = float(rng.uniform(0.0, 2.0 * T))
-        worst = _worst(worst, float(np.max(np.abs(evaluate_psi(cfg, state, walls, t)))))
-    add("wall-boundary-zeros", "psi(0) and psi(a) for random states", worst, 0.0)
+        state, = _random_complex_states(ctx.rng, 1)
+        t = float(ctx.rng.uniform(0.0, 2.0 * ctx.T))
+        yield (np.max(np.abs(evaluate_psi(ctx.cfg, state, walls, t))),)
 
-    # closed-form density equals the complex-arithmetic density; this check
-    # and the norm and time-average checks each draw their states at once,
-    # build one grid, loop over its densities, and let the grid and the last
-    # density go before the next check builds its own
-    xg = np.linspace(0.0, a, 256)
-    grid = _Grid(cfg, xg[:, None], np.linspace(0.0, T, 64)[None, :])
+
+def _closed_form(ctx: SimpleNamespace) -> _Errors:
+    grid = _Grid(ctx.cfg, ctx.xg[:, None], np.linspace(0.0, ctx.T, 64)[None, :])
     closed = np.empty(grid.shape)
-    worst = 0.0
-    for state, rho in grid.densities(_random_complex_states(rng, 50)):
+    for state, rho in grid.densities(_random_complex_states(ctx.rng, 50)):
         np.subtract(rho, grid.density_closed_form(state, out=closed), out=rho)
-        worst = _worst(worst, float(rho.max()), -float(rho.min()))
-    add("closed-form-equivalence", "50 random complex states on a 256x64 grid",
-        worst, 1e-12 / a)
-    del grid, closed, rho
+        yield (rho.max(),)
+        yield (-rho.min(),)
 
-    # Simpson norm equals |c1|^2 + |c2|^2 and does not drift in time
-    grid = _norm_grid(cfg, np.linspace(0.0, T, 10))
-    worst_norm = 0.0
-    worst_spread = 0.0
-    for state, rho in grid.densities(_random_complex_states(rng, 20)):
-        norms = _simpson_norm(cfg, rho)
-        worst_norm = _worst(worst_norm, float(np.max(np.abs(norms - state.norm_sq()))))
-        worst_spread = _worst(worst_spread, float(np.max(norms) - np.min(norms)))
-    add("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", worst_norm, 1e-8)
-    add("norm-constancy", "norm spread over 10 times per state", worst_spread, 1e-10)
-    del grid, rho
 
-    # the density repeats after one beat period
-    worst = 0.0
+def _norms(ctx: SimpleNamespace) -> _Errors:
+    grid = _norm_grid(ctx.cfg, np.linspace(0.0, ctx.T, 10))
+    for state, rho in grid.densities(_random_complex_states(ctx.rng, 20)):
+        norms = _simpson_norm(ctx.cfg, rho)
+        yield np.max(np.abs(norms - state.norm_sq())), np.max(norms) - np.min(norms)
+
+
+def _beat_periodicity(ctx: SimpleNamespace) -> _Errors:
     for _ in range(10):
-        state, = _random_complex_states(rng, 1)
-        t = float(rng.uniform(0.0, T))
-        d1, d2 = density_exact(cfg, state, xg, np.array([[t], [t + T]]))
-        worst = _worst(worst, float(np.max(np.abs(d1 - d2))))
-    add("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", worst, 1e-12 / a)
+        state, = _random_complex_states(ctx.rng, 1)
+        t = float(ctx.rng.uniform(0.0, ctx.T))
+        d1, d2 = density_exact(ctx.cfg, state, ctx.xg, np.array([[t], [t + ctx.T]]))
+        yield (np.max(np.abs(d1 - d2)),)
 
-    # pure eigenstates have static densities
-    worst = 0.0
+
+def _stationary(ctx: SimpleNamespace) -> _Errors:
     for coeffs in ((1.0, 0.0), (0.0, 1.0)):
-        state = TwoStateSuperposition(*coeffs)
-        profiles = density_exact(cfg, state, xg, np.linspace(0.0, T, 7)[:, None])
-        worst = _worst(worst, float(np.max(profiles.max(axis=0) - profiles.min(axis=0))))
-    add("stationary-eigenstate", "density variation of pure psi_1 and psi_2", worst,
-        1e-13 / a)
+        profiles = density_exact(ctx.cfg, TwoStateSuperposition(*coeffs), ctx.xg,
+                                 np.linspace(0.0, ctx.T, 7)[:, None])
+        yield (np.max(profiles.max(axis=0) - profiles.min(axis=0)),)
 
-    # psi_n has exactly n-1 interior nodes
+
+def _node_count(ctx: SimpleNamespace) -> _Errors:
+    # the number of n = 1..6 whose psi_n lacks exactly n-1 interior sign changes
     mismatches = 0
-    xs_fine = np.linspace(0.0, a, 10_001)[1:-1]
+    xs_fine = np.linspace(0.0, ctx.a, 10_001)[1:-1]
     for n in range(1, 7):
-        vals = eigenfunction(cfg, n, xs_fine)
-        crossings = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
-        if crossings != n - 1:
-            mismatches += 1
-    add("eigenfunction-node-count", "sign changes of psi_n, n = 1..6", mismatches, 0.0)
+        vals = eigenfunction(ctx.cfg, n, xs_fine)
+        mismatches += int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)) != n - 1
+    yield (mismatches,)
 
-    # analytic trajectory: beat periodicity and half-period reflection
-    def analytic_track(A: float, t_start: float, t_end: float, n: int) -> np.ndarray:
-        state = TwoStateSuperposition(2.0 * A, 1.0)
-        return track_trajectory(cfg, state, NodeKind.ANALYTIC, t_start, t_end, n).positions
 
-    x_t = analytic_track(0.5, 0.0, T, 256)
-    x_tT = analytic_track(0.5, T, 2.0 * T, 256)
-    x_half = analytic_track(0.5, 0.5 * T, 1.5 * T, 256)
-    add("trajectory-periodicity", "x(t+T) vs x(t) at A = 0.5",
-        float(np.max(np.abs(x_tT - x_t))), 1e-12 * a)
-    add("trajectory-reflection", "x(t) + x(t+T/2) vs a at A = 0.5",
-        float(np.max(np.abs(x_t + x_half - a))), 1e-12 * a)
+def _trajectory(ctx: SimpleNamespace) -> _Errors:
+    # the analytic node of A = 0.5 over [0, T], [T, 2T] and [T/2, 3T/2]
+    x_t, x_tT, x_half = (
+        track_trajectory(ctx.cfg, TwoStateSuperposition(1.0, 1.0), NodeKind.ANALYTIC,
+                         start * ctx.T, (start + 1.0) * ctx.T, 256).positions
+        for start in (0.0, 1.0, 0.5))
+    yield np.max(np.abs(x_tT - x_t)), np.max(np.abs(x_t + x_half - ctx.a))
 
+
+def _amplitude(ctx: SimpleNamespace) -> _Errors:
     # the Re Psi zeros at t = 0 and T/2 of c1 = 2 A c2 are the turning points
     # of the node, half an excursion (a/pi) arcsin(A) either side of a/2; all
     # draws are solved in one pass by the helpers node_position runs
-    draws = rng.uniform(0.01, 1.0, size=50)
-    v = _real_part_zero_v(cfg, 2.0 * draws[:, None], 1.0, np.array([0.0, 0.5 * T]))
-    turns = _positions(cfg, v.ravel()).reshape(v.shape)
-    worst = 0.0
+    draws = ctx.rng.uniform(0.01, 1.0, size=50)
+    v = _real_part_zero_v(ctx.cfg, 2.0 * draws[:, None], 1.0, np.array([0.0, 0.5 * ctx.T]))
+    turns = _positions(ctx.cfg, v.ravel()).reshape(v.shape)
     for A, (x_0, x_half) in zip(draws.tolist(), turns.tolist()):
         if math.isnan(x_0) or math.isnan(x_half):
-            worst = math.inf
-            break
-        measured = 0.5 * (x_0 - x_half)
+            yield (math.inf,)
+            return
         # oscillation_amplitude is (a/pi) arcsin A, so one term covers both
-        worst = _worst(worst, abs(measured - oscillation_amplitude(cfg, A)))
-    add("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
-        "(a/pi) arcsin A, 50 draws", worst, 1e-9 * a)
+        yield (abs(0.5 * (x_0 - x_half) - oscillation_amplitude(ctx.cfg, A)),)
 
+
+def _mean_position(ctx: SimpleNamespace) -> _Errors:
     # the time-averaged node position is the well center; an even grid of 256
     # instants (one period, end point dropped) pairs each instant with its
     # half-period reflection; all ratios are solved in one pass by the
     # helpers track_trajectory runs
     ratios = np.append(np.linspace(0.05, 0.95, 19), 0.99)
-    v = _analytic_v(cfg, ratios[:, None], np.linspace(0.0, T, 257))
-    tracks = _positions(cfg, v.ravel()).reshape(v.shape)[:, :-1]
+    v = _analytic_v(ctx.cfg, ratios[:, None], np.linspace(0.0, ctx.T, 257))
+    tracks = _positions(ctx.cfg, v.ravel()).reshape(v.shape)[:, :-1]
     # on a well wider than about DBL_MAX / 128 a row's sum overflows; such a
     # row is averaged again on its positions times 2**-8, an exact scaling,
     # and scaled back, so every row whose plain mean is finite keeps its bits
@@ -213,58 +197,89 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
         redo = ~np.isfinite(means)
         if redo.any():
             means[redo] = np.mean(tracks[redo] * 2.0**-8, axis=1) * 2.0**8
-    worst = 0.0
     for A, sampled in zip(ratios.tolist(), means.tolist()):
-        worst = _worst(worst, abs(sampled - time_avg_node_position(cfg, A)))
-    add("mean-node-position", "sampled time average of x(t) vs a/2 for A up to 0.99",
-        worst, 1e-9 * a)
+        yield (abs(sampled - time_avg_node_position(ctx.cfg, A)),)
 
+
+def _time_avg(ctx: SimpleNamespace) -> _Errors:
     # time averaging kills the interference term exactly: a midpoint rule
     # over one beat period is exact for a single harmonic
-    t_mid = (np.arange(64) + 0.5) * (T / 64)
-    grid = _Grid(cfg, xg[:, None], t_mid[None, :])
-    worst = 0.0
-    for state, rho in grid.densities(_random_complex_states(rng, 5)):
+    t_mid = (np.arange(64) + 0.5) * (ctx.T / 64)
+    grid = _Grid(ctx.cfg, ctx.xg[:, None], t_mid[None, :])
+    for state, rho in grid.densities(_random_complex_states(ctx.rng, 5)):
         sampled = np.mean(rho, axis=1)
-        avg = time_avg_density(cfg, state, xg)
-        worst = _worst(worst, float(np.max(np.abs(avg - sampled))))
-    add("time-avg-density-static-part", "midpoint time average of the density vs "
-        "stationary profile", worst, 1e-10 / a)
-    del grid, rho
+        yield (np.max(np.abs(time_avg_density(ctx.cfg, state, ctx.xg) - sampled)),)
 
-    # every heatmap row stays a normalized density profile
-    grid = heatmap(cfg, 64, 16)
-    row_norms = np.trapezoid(grid.values, grid.x_values, axis=1)
-    add("heatmap-row-normalization", "trapezoid integral of 16 rows",
-        float(np.max(np.abs(row_norms - 1.0))), 1e-6)
 
+def _heatmap_rows(ctx: SimpleNamespace) -> _Errors:
+    grid = heatmap(ctx.cfg, 64, 16)
+    yield (np.max(np.abs(np.trapezoid(grid.values, grid.x_values, axis=1) - 1.0)),)
+
+
+def _special_times(ctx: SimpleNamespace) -> _Errors:
     # the three node notions agree where true zeros occur; a notion with no
     # node at one of these instants fails the check, as a NaN turning point does
     state = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    worst_pos = 0.0
-    worst_rho = 0.0
-    for t in (0.0, 0.5 * T, T):
-        x_formula, x_re, x_min = (node_position(cfg, state, kind, t) for kind in NodeKind)
-        if None in (x_formula, x_re, x_min):
-            worst_pos = math.inf
-        else:
-            worst_pos = _worst(worst_pos, abs(x_re - x_formula), abs(x_min - x_formula))
-        rho_min = math.inf if x_min is None else float(density_exact(cfg, state, x_min, t))
-        worst_rho = _worst(worst_rho, rho_min)
-    add("special-time-agreement", "three node definitions at t = 0, T/2, T",
-        worst_pos, 1e-8 * a)
-    add("special-time-zero-depth", "density at the common node", worst_rho, 1e-10 / a)
+    for t in (0.0, 0.5 * ctx.T, ctx.T):
+        x_formula, x_re, x_min = (node_position(ctx.cfg, state, kind, t) for kind in NodeKind)
+        yield (math.inf if None in (x_formula, x_re, x_min)
+               else _worst(abs(x_re - x_formula), abs(x_min - x_formula)),
+               math.inf if x_min is None else float(density_exact(ctx.cfg, state, x_min, t)))
 
+
+def _power_law(ctx: SimpleNamespace) -> _Errors:
     # amplitude sweep follows the fitted power law closely; the amplitude is a
     # length, so k scales with a while the exponent p is dimensionless
-    sweep = amplitude_sweep(cfg, SweepSpec(a_min=0.05, a_max=1.0, count=64))
-    fit = fit_power_law(sweep)
-    band_err = _worst(0.0, abs(fit.coefficient / a - 0.42) - 0.05,
-                   abs(fit.exponent - 1.32) - 0.15)
-    add("power-law-band", f"fit k = {fit.coefficient!r}, p = {fit.exponent!r}",
-        band_err, 0.0)
-    resid_err = 0.0 if 0.0 < fit.rms_log_residual < 0.3 else fit.rms_log_residual
-    add("power-law-residual", f"rms log residual = {fit.rms_log_residual!r}",
-        resid_err, 0.0)
+    ctx.fit = fit = fit_power_law(amplitude_sweep(ctx.cfg, SweepSpec(0.05, 1.0, 64)))
+    yield (_worst(0.0, abs(fit.coefficient / ctx.a - 0.42) - 0.05,
+                  abs(fit.exponent - 1.32) - 0.15),
+           0.0 if 0.0 < fit.rms_log_residual < 0.3 else fit.rms_log_residual)
 
+
+_CHECKS = (
+    (_beat_frequency, ("delta-omega-formula",
+                       "delta_omega = {dw!r} vs 3 pi^2 hbar / (2 m a^2), relative", 1, 1e-12)),
+    (_wall_zeros, ("wall-boundary-zeros", "psi(0) and psi(a) for random states", 1, 0.0)),
+    (_closed_form, ("closed-form-equivalence", "50 random complex states on a 256x64 grid",
+                    "density", 1e-12)),
+    (_norms, ("norm-value", "Simpson norm vs |c1|^2+|c2|^2, 20 random states", 1, 1e-8),
+     ("norm-constancy", "norm spread over 10 times per state", 1, 1e-10)),
+    (_beat_periodicity, ("density-beat-periodicity", "rho(x, t+T) vs rho(x, t)", "density",
+                         1e-12)),
+    (_stationary, ("stationary-eigenstate", "density variation of pure psi_1 and psi_2",
+                   "density", 1e-13)),
+    (_node_count, ("eigenfunction-node-count", "sign changes of psi_n, n = 1..6", 1, 0.0)),
+    (_trajectory, ("trajectory-periodicity", "x(t+T) vs x(t) at A = 0.5", "length", 1e-12),
+     ("trajectory-reflection", "x(t) + x(t+T/2) vs a at A = 0.5", "length", 1e-12)),
+    (_amplitude, ("amplitude-arcsin", "Re Psi turning points vs oscillation amplitude and "
+                  "(a/pi) arcsin A, 50 draws", "length", 1e-9)),
+    (_mean_position, ("mean-node-position",
+                      "sampled time average of x(t) vs a/2 for A up to 0.99", "length", 1e-9)),
+    (_time_avg, ("time-avg-density-static-part",
+                 "midpoint time average of the density vs stationary profile", "density", 1e-10)),
+    (_heatmap_rows, ("heatmap-row-normalization", "trapezoid integral of 16 rows", 1, 1e-6)),
+    (_special_times, ("special-time-agreement", "three node definitions at t = 0, T/2, T",
+                      "length", 1e-8),
+     ("special-time-zero-depth", "density at the common node", "density", 1e-10)),
+    (_power_law, ("power-law-band", "fit k = {fit.coefficient!r}, p = {fit.exponent!r}", 1, 0.0),
+     ("power-law-residual", "rms log residual = {fit.rms_log_residual!r}", 1, 0.0)),
+)
+
+
+def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
+    """Run every measure of _CHECKS in order and return one result per row."""
+    a = cfg.width_a
+    T = beat_period(cfg)
+    if not math.isfinite(2.0 * T):
+        raise ValueError(f"verify samples two beat periods, but 2T = {2.0 * T!r} is not "
+                         f"finite for a={a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+    ctx = SimpleNamespace(cfg=cfg, a=a, T=T, dw=delta_omega(cfg), xg=np.linspace(0.0, a, 256),
+                          rng=np.random.default_rng(seed))
+    results: list[CheckResult] = []
+    for measure, *rows in _CHECKS:
+        samples = list(measure(ctx))
+        for i, (name, detail, scale, tol) in enumerate(rows):
+            error = float(_worst(0.0, *(sample[i] for sample in samples)))
+            tol = tol * a if scale == "length" else tol / a if scale == "density" else tol
+            results.append(CheckResult(name, detail.format_map(vars(ctx)), error, tol))
     return results

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,5 +416,14 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
 
 def normalize(state: TwoStateSuperposition) -> TwoStateSuperposition:
     """Rescale so |c1|^2 + |c2|^2 = 1. Relative phases are untouched."""
-    s = math.sqrt(state.norm_sq())
-    return TwoStateSuperposition(state.c1 / s, state.c2 / s)
+    c1, c2, norm_sq = state.c1, state.c2, state.norm_sq()
+    if norm_sq < sys.float_info.min:
+        # a subnormal |c1|^2 + |c2|^2 has lost digits; scaling the parts by a
+        # power of two first is exact and makes it normal
+        parts = (c1.real, c1.imag, c2.real, c2.imag)
+        scale = 2.0 ** -math.frexp(max(map(abs, parts)))[1]
+        re1, im1, re2, im2 = (part * scale for part in parts)
+        c1, c2 = complex(re1, im1), complex(re2, im2)
+        norm_sq = abs(c1) ** 2 + abs(c2) ** 2
+    s = math.sqrt(norm_sq)
+    return TwoStateSuperposition(c1 / s, c2 / s)

@@ -343,6 +343,24 @@ class TestVerifyCommand:
         assert batched.bit_generator.state == single.bit_generator.state
         assert batched.standard_normal() == single.standard_normal()
 
+    def test_one_result_per_table_row(self, monkeypatch):
+        # one result per row of _CHECKS, in table order, under the 18 names the
+        # battery has always printed
+        rows = [row for _, *rows in verify_module._CHECKS for row in rows]
+        names = [result.name for result in verify_module.run_verification(UNIT)]
+        assert names == [row[0] for row in rows] == [
+            "delta-omega-formula", "wall-boundary-zeros", "closed-form-equivalence",
+            "norm-value", "norm-constancy", "density-beat-periodicity", "stationary-eigenstate",
+            "eigenfunction-node-count", "trajectory-periodicity", "trajectory-reflection",
+            "amplitude-arcsin", "mean-node-position", "time-avg-density-static-part",
+            "heatmap-row-normalization", "special-time-agreement", "special-time-zero-depth",
+            "power-law-band", "power-law-residual"]
+        assert len(set(names)) == 18
+        # a measure that takes no sample reports 0.0 for each of its rows
+        monkeypatch.setattr(verify_module, "_CHECKS", [(lambda ctx: iter(()), *rows[3:5])])
+        assert [(r.name, r.error) for r in verify_module.run_verification(UNIT)] == [
+            ("norm-value", 0.0), ("norm-constancy", 0.0)]
+
     def test_peak_memory_of_one_run(self):
         # each random-state check lets its grid and work arrays go before the
         # next check builds its own, so one check's arrays are alive at a

@@ -4,6 +4,7 @@ import cmath
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -276,7 +277,7 @@ class TestExactZeroTimes:
         # near pure psi_2 the density is almost zero at a/2 at every instant,
         # but it vanishes only where sin(dw t) = 0
         found = exact_zero_times(UNIT, TwoStateSuperposition(c1, 1.0), **kwargs)
-        assert found == [0.0, 0.5 * T, T]
+        assert found.tolist() == [0.0, 0.5 * T, T]
 
     def test_zero_positions_follow_formula(self):
         # at sin(dw t) = 0 the zero sits at (a/pi) arccos(-+A)
@@ -290,15 +291,15 @@ class TestExactZeroTimes:
     def test_large_ratio_never_vanishes(self):
         # |A| = 3.05 > 1: the formula has no solution at the critical instants
         state = TwoStateSuperposition(0.987, 0.162)
-        assert exact_zero_times(UNIT, state, period_count=1) == []
+        assert exact_zero_times(UNIT, state, period_count=1).tolist() == []
 
     @pytest.mark.parametrize("c1", [2.0, -2.0])
     def test_unit_ratio_touches_only_the_walls(self, c1):
         # |A| = 1: at t = k T/2 the zero sits on a wall, which is not interior
-        assert exact_zero_times(UNIT, TwoStateSuperposition(c1, 1.0)) == []
+        assert exact_zero_times(UNIT, TwoStateSuperposition(c1, 1.0)).tolist() == []
 
     def test_pure_ground_never_vanishes(self):
-        assert exact_zero_times(UNIT, TwoStateSuperposition(1.0, 0.0)) == []
+        assert exact_zero_times(UNIT, TwoStateSuperposition(1.0, 0.0)).tolist() == []
 
     def test_pure_excited_always_vanishes(self):
         # the permanent node of psi_2 qualifies at every sampled instant
@@ -337,8 +338,31 @@ class TestExactZeroTimes:
             exact_zero_times(UNIT, state, **{name: value})
         counts = {"period_count": np.int64(2), "grid_n": np.int32(64),
                   "samples_per_period": np.int64(16)}
-        assert exact_zero_times(UNIT, state, **counts) == \
-            exact_zero_times(UNIT, state, period_count=2, grid_n=64, samples_per_period=16)
+        assert exact_zero_times(UNIT, state, **counts).tolist() == exact_zero_times(
+            UNIT, state, period_count=2, grid_n=64, samples_per_period=16).tolist()
+
+    @pytest.mark.parametrize("c1", [0.6, 0.0, 2.0])
+    def test_every_branch_returns_a_float_array(self, c1):
+        # the half-period instants keep the bits of k * 0.5 * T in Python floats
+        for cfg in (UNIT, WellConfig(1.37, 0.6, 1.9)):
+            found = exact_zero_times(cfg, TwoStateSuperposition(c1, 0.8), period_count=3)
+            assert isinstance(found, np.ndarray) and found.dtype == np.float64
+            if c1 == 0.6:
+                T_cfg = beat_period(cfg)
+                assert found.tolist() == [k * 0.5 * T_cfg for k in range(7)]
+
+    def test_many_periods_hold_one_float_array(self):
+        # 2 * 10**6 + 1 instants: 16 MB as a float array, 62 MB as a list of floats
+        state = TwoStateSuperposition(0.6, 0.8)
+        exact_zero_times(UNIT, state)
+        tracemalloc.start()
+        try:
+            found = exact_zero_times(UNIT, state, period_count=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.shape == (2 * 10**6 + 1,)
+        assert peak < 35 * 2**20
 
     @pytest.mark.parametrize("c1", [0.6, 0.0])
     def test_overflowing_window_rejected(self, c1):

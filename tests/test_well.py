@@ -500,6 +500,24 @@ class TestNorm:
         assert out.c1 == pytest.approx(0.6, abs=1e-15)
         assert out.c2 == pytest.approx(0.8, abs=1e-15)
 
+    @pytest.mark.parametrize("c1, c2", [(1e-161, 1e-161), (1e-160, 1e-160),
+                                        (3e-162 + 2e-161j, -1e-161j)])
+    def test_normalize_state_with_subnormal_norm(self, c1, c2):
+        # |c1|^2 + |c2|^2 is subnormal; dividing by its root gave norm_sq()
+        # 1.012 for the first state and 1.000011 for the second
+        out = normalize(TwoStateSuperposition(c1, c2))
+        assert abs(out.norm_sq() - 1.0) <= 4 * math.ulp(1.0)
+
+    def test_normalize_keeps_the_bits_of_normal_states(self):
+        rng = np.random.default_rng(34)
+        for scale in (1.0, 1e-150, 1e150):
+            for re1, im1, re2, im2 in (rng.standard_normal((200, 4)) * scale).tolist():
+                state = TwoStateSuperposition(complex(re1, im1), complex(re2, im2))
+                s = math.sqrt(state.norm_sq())
+                out = normalize(state)
+                for got, want in ((out.c1, state.c1 / s), (out.c2, state.c2 / s)):
+                    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     @given(coeffs, coeffs)
     @settings(max_examples=60)
     def test_normalize_preserves_phase(self, c1, c2):
