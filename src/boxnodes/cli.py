@@ -45,13 +45,13 @@ def _trajectory(args: argparse.Namespace) -> int:
     if t_end is None:
         T = beat_period(well)
         if not math.isfinite(T):
-            raise ValueError(f"the beat period T = {T!r} is not finite for a={well.width_a!r}, "
-                             f"m={well.mass_m!r}, hbar={well.hbar!r}; pass --t-end")
+            raise ValueError(f"the beat period T = {T!r} is not finite for {well._label()}; "
+                             "pass --t-end")
         t_end = args.t_start + T
         if t_end == args.t_start and math.isfinite(t_end):
             raise ValueError(f"t_end = t_start + T rounds to t_start = {args.t_start!r}: the "
-                             f"beat period T = {T!r} for a={well.width_a!r}, m={well.mass_m!r}, "
-                             f"hbar={well.hbar!r} is below the float spacing there; pass --t-end")
+                             f"beat period T = {T!r} for {well._label()} is below the "
+                             f"float spacing there; pass --t-end")
     traj = track_trajectory(well, state, _KIND_BY_FLAG[args.kind], args.t_start, t_end,
                             args.time_samples)
     write_columns(args.out, {"t": traj.times, "position": traj.positions,

@@ -251,7 +251,7 @@ def exact_zero_times(cfg: WellConfig, state: TwoStateSuperposition, period_count
     if not math.isfinite(t_end):
         what = (f"the beat period T = {T!r} is not finite" if math.isinf(T) else
                 f"period_count * T = {period_count!r} * {T!r} overflows")
-        raise ValueError(f"{what} for a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+        raise ValueError(f"{what} for {cfg._label()}")
     if c1 == 0.0:
         return _uniform_times(0.0, t_end, period_count * samples_per_period + 1)
     if abs(c1) < 2.0 * abs(c2):

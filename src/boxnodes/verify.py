@@ -272,7 +272,7 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     T = beat_period(cfg)
     if not math.isfinite(2.0 * T):
         raise ValueError(f"verify samples two beat periods, but 2T = {2.0 * T!r} is not "
-                         f"finite for a={a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+                         f"finite for {cfg._label()}")
     ctx = SimpleNamespace(cfg=cfg, a=a, T=T, dw=delta_omega(cfg), xg=np.linspace(0.0, a, 256),
                           rng=np.random.default_rng(seed))
     results: list[CheckResult] = []

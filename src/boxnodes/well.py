@@ -69,22 +69,24 @@ class WellConfig:
                 raise ValueError(f"{label} must be positive and finite, got {value!r}")
         dw = _beat_frequency(self.width_a, self.mass_m, self.hbar)
         if not (dw > 0.0 and math.isfinite(dw)):
-            raise ValueError(
-                f"beat frequency delta_omega = {dw!r} is not positive and finite for "
-                f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
+            raise ValueError(f"beat frequency delta_omega = {dw!r} is not positive and "
+                             f"finite for {self._label()}")
         # kept for the kernels, which would otherwise compute them on every
         # call; not fields, so ==, hash, repr, replace and asdict see only
         # the three above
         object.__setattr__(self, "_dw", dw)
         w2 = omega(self, 2)
         if not math.isfinite(w2):
-            raise ValueError(
-                f"the largest frequency omega_2 = {w2!r} is not finite for "
-                f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}")
+            raise ValueError(f"the largest frequency omega_2 = {w2!r} is not finite for "
+                             f"{self._label()}")
         object.__setattr__(self, "_omega_1", omega(self, 1))
         object.__setattr__(self, "_omega_2", w2)
         if not math.isfinite(2.0 / self.width_a):  # a below 2/DBL_MAX, about 1.1e-308
             raise ValueError(f"the mode amplitude sqrt(2/a) is not finite for a={self.width_a!r}")
+
+    def _label(self) -> str:
+        """The well as error messages name it."""
+        return f"a={self.width_a!r}, m={self.mass_m!r}, hbar={self.hbar!r}"
 
 
 @dataclass(frozen=True)
@@ -256,8 +258,8 @@ def _check_phase(cfg: WellConfig, t) -> None:
     if not math.isfinite(w2 * t_max):
         with np.errstate(over="ignore", invalid="ignore"):
             bad = ts.flat[np.flatnonzero(~np.isfinite(w2 * ts))[0]]
-        raise ValueError(f"the phase omega_2 t is not finite at t={float(bad)!r} for "
-                         f"a={cfg.width_a!r}, m={cfg.mass_m!r}, hbar={cfg.hbar!r}")
+        raise ValueError(f"the phase omega_2 t is not finite at t={float(bad)!r} "
+                         f"for {cfg._label()}")
 
 
 def _count(name: str, value) -> int:

@@ -235,6 +235,7 @@ def test_10_cli_determinism(tmp_path):
         t0 = time.monotonic()
         jobs = {
             "trajectory": (["trajectory", "--time-samples", "64"], "csv"),
+            "minimum": (["trajectory", "--kind", "minimum", "--time-samples", "8"], "csv"),
             "sweep": (["amplitude-sweep", "--a-count", "16"], "json"),
             "avg": (["avg-position", "--a-count", "9"], "csv"),
             "heat": (["heatmap", "--grid", "16", "--mix-count", "8"], "csv"),

@@ -6,11 +6,10 @@ import re
 import sys
 import tracemalloc
 import warnings
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boxnodes import nodes
@@ -30,6 +29,7 @@ from boxnodes.well import (
     density_exact,
     omega,
 )
+import exact
 
 UNIT = WellConfig()
 T = beat_period(UNIT)
@@ -198,55 +198,39 @@ class TestDensityMinima:
         state = TwoStateSuperposition(1.0, 0.0)
         assert node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0) is None
 
-    def test_complex_states_allowed(self):
-        state = TwoStateSuperposition(1.0j, 1.0)
-        x = node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, 0.0)
-        assert x is None or (0.0 < x < 1.0 and density_exact(UNIT, state, x, 0.0) >= 0.0)
-
-    def test_matches_dense_scan(self):
-        """Independent oracle: interior minima of a 20,001-point density scan.
-
-        Instants where two critical points (or one and a wall) lie within a
-        few cells of each other are skipped; the scan cannot separate them.
-        """
+    def test_matches_exact_middle_root(self):
+        """200 seeded complex states and instants on one well: presence and
+        position against the 60-digit middle root of the cubic."""
         rng = np.random.default_rng(2024)
         cfg = WellConfig(width_a=1.7, mass_m=0.6, hbar=1.3)
-        a = cfg.width_a
-        n = 20_000
-        h = a / n
-        xs = np.linspace(0.0, a, n + 1)
-        checked = 0
+        worst, present = 0.0, 0
         for _ in range(200):
             c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             state = TwoStateSuperposition(c[0], c[1])
             t = float(rng.uniform(0.0, beat_period(cfg)))
-            rho = density_exact(cfg, state, xs, t)
-            slope = np.sign(np.diff(rho))
-            turns = np.flatnonzero(slope[:-1] != slope[1:]) + 1
-            edges = np.concatenate(([0], turns, [n]))
-            if np.any(np.diff(edges) < 8):
-                continue
-            checked += 1
-            scan = [i for i in turns if slope[i - 1] < 0]
             x = node_position(cfg, state, NodeKind.DENSITY_MINIMUM, t)
-            assert len(scan) == (0 if x is None else 1)
-            for i in scan:
-                assert abs(x - xs[i]) <= h
-                assert density_exact(cfg, state, x, t) <= rho[i] * (1.0 + 1e-12)
-        assert checked >= 180
+            [v] = exact.density_minima(cfg, state, t)
+            assert (x is None) == (v is None), (state, t)
+            if v is not None:
+                present += 1
+                worst = max(worst, exact.position_error(cfg, x, v) / cfg.width_a)
+        assert present >= 100
+        assert worst <= 3e-14
 
-    @given(st.floats(min_value=0.0, max_value=1.0))
+    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.8),
+           st.floats(min_value=-math.pi, max_value=math.pi))
+    @example(0.37, 1.0, 0.0)  # the equal mix
     @settings(max_examples=30, deadline=None)
-    def test_minima_are_local_minima(self, frac):
-        t = frac * T
-        eps = 1e-4
-        x = node_position(UNIT, EQUAL_MIX, NodeKind.DENSITY_MINIMUM, t)
+    def test_minima_are_local_minima(self, frac, r, phi):
+        """A minimum of density_exact itself, for complex states (r e^{i phi}, 1)
+        / sqrt(2): |z| = r / 2 <= 0.9 keeps it well clear of the walls and of
+        the maxima beside it."""
+        state = TwoStateSuperposition(cmath.rect(r, phi) / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+        x = node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, frac * T)
         if x is not None:
-            rho = density_exact(UNIT, EQUAL_MIX, x, t)
-            left = density_exact(UNIT, EQUAL_MIX, max(x - eps, 0.0), t)
-            right = density_exact(UNIT, EQUAL_MIX, min(x + eps, 1.0), t)
-            assert rho <= left + 1e-12
-            assert rho <= right + 1e-12
+            left, rho, right = (density_exact(UNIT, state, x + dx, frac * T)
+                                for dx in (-1e-4, 0.0, 1e-4))
+            assert rho <= min(left, right) + 1e-12
 
 
 class TestExactZeroTimes:
@@ -371,83 +355,6 @@ class TestExactZeroTimes:
             exact_zero_times(WellConfig(1e150), TwoStateSuperposition(c1, 0.8), 10**9)
 
 
-def _loop_density_minimum(cfg, state, t):
-    """Smallest-x interior minimum of |Psi|^2 at one instant, by np.roots."""
-    cross = state.c1 * state.c2.conjugate() * cmath.exp(1j * delta_omega(cfg) * t)
-    alpha, beta, gamma = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2, 4.0 * cross.real
-    df = np.polyder(np.array([-beta, -gamma, beta - alpha, gamma, alpha]))
-    roots = np.roots(df)
-    v = np.sort(roots[roots.imag == 0.0].real)
-    close = np.diff(v) < 1e-6
-    v = v[~(np.append(close, False) | np.insert(close, 0, False))]
-    v = v[(v > -1.0) & (v < 1.0)]
-    v_min = v[np.polyval(np.polyder(df), v) > 0.0]
-    return cfg.width_a / math.pi * math.acos(v_min.max()) if v_min.size else None
-
-
-def _exact_minimum_v(alpha, beta, gamma):
-    """Minimum of f(v) = (1 - v^2)(alpha + gamma v + beta v^2) in (-1, 1), in stdlib arithmetic.
-
-    Works on the three floats exactly: the minimum is the middle root
-    of f'(v) = -4 beta v^3 - 3 gamma v^2 + 2 (beta - alpha) v + gamma when its
-    discriminant is positive (three distinct real roots) and that root lies
-    in (-1, 1). Returns it as a Decimal good to about 45 digits, or None.
-    """
-    # over a common power-of-two denominator, which moves no root
-    ratios = [x.as_integer_ratio() for x in (alpha, beta, gamma)]
-    den = max(d for _, d in ratios)
-    al, be, ga = (n * (den // d) for n, d in ratios)
-    a, b, c, d = -4 * be, -3 * ga, 2 * (be - al), ga
-    if a == 0 or (18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3
-                  - 27 * a * a * d * d) <= 0:
-        return None
-    with localcontext() as ctx:
-        ctx.prec = 60
-        A, B, C, D = map(Decimal, (a, b, c, d))
-
-        def f1(v):
-            return ((A * v + B) * v + C) * v + D
-
-        # f' rises between its two turning points, through the middle root
-        s = (B * B - 3 * A * C).sqrt()
-        lo, hi = sorted(((-B + s) / (3 * A), (-B - s) / (3 * A)))
-        lo, hi = max(lo, Decimal(-1)), min(hi, Decimal(1))
-        if not (lo < hi and f1(lo) < 0 < f1(hi)):
-            return None
-        v = (lo + hi) / 2
-        for _ in range(200):  # Newton, kept inside the shrinking bracket
-            fv = f1(v)
-            if fv < 0:
-                lo = v
-            else:
-                hi = v
-            step = fv / ((3 * A * v + 2 * B) * v + C)
-            if abs(step) < Decimal("1e-45") or hi - lo < Decimal("1e-45"):
-                break
-            v = v - step if lo < v - step < hi else (lo + hi) / 2
-        return v
-
-
-def _exact_density_minima(cfg, state, ts):
-    """_exact_minimum_v at every time in ts, with gamma from numpy's cos and sin
-    as the engine takes it."""
-    cross = state.c1 * state.c2.conjugate()
-    phase = delta_omega(cfg) * ts
-    gammas = 4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
-    alpha, beta = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2
-    return [_exact_minimum_v(alpha, beta, gamma) for gamma in gammas.tolist()]
-
-
-def _position_error(cfg, x, v):
-    """|x - (a/pi) arccos(v)| for a Decimal v, arccos taken to first order
-    around float(v); the neglected terms are below 1e-30 here."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        v_f = float(v)
-        arccos = Decimal(math.acos(v_f)) + (Decimal(v_f) - v) / (1 - v * v).sqrt()
-        return float(abs(Decimal(x) - Decimal(cfg.width_a) / Decimal(math.pi) * arccos))
-
-
 class TestUniformTimes:
     """A trajectory's instants are np.linspace's, computed without its per-call cost."""
 
@@ -523,23 +430,24 @@ class TestOneEngine:
                     counts["absent" if want is None else "present"] += 1
         assert counts["present"] > 1000 and counts["absent"] > 100
 
-    def test_minimum_track_matches_a_per_instant_np_roots_loop(self):
-        """Presence: one np.roots call per instant on the same cubic f'(v).
-        Position: the 50-digit middle root of that cubic, within 3e-14 a.
+    def test_minimum_track_matches_the_exact_middle_root(self):
+        """Presence and position against the 60-digit middle root of the same
+        cubic f'(v), the position within 3e-14 a.
 
         On these cases companion-matrix eigenvalues, as np.roots takes them,
         are off by up to 9.5e-14 a, and the trigonometric roots by 7.4e-15 a.
         """
-        worst = 0.0
+        worst, present = 0.0, 0
         for cfg, state in self._cases():
             traj = track_trajectory(cfg, state, NodeKind.DENSITY_MINIMUM,
                                     0.0, 1.5 * beat_period(cfg), 48)
-            exact = _exact_density_minima(cfg, state, traj.times)
-            for t, x, v in zip(traj.times.tolist(), traj.positions.tolist(), exact):
-                want = _loop_density_minimum(cfg, state, t)
-                assert math.isnan(x) == (want is None) == (v is None), (cfg, state, t)
+            roots = exact.density_minima(cfg, state, traj.times)
+            for t, x, v in zip(traj.times.tolist(), traj.positions.tolist(), roots):
+                assert math.isnan(x) == (v is None), (cfg, state, t)
                 if v is not None:
-                    worst = max(worst, _position_error(cfg, x, v) / cfg.width_a)
+                    present += 1
+                    worst = max(worst, exact.position_error(cfg, x, v) / cfg.width_a)
+        assert present > 1000
         assert worst <= 3e-14
 
     def test_wall_contact_minima_against_exact_roots(self):
@@ -551,7 +459,7 @@ class TestOneEngine:
         all of them minima it misses; the sign of the discriminant disagrees
         at 64.
         """
-        disagree = 0
+        disagree = present = 0
         for k in range(1, 16):
             for A in (1.0 + 10.0**-k, 1.0 - 10.0**-k, -1.0 - 10.0**-k, -1.0 + 10.0**-k):
                 state = TwoStateSuperposition(2.0 * A, 1.0)
@@ -560,9 +468,10 @@ class TestOneEngine:
                 found = [math.isnan(x) for x in traj.positions.tolist()]
                 found += [node_position(UNIT, state, NodeKind.DENSITY_MINIMUM, t) is None
                           for t in halves.tolist()]
-                exact = _exact_density_minima(UNIT, state, np.append(traj.times, halves))
-                disagree += sum(absent != (v is None) for absent, v in zip(found, exact))
-        assert disagree <= 80
+                roots = exact.density_minima(UNIT, state, np.append(traj.times, halves))
+                disagree += sum(absent != (v is None) for absent, v in zip(found, roots))
+                present += sum(v is not None for v in roots)
+        assert disagree <= 80 and present > 250
 
     @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a137"])
     def test_broadcast_solves_equal_the_public_finders(self, cfg):

@@ -37,6 +37,7 @@ from boxnodes.well import (
     normalize,
     omega,
 )
+import exact
 
 _spec = importlib.util.spec_from_file_location(
     "kernel_bits", Path(__file__).resolve().parents[1] / "scripts" / "kernel_bits.py")
@@ -328,11 +329,8 @@ class TestSpectrum:
     @pytest.mark.parametrize("a, m, hbar", [(0.1, 1e12, 1e308), (1e100, 1e-300, 1e-220)],
                              ids=["pi-hbar-over-a-overflows", "pi-hbar-over-a-subnormal"])
     def test_delta_omega_needs_only_a_normal_result(self, a, m, hbar):
-        # 1.5 pi^2 hbar / (m a^2) in exact rationals, float pi as in the code
-        exact = (Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(hbar)
-                 / (Fraction(m) * Fraction(a) ** 2))
         dw = delta_omega(WellConfig(a, m, hbar))
-        assert abs(Fraction(dw) - exact) <= 2 * Fraction(math.ulp(dw))
+        assert abs(Fraction(dw) - exact.delta_omega(a, m, hbar)) <= 2 * Fraction(math.ulp(dw))
 
     def test_beat_period_unit_value(self):
         assert beat_period(UNIT) == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-14)
