@@ -321,10 +321,9 @@ class TestSweepAndFit:
             == [float, float, float]
         assert 0.37 <= fit.coefficient <= 0.47
         assert 1.17 <= fit.exponent <= 1.47
-        # regression lock on this exact protocol, at the optimum of
-        # sum (k A^p - (1/pi) arcsin A)^2, computed independently to 40 digits
-        # by variable projection; the rms log residual there was computed in
-        # numpy and in 40-digit mpmath
+        # regression lock on this exact protocol, at the least-squares optimum
+        # (see test_reference_protocol_reaches_least_squares_optimum); the rms
+        # log residual there was computed in numpy and in 40-digit mpmath
         assert abs(fit.coefficient - 0.412703945977) <= 1e-9
         assert abs(fit.exponent - 1.238437129223) <= 1e-9
         assert 0.0 < fit.rms_log_residual < 0.3
@@ -347,6 +346,13 @@ class TestSweepAndFit:
         fit = fit_power_law(sweep)
         assert abs(fit.exponent - 1.0) <= 1e-9
         assert abs(fit.coefficient / (width / math.pi) - 1.0) <= 1e-9
+
+    def test_reference_protocol_reaches_least_squares_optimum(self):
+        # optimum of sum (k A^p - (1/pi) arcsin A)^2 over the 64-point
+        # protocol, computed independently to 40 digits by variable projection
+        fit = fit_power_law(amplitude_sweep(UNIT, SweepSpec(0.05, 1.0, 64)))
+        assert abs(fit.exponent - 1.238437129223) <= 1e-9
+        assert abs(fit.coefficient - 0.412703945977) <= 1e-9
 
     @pytest.mark.parametrize("a_min, a_max", [(0.02, 0.6), (0.02, 0.8), (0.05, 1.0), (0.1, 1.0)])
     def test_fit_exponent_to_the_last_bits(self, a_min, a_max):
@@ -393,6 +399,11 @@ class TestTimeAverages:
     def test_mean_scales_with_width(self):
         wide = WellConfig(width_a=4.0)
         assert time_avg_node_position(wide, 0.7) == pytest.approx(2.0, abs=1e-9)
+
+    @given(st.floats(min_value=-0.99, max_value=0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_mean_position_symmetry_property(self, A):
+        assert abs(time_avg_node_position(UNIT, A) - 0.5) <= 1e-9
 
     def test_ratio_above_one_rejected(self):
         with pytest.raises(ValueError):

@@ -759,6 +759,24 @@ class TestOutputFormat:
         _assert_table(out, fmt, ["theta", "x", "avg_density"], rows)
 
 
+class TestDeterminism:
+    def test_trajectory_reruns_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        flags = ["trajectory", "--kind", "minimum", "--time-samples", 8]
+        assert run_cli([*flags, "--out", a]) == 0
+        assert run_cli([*flags, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_sweep_reruns_identical(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        flags = ["amplitude-sweep", "--a-count", 12]
+        assert run_cli([*flags, "--out", a]) == 0
+        assert run_cli([*flags, "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.fit.json").read_bytes() == \
+            (tmp_path / "b.fit.json").read_bytes()
+
+
 class TestSharedParser:
     """main parses every call with one parser, which must carry nothing over."""
 
