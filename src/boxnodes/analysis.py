@@ -154,10 +154,14 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     p, F(p) = sum(w y L) sum(w**2) - sum(w y) sum(w**2 L) = 0 with L = log A.
     Newton steps on F, each a few weighted sums, start from the y**2-weighted
     log-log line, the linearised optimum (k A**p - y is about
-    y (log(k A**p) - log y)), and stop when a step is below 1e-15 of p or F
-    is below the rounding of its terms. On data far from a power law a step
-    is held to at most twice the Gauss-Newton step and to the bracket where F
-    changes sign, which it bisects when it would leave it.
+    y (log(k A**p) - log y)). The solve succeeds in one of two ways: a step
+    below 1e-15 of p, or an F below the rounding of its terms. On data far
+    from a power law a step is held to at most twice the Gauss-Newton step,
+    and a step that would leave the bracket where F changes sign, or whose
+    curvature is not finite and negative, bisects the bracket instead. The
+    solve fails when it must bisect a bracket that is still open on one
+    side, where p leaves the float range, or when 100 passes end without a
+    stop, rather than return the p it has reached.
 
     The fit runs on the amplitudes divided by 2**e, e the binary exponent of
     the largest one, and k is scaled back by the same exact power of two, so
@@ -167,9 +171,9 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     largest ratio lies in [0.5, 1] is fitted on its raw ratios. The quoted
     residual is the rms of log(data) - (log k + p log A). A ratio or
     amplitude that is not finite or not positive, ratios so close together
-    that the log-log line has no well-defined slope, and data on which the
-    solve ends at no finite model raise ValueError. The slope test is
-    numpy.polyfit's rank test in closed form: it fails when the smaller
+    that the log-log line has no well-defined slope, a failed solve, and a
+    solve whose k or residual is not finite raise ValueError. The slope test
+    is numpy.polyfit's rank test in closed form: it fails when the smaller
     singular value of the column-scaled [L, 1] is at most n * eps times the
     larger.
     """
@@ -227,7 +231,8 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
     w_y, w_w = prod
     weighted = np.empty((2, 3, n))
     lo, hi = -math.inf, math.inf  # F > 0 at lo and F < 0 at hi: the optimum lies between
-    # an overflow or NaN is not an error here: it ends the solve at the check below
+    # an overflow or NaN is not an error here: a step it spoils bisects, and a p it
+    # leaves not finite fails at the check below
     with np.errstate(all="ignore"):
         for _ in range(100):  # converges in under 10 steps from the seed
             w = np.power(x, p)
@@ -247,15 +252,16 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
             # -a (b d - c**2) / b is never positive
             curv = min(a2 * b + a1 * c - 2.0 * a * d + 3.0 * origin * f,
                        -0.5 * a * (b * d - c * c) / b)
-            if not curv < 0.0:  # the w**2-weighted spread of L rounds to zero
-                break
             tol = 1e-15 * max(abs(p), 1.0)
-            step = p - f / curv
+            # a curvature that is not finite and negative gives no step: bisect instead
+            step = p - f / curv if -math.inf < curv < 0.0 else math.nan
             if not (lo < step < hi or abs(step - p) <= tol):
                 step = 0.5 * (lo + hi)  # bisect; not finite while the bracket is open
             p, dp = step, abs(step - p)
             if not tol < dp < math.inf:  # converged, or a non-finite p the check below rejects
                 break
+        else:
+            p = math.nan  # no stop in 100 passes: a failure, not the p reached
         k = a / b if b > 0.0 else math.nan
         # k A**p = k 2**shift x**p, with the whole part of shift applied by ldexp
         shift = -exp2_r * p

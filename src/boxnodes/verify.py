@@ -99,12 +99,11 @@ def _beat_frequency(ctx: SimpleNamespace) -> _Errors:
     # imported here because fractions (with decimal) adds about 4 ms to
     # every import of the package, and only verify needs it
     from fractions import Fraction
-    try:
-        expected = float(Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(ctx.cfg.hbar)
-                         / (Fraction(ctx.cfg.mass_m) * Fraction(ctx.a) ** 2))
-    except OverflowError:  # the exact value rounds past the largest float
-        yield (math.inf,)
-        return
+    # the rounding cannot overflow: WellConfig accepts only a dw whose
+    # omega_2 = 4 dw / 3 is finite, so dw is at most 0.75 DBL_MAX, and the
+    # exact value lies within a few ulps of it
+    expected = float(Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(ctx.cfg.hbar)
+                     / (Fraction(ctx.cfg.mass_m) * Fraction(ctx.a) ** 2))
     yield (abs(ctx.dw - expected) / expected,)
 
 

@@ -35,6 +35,16 @@ UNIT = WellConfig()
 EQUAL_MIX = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
 
+def _hand_built_sweep(seed, ratio_decades, amplitude_decades):
+    """3 to 8 unsorted points, ratios log-uniform over ratio_decades below 1
+    and amplitudes over amplitude_decades below 1: data far from a power law."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    ratios, amps = (np.array([10.0 ** e for e in rng.uniform(-decades, 0.0, n).tolist()])
+                    for decades in (ratio_decades, amplitude_decades))
+    return AmplitudeSweep(ratios, amps)
+
+
 class TestOscillationAmplitude:
     def test_equal_mix_sixth(self):
         # arcsin(1/2)/pi = 1/6
@@ -311,6 +321,31 @@ class TestSweepAndFit:
                 continue
             assert fit.coefficient > 0.0
             assert all(math.isfinite(v) for v in dataclasses.astuple(fit))
+
+    @pytest.mark.parametrize("seed, ratio_decades, amplitude_decades", [
+        (219, 2, 3),  # the first Newton step is held to the Gauss-Newton cap
+        (196, 4, 4),  # a Newton step leaves the bracket, which is bisected
+    ])
+    def test_safeguarded_steps_meet_the_exact_optimum(self, seed, ratio_decades,
+                                                      amplitude_decades):
+        # without its safeguard each solve fails; with it, the bounds of
+        # test_fit_meets_the_exact_optimum hold
+        sweep = _hand_built_sweep(seed, ratio_decades, amplitude_decades)
+        fit = fit_power_law(sweep)
+        law = exact.PowerLaw(sweep.ratios, sweep.amplitudes)
+        assert law.root_within(fit.exponent, 4)
+        k = law.k(fit.exponent)
+        assert abs(Decimal(fit.coefficient) - k) <= 32 * Decimal(math.ulp(float(k)))
+
+    @pytest.mark.parametrize("seed", [
+        291,  # 100 passes crawl toward no root of F: the pass cap is a failure
+        2394,  # b d overflows after 3 passes: a curvature of -inf is no step of 0
+    ])
+    def test_solve_that_reaches_no_root_raises(self, seed):
+        # to stop at either would return a p where F, in exact arithmetic,
+        # keeps one sign over more than 2**46 ulps
+        with pytest.raises(ValueError, match="did not converge"):
+            fit_power_law(_hand_built_sweep(seed, 2, 3))
 
     def test_reference_protocol_fit(self):
         """The canonical 64-point sweep lands near amplitude ~ 0.42 A^1.32."""

@@ -1,6 +1,6 @@
 """The package namespace is the submodules' __all__ lists, re-exported in order,
-the README's library example runs against it, and the code-line counter
-that CI reports the source size with."""
+the README's library example runs against it, the code-line counter that CI
+reports the source size with, and the test settings report every failure."""
 
 import importlib.util
 import inspect
@@ -16,6 +16,7 @@ import boxnodes
 from boxnodes import analysis, cli, nodes, output, verify, well
 
 REEXPORTED = (well, nodes, analysis, verify)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_has_no_duplicates():
@@ -65,8 +66,8 @@ def test_readme_library_example_runs():
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks():
-    spec = importlib.util.spec_from_file_location(
-        "code_lines", Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py")
+    spec = importlib.util.spec_from_file_location("code_lines",
+                                                  ROOT / "scripts" / "code_lines.py")
     code_lines = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(code_lines)
     source = ('"""A docstring\nover two lines."""\nimport math  # a comment\n\n\n'
@@ -74,3 +75,52 @@ def test_code_lines_skip_docstrings_comments_and_blanks():
               '    return math.hypot(x,\n                      1.0)\n')
     # import, def, and both lines of the return
     assert code_lines.code_lines(source) == 4
+
+
+def test_code_lines_of_a_directory_and_of_no_path(tmp_path):
+    # a directory counts as its *.py files, nested ones too, in sorted order
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    for name, source in (("pkg/b.py", "x = 1\n"), ("pkg/a.py", "y = 2\nz = 3\n"),
+                         ("pkg/sub/c.py", "# only a comment\n"), ("pkg/notes.txt", "w = 4\n")):
+        (tmp_path / name).write_text(source)
+    script = [sys.executable, str(ROOT / "scripts" / "code_lines.py")]
+    out = subprocess.run([*script, "pkg"], cwd=tmp_path, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == [f"{2:8d} pkg/a.py", f"{1:8d} pkg/b.py",
+                                       f"{0:8d} pkg/sub/c.py", f"{3:8d} total", ""]
+    out = subprocess.run([*script, "pkg/a.py", "missing"], cwd=tmp_path,
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert "missing" in out.stderr and "Traceback" not in out.stderr
+
+
+_FAILING_HYPOTHESIS_TEST = """
+from hypothesis import Phase, given, settings, strategies as st
+
+
+@settings(database=None, max_examples=1, phases=[Phase.generate])
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+
+
+def test_passes():
+    pass
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("libcst") is None,
+                    reason="hypothesis imports libcst to report a failure, and that "
+                           "import's warning is what this test checks")
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # under the warning filters of pyproject.toml: the libcst import warns
+    # inside a pytest hook, and an error there would stop the session with
+    # INTERNALERROR (exit 3) before the second test runs
+    (tmp_path / "test_two.py").write_text(_FAILING_HYPOTHESIS_TEST)
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          "test_two.py"], cwd=tmp_path, capture_output=True, text=True)
+    report = out.stdout + out.stderr
+    assert out.returncode == 1, report
+    assert "INTERNALERROR" not in report
+    assert re.search(r"^1 failed, 1 passed\b", out.stdout, re.MULTILINE), report
