@@ -40,6 +40,7 @@ from .nodes import (
     track_trajectory,
 )
 from .well import (
+    _NORM_INTERVALS,
     TwoStateSuperposition,
     WellConfig,
     _Grid,
@@ -272,6 +273,12 @@ def run_verification(cfg: WellConfig, seed: int = 0) -> list[CheckResult]:
     if not math.isfinite(2.0 * T):
         raise ValueError(f"verify samples two beat periods, but 2T = {2.0 * T!r} is not "
                          f"finite for {cfg._label()}")
+    # the largest intermediate of any check is a Simpson norm's weighted sum:
+    # weights 1, 4, 2, ..., 4, 1, which add up to 3 _NORM_INTERVALS, on the
+    # density of a normalized state, at most (|c1| + |c2|)^2 2/a <= 4/a
+    if not math.isfinite(peak := 12.0 * _NORM_INTERVALS / a):
+        raise ValueError(f"verify's Simpson norm sums may reach {12 * _NORM_INTERVALS}/a = "
+                         f"{peak!r}, which is not finite for {cfg._label()}")
     ctx = SimpleNamespace(cfg=cfg, a=a, T=T, dw=delta_omega(cfg), xg=np.linspace(0.0, a, 256),
                           rng=np.random.default_rng(seed))
     results: list[CheckResult] = []

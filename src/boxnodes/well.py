@@ -12,13 +12,15 @@ only when one of them lies on a wall. The density kernels share one private
 grid type. When it is built, it checks the positions and the times once and
 computes every state-independent factor of one (x, t) grid, each kept once:
 the modes, the phases e^{-i w1 t} and e^{-i w2 t} and the mode squares,
-each stacked on a first axis, and e^{i dw t} and 2 psi_1 psi_2.
-evaluate_psi, density_exact, density_closed_form and norm_integral build
-one grid per call. verify builds one per check and loops over its random
-states with the grid's densities generator, which evaluates each state in
-one complex work array: one product of the coefficient-weighted modes and
-the phases, one sum of its halves, and that sum squared in place through
-its float view.
+each stacked on a first axis and padded to at least one grid axis, and
+e^{i dw t} and 2 psi_1 psi_2. evaluate_psi, density_exact,
+density_closed_form and norm_integral build one grid per call, and verify
+one per check. The grid forms psi in one complex work array, as one product
+of the coefficient-weighted modes and the phases and one sum of its halves;
+its densities generator squares that sum in place through its float view
+for each of a sequence of states, and density_exact is its one-state case.
+No factor is a numpy scalar, so a scalar x or t runs the arithmetic of a
+one-element array and gets its bits, as in every public kernel.
 """
 
 from __future__ import annotations
@@ -297,66 +299,67 @@ class _Grid:
     The positions and the times (omega_2 t must be finite) are checked, and
     each factor is computed once, when the grid is built: the modes, the
     phases e^{-i w1 t}, e^{-i w2 t} and the mode squares, each stacked on a
-    first axis and padded to the grid's rank in its own broadcast shape,
-    never copied out to the full grid, and e^{i dw t} and 2 psi_1 psi_2.
-    psi, density_exact and density_closed_form evaluate one state, and 0-d
-    input keeps numpy's scalar bits (see psi); densities loops over states.
+    first axis and padded with unit axes to the grid's rank, at least one,
+    in its own broadcast shape, never copied out to the full grid, and
+    e^{i dw t} and 2 psi_1 psi_2, built from the padded stacks. No factor is
+    a numpy scalar, so scalar x and t run the arithmetic of one-element
+    arrays and get their bits. shape is the broadcast shape of x and t; the
+    results keep at least one axis, and the public kernels reshape them to it.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
-        modes = _modes(cfg, x)
-        ts = np.asarray(t, dtype=float)
+        xs, ts = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+        # the shape of every public result, and the rank, at least one, to
+        # which the positions and the times are padded with unit axes, so
+        # that the stacks broadcast against each other behind their common
+        # first axis
+        self.shape = np.broadcast_shapes(xs.shape, ts.shape)
+        rank = max(len(self.shape), 1)
+        self.modes = _modes(cfg, xs.reshape((1,) * (rank - xs.ndim) + xs.shape))
         _check_phase(cfg, ts)
-        # the shape of every full-grid result
-        self.shape = np.broadcast_shapes(modes.shape[1:], ts.shape)
-        phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
+        ts = ts.reshape((1,) * (rank - ts.ndim) + ts.shape)
+        self.phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
         self.beat = np.exp(1j * cfg._dw * ts)
-        self.two_p1p2 = 2.0 * modes[0] * modes[1]
-        # both stacks padded with unit axes to the grid's rank, so that they
-        # broadcast against each other behind their common first axis
-        rank = len(self.shape) + 1
-        self.modes = modes.reshape(2, *(1,) * (rank - modes.ndim), *modes.shape[1:])
-        self.phases = phases.reshape(2, *(1,) * (rank - phases.ndim), *phases.shape[1:])
+        self.two_p1p2 = 2.0 * self.modes[0] * self.modes[1]
         self.squares = np.square(self.modes)
 
-    def psi(self, state: TwoStateSuperposition):
-        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}."""
-        # numpy's operators, not its ufuncs: on 0-d input they run numpy's
-        # scalar complex multiply, which differs from the ufunc loop in the
-        # last bit on about 43% of random products (numpy 2.4, x86-64), and
-        # the public kernels keep the scalar bits
-        return (state.c1 * self.modes[0] * self.phases[0]
-                + state.c2 * self.modes[1] * self.phases[1])
-
-    def density_exact(self, state: TwoStateSuperposition):
-        """|Psi|^2 through the complex wavefunction: the squares of its real
-        and imaginary parts, added."""
-        # a 0-d psi is made an array, so its imaginary part can be written
-        z = np.asarray(self.psi(state))
-        return np.add(np.square(z.real), np.square(z.imag, out=z.imag))
+    def psi(self, state: TwoStateSuperposition, work=None) -> np.ndarray:
+        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}: [c1, c2] times the modes,
+        times the phases into work, and its halves added into work[0], which
+        is returned. work is a complex array of the stacks' broadcast shape,
+        made here when not given."""
+        coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
+        work = np.multiply(coeffs * self.modes, self.phases, out=work)
+        return np.add(work[0], work[1], out=work[0])
 
     def densities(self, states):
-        """Yield (state, |Psi|^2) for each state on an array grid, in one result
-        array, yielded every time, and one complex work array of shape
-        (2, *shape), both allocated once: [c1 psi_1, c2 psi_2] times the
-        stacked phases into work, its halves added into work[0], that sum's
+        """Yield (state, |Psi|^2) for each state, in one result array, yielded
+        every time, and one work array for psi, both allocated once: psi's
         float view squared in place, and its even (real) and odd (imaginary)
-        columns added into the result. These are density_exact's rounded
-        operations, so both give the same bits."""
-        out, work = np.empty(self.shape), np.empty((2, *self.shape), complex)
+        columns added into the result."""
+        out = np.empty(np.broadcast_shapes(self.modes.shape[1:], self.phases.shape[1:]))
+        work = np.empty((2, *out.shape), complex)
         for state in states:
-            coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
-            np.multiply(coeffs * self.modes, self.phases, out=work)
-            z = np.add(work[0], work[1], out=work[0]).view(float)
+            z = self.psi(state, work).view(float)
             np.square(z, out=z)
             yield state, np.add(z[..., 0::2], z[..., 1::2], out=out)
 
-    def density_closed_form(self, state: TwoStateSuperposition, out=None):
+    def density_exact(self, state: TwoStateSuperposition) -> np.ndarray:
+        """|Psi|^2 through the complex wavefunction: densities for one state."""
+        return next(self.densities([state]))[1]
+
+    def density_closed_form(self, state: TwoStateSuperposition, out=None) -> np.ndarray:
         """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}];
         with a float array out of the grid's shape, the result is written there."""
         osc = np.real(state.c1 * np.conj(state.c2) * self.beat)
         static = abs(state.c1) ** 2 * self.squares[0] + abs(state.c2) ** 2 * self.squares[1]
         return np.add(static, np.multiply(self.two_p1p2, osc, out=out), out=out)
+
+
+def _one_state(kernel, cfg: WellConfig, state: TwoStateSuperposition, x, t):
+    """kernel, a _Grid method, for one state on the grid of x and t, in their
+    broadcast shape."""
+    return _ret(kernel(grid := _Grid(cfg, x, t), state).reshape(grid.shape))
 
 
 _NORM_INTERVALS = 2048
@@ -382,12 +385,12 @@ def evaluate_psi(cfg: WellConfig, state: TwoStateSuperposition, x, t):
 
     x and t may be scalars or broadcastable arrays.
     """
-    return _ret(_Grid(cfg, x, t).psi(state))
+    return _one_state(_Grid.psi, cfg, state, x, t)
 
 
 def density_exact(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     """|Psi(x, t)|^2 evaluated through the complex wavefunction."""
-    return _ret(_Grid(cfg, x, t).density_exact(state))
+    return _one_state(_Grid.density_exact, cfg, state, x, t)
 
 
 def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
@@ -398,7 +401,7 @@ def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     Matches density_exact to near machine precision; the interference term
     carries the only time dependence, at the beat frequency dw.
     """
-    return _ret(_Grid(cfg, x, t).density_closed_form(state))
+    return _one_state(_Grid.density_closed_form, cfg, state, x, t)
 
 
 def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):

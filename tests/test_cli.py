@@ -326,6 +326,23 @@ class TestVerifyCommand:
             warnings.simplefilter("error")
             assert run_cli(["verify", "--a", "9e306", "--mass", "1e-300", "--hbar", "1e300"]) == 0
 
+    @pytest.mark.parametrize("a, code", [("1.5e-308", 2), ("1e-305", 2),
+                                         ("1.3670853786668245e-304", 2),
+                                         ("1.3670853786668247e-304", 0), ("1e-303", 0)])
+    def test_narrow_well_is_rejected_before_any_check(self, a, code, capsys):
+        # a Simpson norm sum may reach 24576/a, which overflows below the
+        # third width, the float just under the fourth: there verify exits
+        # 2 naming the well, instead of failing six checks with inf or NaN
+        # errors and overflow warnings; from the fourth width on it passes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["verify", "--a", a, "--mass", "1e308", "--hbar", "1e-308"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"24576/a = inf, which is not finite for a={float(a)!r}, m=1e+308" in err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("count", [1, 5, 20, 50])
     @pytest.mark.parametrize("seed", [0, 3, 11, 904])
     def test_states_drawn_at_once_follow_the_single_draw_stream(self, count, seed):

@@ -1,6 +1,7 @@
 """The package namespace is the submodules' __all__ lists, re-exported in order,
 the README's library example runs against it, the code-line counter that CI
-reports the source size with, and the test settings report every failure."""
+reports the source size with, and the test settings report every failure and
+draw the same examples on every run."""
 
 import importlib.util
 import inspect
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import boxnodes
 from boxnodes import analysis, cli, nodes, output, verify, well
@@ -124,3 +126,14 @@ def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
     assert out.returncode == 1, report
     assert "INTERNALERROR" not in report
     assert re.search(r"^1 failed, 1 passed\b", out.stdout, re.MULTILINE), report
+
+
+def test_default_hypothesis_profile_draws_the_same_examples_on_every_run():
+    # tests/conftest.py: two runs of one commit report the same failures,
+    # with no example database carried between them; HYPOTHESIS_PROFILE=explore
+    # keeps random draws
+    fixed, explore = settings.get_profile("fixed"), settings.get_profile("explore")
+    assert fixed.derandomize and fixed.database is None
+    assert not explore.derandomize
+    if "HYPOTHESIS_PROFILE" not in os.environ:
+        assert settings.default.derandomize and settings.default.database is None

@@ -603,6 +603,32 @@ class TestKernelBits:
             assert math.copysign(1.0, eigenfunction(cfg, n, -0.0)) == 1.0
         assert not np.signbit(time_avg_density(cfg, KERNEL_STATE, -0.0))
 
+    @pytest.mark.parametrize("kernel, in_x, in_t", [
+        (lambda cfg, state, x, t: eigenfunction(cfg, 2, x), True, False),
+        (lambda cfg, state, x, t: evaluate_psi(cfg, state, x, t), True, True),
+        (lambda cfg, state, x, t: density_exact(cfg, state, x, t), True, True),
+        (lambda cfg, state, x, t: density_closed_form(cfg, state, x, t), True, True),
+        (lambda cfg, state, x, t: norm_integral(cfg, state, t), False, True),
+        (lambda cfg, state, x, t: time_avg_density(cfg, state, x), True, False),
+    ], ids=["eigenfunction", "evaluate_psi", "density_exact", "density_closed_form",
+            "norm_integral", "time_avg_density"])
+    def test_scalar_gets_the_one_element_arrays_bits(self, kernel, in_x, in_t):
+        # on every well of the kernel sample, each scalar or 0-d position
+        # and a scalar time give the bits of the same value as a one-element
+        # array, in every argument the kernel takes
+        rng = np.random.default_rng(37)
+        for cfg in kernel_bits.WELLS:
+            xs, _ = kernel_bits.edge_positions(cfg.width_a, rng)
+            c = rng.standard_normal(4)
+            state = TwoStateSuperposition(complex(c[0], c[1]), complex(c[2], c[3]))
+            t = float(rng.uniform(0.0, 1.0)) * min(beat_period(cfg), 1e300)
+            for x in (x for x in xs if np.ndim(x) == 0):
+                scalar = np.array([kernel(cfg, state, x, t)])
+                if in_x:
+                    _same_bits(scalar, kernel(cfg, state, np.reshape(x, 1), t))
+                if in_t:
+                    _same_bits(scalar, kernel(cfg, state, x, np.array([t])))
+
     @pytest.mark.parametrize("x", [-1e-300, np.nextafter(1.3, 2.0), [math.nan, -1.0],
                                    np.array([[0.5], [1.4]]),
                                    [math.nan, np.nextafter(1.3, math.inf)]])
