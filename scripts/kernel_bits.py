@@ -21,9 +21,6 @@ kind and exact_zero_times. The inputs are:
   reach |A| = 1 at t = 0, c1 = 0, c2 = 0 and a beta far below alpha, and
   their true-zero instants over two beat periods.
 
-exact_zero_times is printed as a float array, so a list of floats and an
-array of the same values print alike.
-
 Only public boxnodes names are used, so scripts/gate_outputs.sh can run
 this copy of the script against the src/ of the base commit and of the
 change, and the byte gate then pins every kernel's bits.
@@ -75,9 +72,9 @@ def _text(result) -> str:
     return f"{type(result).__name__}: {result!r}"
 
 
-def _call(kernel, *args) -> str:
+def _call(kernel, *args, **kwargs) -> str:
     try:
-        return _text(kernel(*args))
+        return _text(kernel(*args, **kwargs))
     except ValueError as err:
         return f"ValueError: {err}"
 
@@ -88,10 +85,6 @@ def _line(label: str, kernel, *args) -> str:
 
 def track_positions(cfg, state, kind, t_start, t_end, n):
     return track_trajectory(cfg, state, kind, t_start, t_end, n).positions
-
-
-def zero_times(cfg, state):
-    return np.asarray(exact_zero_times(cfg, state, 2, samples_per_period=16), dtype=float)
 
 
 def well_lines(rng: np.random.Generator) -> list[str]:
@@ -165,7 +158,8 @@ def node_lines() -> list[str]:
             lines += [f"track_positions {kind.value} c{i} s{j} " + " ".join(
                 _call(track_positions, cfg, state, kind, *window) for window in windows)
                 for kind in NodeKind]
-            lines.append(f"exact_zero_times c{i} s{j} {_call(zero_times, cfg, state)}")
+            zeros = _call(exact_zero_times, cfg, state, 2, samples_per_period=16)
+            lines.append(f"exact_zero_times c{i} s{j} {zeros}")
     return lines
 
 

@@ -9,8 +9,10 @@ the seeded generator rng) that yields, for every sample it takes, a tuple of
 one error per row. run_verification drains the measures in table order, so a
 given seed always produces the same printout, and reduces each row's errors
 by one rule: the largest error, NaN if any is NaN, 0.0 before any sample. A
-detail may name context fields in str.format fields, such as {dw!r}. Adding
-a check means adding a measure and a row.
+sample a measure cannot take, such as a NaN turning point or a missing node,
+is NaN, so the rule fails it; NaN fails every tolerance. A detail may name
+context fields in str.format fields, such as {dw!r}. Adding a check means
+adding a measure and a row.
 """
 
 from __future__ import annotations
@@ -174,9 +176,6 @@ def _amplitude(ctx: SimpleNamespace) -> _Errors:
     v = _real_part_zero_v(ctx.cfg, 2.0 * draws[:, None], 1.0, np.array([0.0, 0.5 * ctx.T]))
     turns = _positions(ctx.cfg, v.ravel()).reshape(v.shape)
     for A, (x_0, x_half) in zip(draws.tolist(), turns.tolist()):
-        if math.isnan(x_0) or math.isnan(x_half):
-            yield (math.inf,)
-            return
         # oscillation_amplitude is (a/pi) arcsin A, so one term covers both
         yield (abs(0.5 * (x_0 - x_half) - oscillation_amplitude(ctx.cfg, A)),)
 
@@ -189,14 +188,14 @@ def _mean_position(ctx: SimpleNamespace) -> _Errors:
     ratios = np.append(np.linspace(0.05, 0.95, 19), 0.99)
     v = _analytic_v(ctx.cfg, ratios[:, None], np.linspace(0.0, ctx.T, 257))
     tracks = _positions(ctx.cfg, v.ravel()).reshape(v.shape)[:, :-1]
-    # on a well wider than about DBL_MAX / 128 a row's sum overflows; such a
-    # row is averaged again on its positions times 2**-8, an exact scaling,
-    # and scaled back, so every row whose plain mean is finite keeps its bits
-    with np.errstate(over="ignore"):
-        means = np.mean(tracks, axis=1)
-        redo = ~np.isfinite(means)
-        if redo.any():
-            means[redo] = np.mean(tracks[redo] * 2.0**-8, axis=1) * 2.0**8
+    # the mean is taken on the positions times 2**-6 and scaled back, which is
+    # exact: the positions lie in [0.045 a, 0.955 a], and a well that gets
+    # here has 1.367e-304 <= a < DBL_MAX / (2 pi) (run_verification's guard
+    # rejects narrower ones, _modes in the earlier checks wider ones), so each
+    # scaled position stays 4.3 times above DBL_MIN and each sum of 256 of
+    # them 1.6 times below DBL_MAX: nothing rounds, and a row whose plain
+    # mean is finite keeps its bits
+    means = np.mean(tracks * 2.0**-6, axis=1) * 2.0**6
     for A, sampled in zip(ratios.tolist(), means.tolist()):
         yield (abs(sampled - time_avg_node_position(ctx.cfg, A)),)
 
@@ -218,13 +217,13 @@ def _heatmap_rows(ctx: SimpleNamespace) -> _Errors:
 
 def _special_times(ctx: SimpleNamespace) -> _Errors:
     # the three node notions agree where true zeros occur; a notion with no
-    # node at one of these instants fails the check, as a NaN turning point does
+    # node at one of these instants gives a NaN position, which fails the check
     state = TwoStateSuperposition(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     for t in (0.0, 0.5 * ctx.T, ctx.T):
-        x_formula, x_re, x_min = (node_position(ctx.cfg, state, kind, t) for kind in NodeKind)
-        yield (math.inf if None in (x_formula, x_re, x_min)
-               else _worst(abs(x_re - x_formula), abs(x_min - x_formula)),
-               math.inf if x_min is None else float(density_exact(ctx.cfg, state, x_min, t)))
+        x_formula, x_re, x_min = (math.nan if x is None else x for x in
+                                  (node_position(ctx.cfg, state, kind, t) for kind in NodeKind))
+        yield (_worst(abs(x_re - x_formula), abs(x_min - x_formula)),
+               float(density_exact(ctx.cfg, state, x_min, t)))
 
 
 def _power_law(ctx: SimpleNamespace) -> _Errors:

@@ -258,7 +258,7 @@ def _check_phase(cfg: WellConfig, t) -> None:
     # NaN time makes the largest |t| NaN
     t_max = abs(float(ts)) if ts.ndim == 0 else float(np.abs(ts).max(initial=0.0))
     if not math.isfinite(w2 * t_max):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             bad = ts.flat[np.flatnonzero(~np.isfinite(w2 * ts))[0]]
         raise ValueError(f"the phase omega_2 t is not finite at t={float(bad)!r} "
                          f"for {cfg._label()}")
@@ -414,9 +414,15 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
     caller that integrates many states can build that grid once and loop
     over them with its densities generator. The sum runs in a fixed order,
     so the result is reproducible bit for bit, and an array gives each
-    instant's scalar bits.
+    instant's scalar bits. A Simpson sum that overflows, as it may on a well
+    narrower than about 1.4e-304 or for a large state, raises ValueError.
     """
-    return _ret(_simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state)))
+    with np.errstate(over="ignore"):
+        norm = _simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state))
+    if not np.isfinite(norm).all():
+        raise ValueError(f"the Simpson norm of c1={state.c1!r}, c2={state.c2!r} overflows "
+                         f"for {cfg._label()}")
+    return _ret(norm)
 
 
 def normalize(state: TwoStateSuperposition) -> TwoStateSuperposition:

@@ -180,27 +180,30 @@ def _lost_real_part_zero(real, *args):
     return None if kind is NodeKind.REAL_PART_ZERO and t > 0.0 else real(*args)
 
 
-# (check, owner, name in owner, tamper(real, *args, **kwargs)): verify with
-# owner.name replaced by the tamper must print FAIL for the check
+# (check, owner, name in owner, tamper(real, *args, **kwargs), error): verify
+# with owner.name replaced by the tamper must print FAIL for the check, and
+# the error as error=..., unless that is None; a sample a measure cannot take
+# is NaN, so it prints error=nan
 _TAMPERS = [
     # a closed-form density off by 1e-9 fails its 1e-12 check
     ("closed-form-equivalence", verify_module._Grid, "density_closed_form",
-     lambda real, *args, **kwargs: real(*args, **kwargs) + 1e-9),
+     lambda real, *args, **kwargs: real(*args, **kwargs) + 1e-9, None),
     # norms off by 1e-7 fail their 1e-8 check
-    ("norm-value", verify_module, "_simpson_norm", lambda real, *args: real(*args) + 1e-7),
+    ("norm-value", verify_module, "_simpson_norm", lambda real, *args: real(*args) + 1e-7, None),
     # norms that drift by 1e-9 per instant spread past 1e-10
-    ("norm-constancy", verify_module, "_simpson_norm", _drifting_norms),
+    ("norm-constancy", verify_module, "_simpson_norm", _drifting_norms, None),
     # |psi_n| has no sign change
     ("eigenfunction-node-count", verify_module, "eigenfunction",
-     lambda real, *args: np.abs(real(*args))),
+     lambda real, *args: np.abs(real(*args)), None),
     # p = 1.74 lies outside 1.32 +/- 0.15
-    ("power-law-band", verify_module, "fit_power_law", _steeper_fit),
+    ("power-law-band", verify_module, "fit_power_law", _steeper_fit, None),
     # x(t + T) moves by 1e-9 T against x(t)
-    ("trajectory-periodicity", verify_module, "track_trajectory", _shifted_track),
+    ("trajectory-periodicity", verify_module, "track_trajectory", _shifted_track, None),
     # the real-part zero goes missing at T/2 and T: a FAIL, not a crash
-    ("special-time-agreement", verify_module, "node_position", _lost_real_part_zero),
-    # the turning points are NaN: the check reports error=inf
-    ("amplitude-arcsin", verify_module, "_positions", lambda real, *args: real(*args) * math.nan),
+    ("special-time-agreement", verify_module, "node_position", _lost_real_part_zero, "nan"),
+    # the turning points are NaN
+    ("amplitude-arcsin", verify_module, "_positions", lambda real, *args: real(*args) * math.nan,
+     "nan"),
 ]
 
 
@@ -320,11 +323,24 @@ class TestVerifyCommand:
 
     def test_wide_well_passes_without_warning(self):
         # the 256 positions near a/2 of a mean-node-position row sum past
-        # DBL_MAX on this well; such a row is averaged on its positions scaled
-        # by 2**-8, so the check passes and numpy raises no overflow warning
+        # DBL_MAX on this well; the rows are averaged on their positions
+        # scaled by 2**-6, so the check passes and numpy raises no overflow
+        # warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(["verify", "--a", "9e306", "--mass", "1e-300", "--hbar", "1e300"]) == 0
+
+    @pytest.mark.parametrize("cfg, error", [
+        (WellConfig(1.3670853786668247e-304, 1e308, 1e-308), "0x0.0000000000800p-1022"),
+        (WellConfig(9e306, 1e-300, 1e300), "0x1.0000000000000p+966"),
+    ], ids=["narrowest", "widest"])
+    def test_mean_position_keeps_its_bits_at_the_extremes(self, cfg, error):
+        # the scaled mean is exact on the narrowest well verify accepts, where
+        # a scaled position nears DBL_MIN, and on a well whose row sums
+        # overflow unscaled
+        mean = next(r for r in verify_module.run_verification(cfg)
+                    if r.name == "mean-node-position")
+        assert mean.error.hex() == error
 
     @pytest.mark.parametrize("a, code", [("1.5e-308", 2), ("1e-305", 2),
                                          ("1.3670853786668245e-304", 2),
@@ -391,16 +407,22 @@ class TestVerifyCommand:
             tracemalloc.stop()
         assert peak <= 1.2 * 2**20
 
-    @pytest.mark.parametrize("row, owner, name, tamper", _TAMPERS + _NAN_TAMPERS,
+    @pytest.mark.parametrize("row, owner, name, tamper, error",
+                             _TAMPERS + [(*case, None) for case in _NAN_TAMPERS],
                              ids=[case[0] for case in _TAMPERS]
                              + [f"{case[0]}-nan" for case in _NAN_TAMPERS])
-    def test_tampered_tolerance_fails(self, row, owner, name, tamper, monkeypatch, capsys):
+    def test_tampered_tolerance_fails(self, row, owner, name, tamper, error, monkeypatch,
+                                      capsys):
         # each check the acceptance battery asserts fails when what it
         # measures moves past its tolerance
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: tamper(real, *args, **kwargs))
         assert run_cli(["verify"]) == 1
-        assert f"FAIL {row}" in capsys.readouterr().out
+        fails = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith(f"FAIL {row}: ")]
+        assert len(fails) == 1
+        if error is not None:
+            assert f"(error={error}, " in fails[0]
 
 
 # Edge argv for every subcommand, with a word the error must contain. The

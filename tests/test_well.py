@@ -472,6 +472,29 @@ class TestNorm:
         assert norm_integral(cfg, state, ts.reshape(2, 5)).ravel().tolist() == per_instant
         assert type(norm_integral(cfg, state, ts[3])) is float
 
+    @pytest.mark.parametrize("cfg, state", [
+        (WellConfig(1e-305, 1e308, 1e-308), EQUAL_MIX),
+        (WellConfig(1.5e-308, 1e308, 1e-308), EQUAL_MIX),
+        (WellConfig(1e-100, 1e100, 1e-100), TwoStateSuperposition(1e150, 1e150)),
+    ], ids=["a1e-305", "a1.5e-308", "c1e150"])
+    def test_overflowing_sum_raises(self, cfg, state):
+        # a Simpson sum past DBL_MAX, on a narrow well or for a large state,
+        # raises naming the state and the well, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"norm of c1={state.c1!r}, c2={state.c2!r} overflows for {cfg._label()}")):
+                norm_integral(cfg, state)
+
+    @pytest.mark.parametrize("a, norm", [(1.3670853786668245e-304, "0x1.ffffffffffffep-1"),
+                                         (1e-303, "0x1.ffffffffffffcp-1")])
+    def test_narrowest_wells_keep_their_bits(self, a, norm):
+        # the bound 24576 (|c1|^2 + |c2|^2) / a overflows at the first width,
+        # but the sums do not, so the norm is returned with its bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert norm_integral(WellConfig(a, 1e308, 1e-308), EQUAL_MIX).hex() == norm
+
     def test_unnormalized_state(self):
         state = TwoStateSuperposition(3.0, 4.0)
         assert norm_integral(UNIT, state) == pytest.approx(25.0, abs=1e-6)
