@@ -18,7 +18,7 @@ kind and exact_zero_times. The inputs are:
   heatmap, and the node tracks of a real state over one beat period;
 * two wells with one complex state on (x, t) grids broadcast both ways;
 * nine wells with 35 states at scales 1 and 1e+-153, whose node tracks
-  reach |A| = 1 at t = 0, c1 = 0, c2 = 0 and a beta far below alpha, and
+  reach |A| = 1 at t = 0, c1 = 0, c2 = 0 and an |A| whose square overflows, and
   their true-zero instants over two beat periods.
 
 Only public boxnodes names are used, so scripts/gate_outputs.sh can run
@@ -134,8 +134,7 @@ def grid_lines(rng: np.random.Generator) -> list[str]:
 
 def node_lines() -> list[str]:
     # nine wells, and real and complex states with c1 = 0, c2 = 0, an imaginary
-    # c1, |A| = 1 and tiny beta, against which alpha / beta overflows, at
-    # three scales each
+    # c1, |A| = 1 and a tiny c2, for which |A|^2 overflows, at three scales each
     rng = np.random.default_rng(2525)
     cfgs = [WellConfig(*map(math.exp, rng.uniform(math.log(0.1), math.log(10.0), 3).tolist()))
             for _ in range(8)] + [WellConfig()]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .well import TwoStateSuperposition, WellConfig, _count, _modes, _ret, _uniform_times
+from .well import (TwoStateSuperposition, WellConfig, _count, _modes, _no_overflow, _ret,
+                   _uniform_times)
 
 __all__ = [
     "SweepSpec",
@@ -294,12 +295,19 @@ def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x):
     The interference term oscillates at dw and averages to zero, which leaves
     |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2.
     """
+    # at most (|c1|^2 + |c2|^2) 2/a, inside the bound of the other density kernels
+    return _ret(_no_overflow(cfg, state, 4.0, "the time-averaged density", x,
+                             _static_density, cfg, state, x))
+
+
+def _static_density(cfg: WellConfig, state: TwoStateSuperposition, x) -> np.ndarray:
+    """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 at x, the modes squared and weighted in place."""
     squares = _modes(cfg, x)
     np.square(squares, out=squares)
     p1_sq, p2_sq = squares[0, ...], squares[1, ...]  # 0-d for a scalar x
     p1_sq *= abs(state.c1) ** 2
     p2_sq *= abs(state.c2) ** 2
-    return _ret(np.add(p1_sq, p2_sq, out=p1_sq))
+    return np.add(p1_sq, p2_sq, out=p1_sq)
 
 
 def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:

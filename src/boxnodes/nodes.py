@@ -10,18 +10,20 @@ are implemented and can be compared:
 * density-minimum: interior local minima of |Psi|^2.
 
 Since psi_2 = 2 v psi_1 with v = cos(pi x / a), Re Psi is linear in v and
-|Psi|^2 is (2/a)(1 - v^2) times a quadratic in v: the finders solve for v in
-closed form and map back through x = (a/pi) arccos(v). Trajectories solve
-all of their instants in one vectorised numpy pass (the density minimum as
-Viete's trigonometric middle root of the derivative cubic, with np.arcsin,
-and without the sin(dw t) term for a real state);
-node_position(cfg, state, kind, t) runs the same code on one instant and
-returns None where a trajectory holds NaN: no node at that instant. A
-trajectory's instants have np.linspace's bits. The frequencies come from
-the well, which computes them once. The passes are short, so the kernels
-keep their ufunc calls few and track_trajectory checks its window in
-Python floats. The grid_n arguments of track_trajectory and
-exact_zero_times are validated but have no effect on results.
+|Psi|^2 is (8 |c2|^2 / a)(1 - v^2)(r + g v + v^2), so its minimum reads the
+state only through r = |A|^2 and g = 2 Re(A e^{i dw t}) for the complex
+A = c1 / (2 c2): the finders solve for v in closed form and map back
+through x = (a/pi) arccos(v). Trajectories solve all of their instants in
+one vectorised numpy pass (the density minimum as Viete's trigonometric
+middle root of the derivative cubic, with np.arcsin, and without the
+sin(dw t) term for a real A); node_position(cfg, state, kind, t) runs the
+same code on one instant and returns None where a trajectory holds NaN: no
+node at that instant. A trajectory's instants have np.linspace's bits. The
+frequencies come from the well, which computes them once. The passes are
+short, so the kernels keep their ufunc calls few and track_trajectory
+checks its window in Python floats. The grid_n arguments of
+track_trajectory and exact_zero_times are validated but have no effect on
+results.
 
 True zeros of the complex wavefunction are rarer. For real coefficients they
 need c1 + 2 c2 v e^{-i dw t} = 0, so they exist only where sin(dw t) = 0, and
@@ -141,27 +143,26 @@ def _real_part_zero_v(cfg: WellConfig, c1: float, c2: float, ts: np.ndarray) -> 
     return np.where(np.abs(v) < 1.0, v, np.nan)
 
 
-def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
-                       ts: np.ndarray) -> np.ndarray:
-    """v = cos(pi x / a) of the interior minimum of |Psi|^2 at each time in ts, or NaN.
+def _density_minimum_v(cfg: WellConfig, ratio: complex, ts: np.ndarray) -> np.ndarray:
+    """v = cos(pi x / a) of the interior minimum of |Psi|^2 at each time in ts, or NaN,
+    for the complex amplitude ratio A = c1 / (2 c2).
 
-    |Psi|^2 = (2/a) f(v) with f(v) = (1 - v^2)(alpha + gamma v + beta v^2),
-    alpha = |c1|^2, beta = 4 |c2|^2, gamma = 4 Re(c1 conj(c2) e^{i dw t}); only
-    gamma depends on t. f' = -4 beta v^3 - 3 gamma v^2 + 2 (beta - alpha) v +
-    gamma falls at both ends, so with three distinct real roots f has a
-    maximum, a minimum and a maximum, and with one real root (or a double
-    root, an inflection) f has no minimum. With g = gamma/beta, r = alpha/beta
-    and v = y - g/4, f' = 0 becomes y^3 + p y + q = 0 with
-    p = (r - 1)/2 - 3 g^2/16 and q = g (g^2 - 4 r - 4)/32. Three real roots
-    exist exactly when 4p^3 + 27q^2 < 0, that is p < 0 and |u| < 1 with
-    u = (3q/(2p)) sqrt(-3/p), and Viete's middle root is
+    |Psi|^2 = (2/a)(1 - v^2) |c1 + 2 c2 v e^{-i dw t}|^2 = (8 |c2|^2 / a) f(v)
+    with f(v) = (1 - v^2)(r + g v + v^2), r = |A|^2 and g = 2 Re(A e^{i dw t});
+    only g depends on t. f' = -4 v^3 - 3 g v^2 + 2 (1 - r) v + g falls at
+    both ends, so with three distinct real roots f has a maximum, a minimum
+    and a maximum, and with one real root (or a double root, an inflection)
+    f has no minimum. With v = y - g/4, f' = 0 becomes y^3 + p y + q = 0
+    with p = (r - 1)/2 - 3 g^2/16 and q = g (g^2 - 4 r - 4)/32. Three real
+    roots exist exactly when 4p^3 + 27q^2 < 0, that is p < 0 and |u| < 1
+    with u = (3q/(2p)) sqrt(-3/p), and Viete's middle root is
     y = -2 sqrt(-p/3) sin(asin(u)/3). The minimum counts when it lies in
     (-1, 1). Since x -> v is strictly monotone inside the well, it is the
     minimum in x.
 
-    gamma = 4 (Re(c1 conj(c2)) cos(dw t) - Im(c1 conj(c2)) sin(dw t)), and for
-    a real state, whose Im(c1 conj(c2)) is 0, the sin term is skipped. Every
-    other rounded operation is the plain expression's, in its order.
+    g = 2 (Re A cos(dw t) - Im A sin(dw t)), and for a real A the sin term is
+    skipped. Every other rounded operation is the plain expression's, in its
+    order.
 
     asin runs through np.arcsin, which numpy 2.4.6 evaluates on its own
     kernel where the CPU has AVX-512: on such a host it differs from
@@ -172,30 +173,23 @@ def _density_minimum_v(cfg: WellConfig, state: TwoStateSuperposition,
     minimum-kind files only on AVX-512 runners, so a declared byte diff
     would be wrong on every other runner.
     """
-    # dividing by a power of two is exact and keeps alpha, beta and gamma
-    # normal floats at any scale of the state
-    c1, c2 = state.c1, state.c2
-    scale = 2.0 ** -math.frexp(max(abs(c1.real), abs(c1.imag), abs(c2.real), abs(c2.imag)))[1]
-    c1, c2 = c1 * scale, c2 * scale
-    alpha, beta = abs(c1) ** 2, 4.0 * abs(c2) ** 2
-    if beta == 0.0:
-        # pure psi_1: f = alpha (1 - v^2) has its only extremum, a maximum, at v = 0
-        return np.full(ts.shape, np.nan)
-    cross = c1 * c2.conjugate()
     phase = cfg._dw * ts
-    r = alpha / beta
+    # a product of Python floats overflows to inf without an error, where
+    # abs(ratio) ** 2 would raise
+    r = ratio.real * ratio.real + ratio.imag * ratio.imag
     # with one real root (p >= 0 or |u| > 1) u or v is NaN, and so it is where
-    # r, g or g^2 overflow for beta subnormal against alpha, whose middle root
-    # lies far beyond the walls; the mask keeps no NaN. On the few dozen
-    # instants of a trajectory a ufunc call costs more than its arithmetic,
-    # so each quantity is computed once
+    # A is infinite (c2 = 0, pure psi_1, whose only extremum is a maximum) or
+    # r, g or g^2 overflow for a huge |A|, whose middle root lies far beyond
+    # the walls; the mask keeps no NaN. On the few dozen instants of a
+    # trajectory a ufunc call costs more than its arithmetic, so each
+    # quantity is computed once
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = cross.real * np.cos(phase)
-        # a real state has no sin term: x - 0 sin is x, but for the sign of a
+        # 2 Re A and 2 Im A are exact, so g has the bits of 2 (Re A cos - Im A sin)
+        g = (2.0 * ratio.real) * np.cos(phase)
+        # a real A has no sin term: x - 0 sin is x, but for the sign of a
         # zero x, which only sets the sign of a zero v, and acos(-0.0) == acos(0.0)
-        if cross.imag:
-            g = g - cross.imag * np.sin(phase)
-        g = (4.0 / beta) * g
+        if ratio.imag:
+            g = g - (2.0 * ratio.imag) * np.sin(phase)
         gg = g * g
         p = 0.5 * (r - 1.0) - 0.1875 * gg
         q = g * (gg - 4.0 * (r + 1.0)) / 32.0
@@ -211,7 +205,8 @@ def _node_v(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,
         return _analytic_v(cfg, ratio_from_state(state), ts)
     if kind is NodeKind.REAL_PART_ZERO:
         return _real_part_zero_v(cfg, *_require_real(state), ts)
-    return _density_minimum_v(cfg, state, ts)
+    c2 = state.c2
+    return _density_minimum_v(cfg, state.c1 / (2.0 * c2) if c2 else complex(math.inf), ts)
 
 
 def node_position(cfg: WellConfig, state: TwoStateSuperposition, kind: NodeKind,

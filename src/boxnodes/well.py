@@ -20,7 +20,10 @@ of the coefficient-weighted modes and the phases and one sum of its halves;
 its densities generator squares that sum in place through its float view
 for each of a sequence of states, and density_exact is its one-state case.
 No factor is a numpy scalar, so a scalar x or t runs the arithmetic of a
-one-element array and gets its bits, as in every public kernel.
+one-element array and gets its bits, as in every public kernel. A density
+is at most 4 (|c1|^2 + |c2|^2) / a; only where that bound is not a finite
+float do the kernels that take a state run without overflow warnings and
+test their result, raising ValueError where it overflows.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class TwoStateSuperposition:
                 raise ValueError(f"{label} must be finite, got {c!r}")
             object.__setattr__(self, label, c)
         try:
-            norm_sq = self.norm_sq()
+            norm_sq = abs(self.c1) ** 2 + abs(self.c2) ** 2
         except OverflowError:  # a single |c|^2 overflows
             norm_sq = math.inf
         if not math.isfinite(norm_sq):  # or only their sum does
@@ -120,9 +123,13 @@ class TwoStateSuperposition:
                 raise ValueError(f"|c1|^2 + |c2|^2 underflows to 0 for c1={self.c1!r}, "
                                  f"c2={self.c2!r}")
             raise ValueError("zero state: need |c1|^2 + |c2|^2 > 0")
+        # kept for the density kernels' overflow test, which would otherwise
+        # compute it on every call; not a field, as in WellConfig
+        object.__setattr__(self, "_norm_sq", norm_sq)
 
     def norm_sq(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2
+        """|c1|^2 + |c2|^2."""
+        return self._norm_sq
 
 
 def _check_index(n: int) -> int:
@@ -356,10 +363,43 @@ class _Grid:
         return np.add(static, np.multiply(self.two_p1p2, osc, out=out), out=out)
 
 
-def _one_state(kernel, cfg: WellConfig, state: TwoStateSuperposition, x, t):
+def _no_overflow(cfg: WellConfig, state: TwoStateSuperposition, bound: float, what: str,
+                 x, kernel, *args):
+    """kernel(*args), a result of state on cfg no step of which exceeds
+    bound (|c1|^2 + |c2|^2) / a.
+
+    Where that bound is a finite float nothing can overflow, and the kernel
+    runs as it is. Elsewhere it runs without overflow warnings, and the
+    result itself is tested, not the bound, which may lie far above it: a
+    non-finite entry at a position x that is not NaN (any entry, for x None)
+    raises ValueError naming what, the state and the well.
+    """
+    if state._norm_sq * (bound / cfg.width_a) < math.inf:
+        return kernel(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = kernel(*args)
+    finite = np.isfinite(result)
+    if x is not None:
+        finite |= np.isnan(np.asarray(x, dtype=float))
+    if not finite.all():
+        raise ValueError(f"{what} of c1={state.c1!r}, c2={state.c2!r} overflows "
+                         f"for {cfg._label()}")
+    return result
+
+
+def _on_grid(kernel, cfg: WellConfig, state: TwoStateSuperposition, x, t) -> np.ndarray:
     """kernel, a _Grid method, for one state on the grid of x and t, in their
     broadcast shape."""
-    return _ret(kernel(grid := _Grid(cfg, x, t), state).reshape(grid.shape))
+    return kernel(grid := _Grid(cfg, x, t), state).reshape(grid.shape)
+
+
+def _one_state(kernel, what: str, cfg: WellConfig, state: TwoStateSuperposition, x, t):
+    """_on_grid, where what names the result in an overflow's ValueError.
+
+    |Psi|^2 <= (|c1|^2 + |c2|^2)(psi_1^2 + psi_2^2) <= 4 (|c1|^2 + |c2|^2) / a
+    bounds every step of the kernels, and the grid's 2 psi_1 psi_2 is at most
+    4/a, which is finite wherever that bound is."""
+    return _ret(_no_overflow(cfg, state, 4.0, what, x, _on_grid, kernel, cfg, state, x, t))
 
 
 _NORM_INTERVALS = 2048
@@ -385,12 +425,12 @@ def evaluate_psi(cfg: WellConfig, state: TwoStateSuperposition, x, t):
 
     x and t may be scalars or broadcastable arrays.
     """
-    return _one_state(_Grid.psi, cfg, state, x, t)
+    return _one_state(_Grid.psi, "the wavefunction", cfg, state, x, t)
 
 
 def density_exact(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     """|Psi(x, t)|^2 evaluated through the complex wavefunction."""
-    return _one_state(_Grid.density_exact, cfg, state, x, t)
+    return _one_state(_Grid.density_exact, "the density", cfg, state, x, t)
 
 
 def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
@@ -401,7 +441,7 @@ def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
     Matches density_exact to near machine precision; the interference term
     carries the only time dependence, at the beat frequency dw.
     """
-    return _one_state(_Grid.density_closed_form, cfg, state, x, t)
+    return _one_state(_Grid.density_closed_form, "the density", cfg, state, x, t)
 
 
 def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
@@ -417,12 +457,9 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
     instant's scalar bits. A Simpson sum that overflows, as it may on a well
     narrower than about 1.4e-304 or for a large state, raises ValueError.
     """
-    with np.errstate(over="ignore"):
-        norm = _simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state))
-    if not np.isfinite(norm).all():
-        raise ValueError(f"the Simpson norm of c1={state.c1!r}, c2={state.c2!r} overflows "
-                         f"for {cfg._label()}")
-    return _ret(norm)
+    # 2 + 4 * 1024 + 2 * 1023 = 6144 densities of at most 4 (|c1|^2 + |c2|^2) / a
+    return _ret(_no_overflow(cfg, state, 24576.0, "the Simpson norm", None,
+                             lambda: _simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state))))
 
 
 def normalize(state: TwoStateSuperposition) -> TwoStateSuperposition:

@@ -6,9 +6,10 @@ far below any bound a test asserts against it. One reference per quantity:
 
 - delta_omega: the beat frequency, as a Fraction;
 - minimum_v, density_minima and position_error: the density minimum, as the
-  60-digit middle root of the derivative cubic whose float coefficients the
-  engine computes (position_error maps it to x through the float pi and
-  libm's acos, and so is good to about 2e-16 a);
+  60-digit middle root of the derivative cubic whose coefficients are exact
+  in c1, c2 and the floats cos(dw t) and sin(dw t) (position_error maps it
+  to x through the float pi and libm's acos, and so is good to about
+  2e-16 a);
 - PowerLaw: the least-squares power law's F(p) and k(p) at a given p, in
   30 digits.
 
@@ -38,7 +39,8 @@ def delta_omega(a, m, hbar) -> Fraction:
 def minimum_v(alpha, beta, gamma):
     """Minimum of f(v) = (1 - v^2)(alpha + gamma v + beta v^2) in (-1, 1).
 
-    Works on the three floats exactly: the minimum is the middle root
+    Works on the three numbers, floats or Fractions with a power-of-two
+    denominator, exactly: the minimum is the middle root
     of f'(v) = -4 beta v^3 - 3 gamma v^2 + 2 (beta - alpha) v + gamma when its
     discriminant is positive (three distinct real roots) and that root lies
     in (-1, 1). Returns it as a Decimal good to about 45 digits, or None.
@@ -78,13 +80,18 @@ def minimum_v(alpha, beta, gamma):
 
 
 def density_minima(cfg, state, ts):
-    """minimum_v at every time in ts, with gamma from numpy's cos and sin as
-    the engine takes it."""
-    cross = state.c1 * state.c2.conjugate()
-    phase = well.delta_omega(cfg) * np.asarray(ts, dtype=float)
-    gammas = 4.0 * (cross.real * np.cos(phase) - cross.imag * np.sin(phase))
-    alpha, beta = abs(state.c1) ** 2, 4.0 * abs(state.c2) ** 2
-    return [minimum_v(alpha, beta, gamma) for gamma in np.atleast_1d(gammas).tolist()]
+    """minimum_v at every time in ts, on the exact problem the engine's inputs
+    pose: alpha = |c1|^2, beta = 4 |c2|^2 and gamma = 4 Re(c1 conj(c2) e^{i dw t})
+    in Fractions of the exact c1 and c2 and of numpy's cos and sin of the
+    float phase dw t, the floats the engine also takes."""
+    re1, im1, re2, im2 = map(Fraction, (state.c1.real, state.c1.imag,
+                                        state.c2.real, state.c2.imag))
+    alpha, beta = re1 * re1 + im1 * im1, 4 * (re2 * re2 + im2 * im2)
+    # c1 conj(c2)
+    cross_re, cross_im = re1 * re2 + im1 * im2, im1 * re2 - re1 * im2
+    phase = np.atleast_1d(well.delta_omega(cfg) * np.asarray(ts, dtype=float))
+    return [minimum_v(alpha, beta, 4 * (cross_re * Fraction(cos) - cross_im * Fraction(sin)))
+            for cos, sin in zip(np.cos(phase).tolist(), np.sin(phase).tolist())]
 
 
 def position_error(cfg, x, v) -> float:

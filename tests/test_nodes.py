@@ -431,8 +431,8 @@ class TestOneEngine:
         assert counts["present"] > 1000 and counts["absent"] > 100
 
     def test_minimum_track_matches_the_exact_middle_root(self):
-        """Presence and position against the 60-digit middle root of the same
-        cubic f'(v), the position within 3e-14 a.
+        """Presence and position against the 60-digit middle root of the
+        exact-input cubic f'(v), the position within 3e-14 a.
 
         On these cases companion-matrix eigenvalues, as np.roots takes them,
         are off by up to 9.5e-14 a, and the trigonometric roots by 7.4e-15 a.
@@ -564,6 +564,34 @@ class TestScaleFree:
             scaled = track_trajectory(cfg, state, kind, 0.0, beat_period(cfg), 64)
             unit = track_trajectory(UNIT, state, kind, 0.0, T, 64)
             assert np.max(np.abs(scaled.positions / cfg.width_a - unit.positions)) <= 1e-12
+
+    def test_minimum_depends_only_on_the_ratio(self):
+        """The density minimum reads the state only through A = c1 / (2 c2):
+        200 seeded complex states at common scales 10^-100 to 10^100 have the
+        bits of (2A, 1) at every instant."""
+        rng = np.random.default_rng(3939)
+        cfg = WellConfig(1.37, 0.6, 1.9)
+        T_cfg = beat_period(cfg)
+        present = 0
+        for _ in range(200):
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            state = TwoStateSuperposition(*(c * 10.0 ** rng.uniform(-100, 100)).tolist())
+            ratio = TwoStateSuperposition(2.0 * (state.c1 / (2.0 * state.c2)), 1.0)
+            got, want = (track_trajectory(cfg, s, NodeKind.DENSITY_MINIMUM,
+                                          0.0, T_cfg, 16).positions for s in (state, ratio))
+            assert got.tobytes() == want.tobytes(), state
+            present += np.count_nonzero(~np.isnan(got))
+        assert present > 1000
+
+    @pytest.mark.parametrize("c1, c2", [(1.0, 0.0), (1e150, 1e-150)], ids=["c2_0", "A5e299"])
+    def test_minimum_absent_for_infinite_or_huge_ratio(self, c1, c2):
+        # A = inf (pure psi_1) and an A whose |A|^2 overflows: no minimum at
+        # any instant, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = track_trajectory(UNIT, TwoStateSuperposition(c1, c2),
+                                    NodeKind.DENSITY_MINIMUM, 0.0, T, 32)
+        assert np.isnan(traj.positions).all()
 
     def test_state_scale(self):
         """Node positions depend on (c1, c2) only up to a common factor. Every

@@ -421,6 +421,63 @@ class TestDensity:
             assert np.array_equal(row, density_exact(cfg, state, xs, t))
 
 
+class TestOverflow:
+    """A kernel whose result overflows raises ValueError naming the state and
+    the well, with no numpy warning."""
+
+    NARROW = WellConfig(1.5e-308, 1e308, 1e-308)  # 4/a, so 2 psi_1 psi_2, overflows
+    LARGE = (WellConfig(1e-100, 1e100, 1e-100), TwoStateSuperposition(1e150, 1e150))
+
+    @pytest.mark.parametrize("kernel, what, cfg, state", [
+        (density_exact, "the density", *LARGE),
+        (density_closed_form, "the density", *LARGE),
+        (lambda cfg, state, x, t: time_avg_density(cfg, state, x), "the time-averaged density",
+         *LARGE),
+        (density_exact, "the density", NARROW, EQUAL_MIX),
+        (density_closed_form, "the density", NARROW, EQUAL_MIX),
+    ], ids=["exact-c1e150", "closed_form-c1e150", "time_avg-c1e150", "exact-a1.5e-308",
+            "closed_form-a1.5e-308"])
+    def test_overflowing_density_raises(self, kernel, what, cfg, state):
+        xs = np.linspace(0.0, cfg.width_a, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{what} of c1={state.c1!r}, c2={state.c2!r} overflows for {cfg._label()}")):
+                kernel(cfg, state, xs, 0.0)
+
+    def test_narrow_well_without_overflow(self):
+        # on a well narrower than 4/DBL_MAX the grid's 2 psi_1 psi_2 is inf at
+        # a/4, yet psi and the density of a small state are finite, and are
+        # returned without a warning; only the closed form, which reads that
+        # factor, overflows. A NaN position still gives NaN
+        cfg, state = self.NARROW, TwoStateSuperposition(1e-10, 1e-10)
+        xs = [0.5 * cfg.width_a, 0.25 * cfg.width_a, math.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = evaluate_psi(cfg, state, xs, 0.0)
+            rho = density_exact(cfg, state, xs, 0.0)
+            avg = time_avg_density(cfg, state, xs)
+            with pytest.raises(ValueError, match="the density of c1="):
+                density_closed_form(cfg, state, xs, 0.0)
+        assert np.isfinite(psi[:2]).all() and np.isfinite(rho[:2]).all()
+        assert np.isnan(rho[2]) and np.isnan(avg[2])
+        # sin(pi/2) = 1 and |sin(pi)| < 2e-16, so psi_1 = sqrt(2/a) and psi_2 is
+        # about 0 there
+        assert rho[0] == pytest.approx(2e-20 / cfg.width_a, rel=1e-12)
+        assert avg[0] == pytest.approx(2e-20 / cfg.width_a, rel=1e-12)
+
+    def test_large_state_psi_and_nan_positions(self):
+        # psi of the large state stays below DBL_MAX, and a NaN position on
+        # the overflow path gives NaN, not an error
+        cfg, state = self.LARGE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = evaluate_psi(cfg, state, 0.5 * cfg.width_a, 0.0)
+            assert math.isnan(time_avg_density(cfg, state, math.nan))
+            assert math.isnan(density_exact(cfg, state, math.nan, 0.0))
+        assert psi == pytest.approx(1e150 * math.sqrt(2e100), rel=1e-12)
+
+
 class TestTimeCheck:
     """The kernels reject a time whose largest phase omega_2 t is not finite,
     with the finders' message and no numpy warning ahead of it."""
