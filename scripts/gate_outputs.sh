@@ -6,7 +6,8 @@
 # SOURCE_ROOT is a checkout (or a git archive copy) whose src/ and
 # scripts/reproduce_figures.py write the outputs; OUT_DIR receives them.
 # kernel_bits.txt is written by the kernel_bits.py beside this script, so
-# one copy of it samples the kernels of both trees.
+# one copy of it samples the kernels of both trees; it runs with warnings as
+# errors, so a numpy warning from any kernel on any sampled input fails the run.
 # Run it once on the base commit's tree and once on the change's, then
 # compare the two OUT_DIRs with scripts/gate_compare.py. A verify that exits
 # nonzero appends its exit code to its report instead of stopping the run.
@@ -17,7 +18,7 @@ if [ "$#" -ne 2 ]; then
 fi
 mkdir -p "$2"
 export PYTHONPATH="$1/src"
-python3 "$(dirname "$0")/kernel_bits.py" > "$2/kernel_bits.txt"
+python3 -W error "$(dirname "$0")/kernel_bits.py" > "$2/kernel_bits.txt"
 python3 "$1/scripts/reproduce_figures.py" --out-dir "$2/figs" > /dev/null
 python3 -m boxnodes.cli verify > "$2/verify.txt" || echo "exit $?" >> "$2/verify.txt"
 python3 -m boxnodes.cli verify --a 2 > "$2/verify_a2.txt" || echo "exit $?" >> "$2/verify_a2.txt"

@@ -264,11 +264,17 @@ def fit_power_law(sweep: AmplitudeSweep) -> PowerLawFit:
         else:
             p = math.nan  # no stop in 100 passes: a failure, not the p reached
         k = a / b if b > 0.0 else math.nan
-        # k A**p = k 2**shift x**p, with the whole part of shift applied by ldexp
-        shift = -exp2_r * p
+        # k A**p = k 2**shift x**p with shift = -exp2_r p, whose whole part is
+        # applied by ldexp. p_hi, p to 42 significant bits (Veltkamp's split),
+        # times |exp2_r| < 2**11 is exact, and so is its fraction; only the
+        # remainder's tiny share of the fraction rounds. The split is NaN for
+        # a p that is not finite or is past DBL_MAX / 2049
+        p_hi = 2049.0 * p - (2049.0 * p - p)
+        shift = -exp2_r * p_hi
         try:
-            k = math.ldexp(k * 2.0 ** (shift - round(shift)), exp2 + round(shift))
-        except (OverflowError, ValueError):  # k past the float range, or p not finite
+            whole = round(shift)
+            k = math.ldexp(k * 2.0 ** (shift - whole - exp2_r * (p - p_hi)), exp2 + whole)
+        except (OverflowError, ValueError):  # k past the float range, or a NaN split
             k = math.nan
         rms = math.nan
         if 0.0 < k < math.inf:

@@ -5,25 +5,25 @@ stationary states are sqrt(2/a) sin(n pi x / a), energies are
 n^2 pi^2 hbar^2 / (2 m a^2), and time evolution of a superposition is a sum
 of phase factors exp(-i E_n t / hbar) on the expansion coefficients.
 
-psi_1 and psi_2 come from one pass, stacked as two rows, with one ufunc
-call per step. One NaN-skipping min and max check the positions, and reject
-a well so wide that the phase n pi x overflows inside it; the wall mask runs
+psi_1 and psi_2 come from one pass, stacked as two rows, with one ufunc call
+per step. One NaN-skipping min and max check the positions, and reject a
+well so wide that the phase n pi x overflows inside it; the wall mask runs
 only when one of them lies on a wall. The density kernels share one private
 grid type. When it is built, it checks the positions and the times once and
 computes every state-independent factor of one (x, t) grid, each kept once:
-the modes, the phases e^{-i w1 t} and e^{-i w2 t} and the mode squares,
-each stacked on a first axis and padded to at least one grid axis, and
-e^{i dw t} and 2 psi_1 psi_2. evaluate_psi, density_exact,
-density_closed_form and norm_integral build one grid per call, and verify
-one per check. The grid forms psi in one complex work array, as one product
-of the coefficient-weighted modes and the phases and one sum of its halves;
-its densities generator squares that sum in place through its float view
-for each of a sequence of states, and density_exact is its one-state case.
-No factor is a numpy scalar, so a scalar x or t runs the arithmetic of a
-one-element array and gets its bits, as in every public kernel. A density
-is at most 4 (|c1|^2 + |c2|^2) / a; only where that bound is not a finite
-float do the kernels that take a state run without overflow warnings and
-test their result, raising ValueError where it overflows.
+the modes and the phases e^{-i w1 t} and e^{-i w2 t}, each stacked on a
+first axis and padded to at least one grid axis, and e^{i dw t}; the closed
+form squares the modes and multiplies them itself. evaluate_psi,
+density_exact, density_closed_form and norm_integral build one grid per
+call, and verify one per check. The grid forms psi in one complex work
+array, as one product of the coefficient-weighted modes and the phases and
+one sum of its halves; its densities generator squares that sum in place
+through its float view for each of a sequence of states, and density_exact
+is its one-state case. No factor is a numpy scalar, so a scalar x or t runs
+the arithmetic of a one-element array and gets its bits, as in every public
+kernel. A density is at most 4 (|c1|^2 + |c2|^2) / a; only where that bound
+is not a finite float do the kernels that take a state run without overflow
+warnings and test their result, raising ValueError where it overflows.
 """
 
 from __future__ import annotations
@@ -304,14 +304,14 @@ class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
     The positions and the times (omega_2 t must be finite) are checked, and
-    each factor is computed once, when the grid is built: the modes, the
-    phases e^{-i w1 t}, e^{-i w2 t} and the mode squares, each stacked on a
-    first axis and padded with unit axes to the grid's rank, at least one,
-    in its own broadcast shape, never copied out to the full grid, and
-    e^{i dw t} and 2 psi_1 psi_2, built from the padded stacks. No factor is
-    a numpy scalar, so scalar x and t run the arithmetic of one-element
-    arrays and get their bits. shape is the broadcast shape of x and t; the
-    results keep at least one axis, and the public kernels reshape them to it.
+    each factor is computed once, when the grid is built: the modes and the
+    phases e^{-i w1 t} and e^{-i w2 t}, each stacked on a first axis and
+    padded with unit axes to the grid's rank, at least one, in its own
+    broadcast shape, never copied out to the full grid, and e^{i dw t},
+    built from the padded times. No factor is a numpy scalar, so scalar x
+    and t run the arithmetic of one-element arrays and get their bits. shape
+    is the broadcast shape of x and t; the results keep at least one axis,
+    and the public kernels reshape them to it.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
@@ -327,8 +327,6 @@ class _Grid:
         ts = ts.reshape((1,) * (rank - ts.ndim) + ts.shape)
         self.phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
         self.beat = np.exp(1j * cfg._dw * ts)
-        self.two_p1p2 = 2.0 * self.modes[0] * self.modes[1]
-        self.squares = np.square(self.modes)
 
     def psi(self, state: TwoStateSuperposition, work=None) -> np.ndarray:
         """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}: [c1, c2] times the modes,
@@ -356,11 +354,14 @@ class _Grid:
         return next(self.densities([state]))[1]
 
     def density_closed_form(self, state: TwoStateSuperposition, out=None) -> np.ndarray:
-        """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}];
-        with a float array out of the grid's shape, the result is written there."""
-        osc = np.real(state.c1 * np.conj(state.c2) * self.beat)
-        static = abs(state.c1) ** 2 * self.squares[0] + abs(state.c2) ** 2 * self.squares[1]
-        return np.add(static, np.multiply(self.two_p1p2, osc, out=out), out=out)
+        """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + psi_1 psi_2 Re[2 c1 conj(c2) e^{i dw t}];
+        with a float array out of the grid's shape, the result is written there.
+        The factor 2 scales the oscillating term, exactly, so the product of
+        the modes stays within the 2/a that WellConfig keeps finite."""
+        psi_1, psi_2 = self.modes
+        osc = np.real(2.0 * state.c1 * np.conj(state.c2) * self.beat)
+        static = abs(state.c1) ** 2 * np.square(psi_1) + abs(state.c2) ** 2 * np.square(psi_2)
+        return np.add(static, np.multiply(psi_1 * psi_2, osc, out=out), out=out)
 
 
 def _no_overflow(cfg: WellConfig, state: TwoStateSuperposition, bound: float, what: str,
@@ -387,22 +388,21 @@ def _no_overflow(cfg: WellConfig, state: TwoStateSuperposition, bound: float, wh
     return result
 
 
-def _on_grid(kernel, cfg: WellConfig, state: TwoStateSuperposition, x, t) -> np.ndarray:
-    """kernel, a _Grid method, for one state on the grid of x and t, in their
-    broadcast shape."""
-    return kernel(grid := _Grid(cfg, x, t), state).reshape(grid.shape)
-
-
 def _one_state(kernel, what: str, cfg: WellConfig, state: TwoStateSuperposition, x, t):
-    """_on_grid, where what names the result in an overflow's ValueError.
+    """kernel, a _Grid method, for one state on the grid of x and t, in their
+    broadcast shape; what names the result in an overflow's ValueError.
 
-    |Psi|^2 <= (|c1|^2 + |c2|^2)(psi_1^2 + psi_2^2) <= 4 (|c1|^2 + |c2|^2) / a
-    bounds every step of the kernels, and the grid's 2 psi_1 psi_2 is at most
-    4/a, which is finite wherever that bound is."""
-    return _ret(_no_overflow(cfg, state, 4.0, what, x, _on_grid, kernel, cfg, state, x, t))
+    (|c1 psi_1| + |c2 psi_2|)^2 <= (|c1|^2 + |c2|^2)(psi_1^2 + psi_2^2)
+    <= 4 (|c1|^2 + |c2|^2) / a bounds |Psi|^2 and every step of the kernels."""
+    return _ret(_no_overflow(cfg, state, 4.0, what, x, lambda: kernel(
+        grid := _Grid(cfg, x, t), state).reshape(grid.shape)))
 
 
 _NORM_INTERVALS = 2048
+# a Simpson sum's weights 1, 4, 2, ..., 4, 1 add up to 3 _NORM_INTERVALS, each
+# on a density of at most 4 (|c1|^2 + |c2|^2) / a: the sum is at most this
+# bound times (|c1|^2 + |c2|^2) / a
+_NORM_SUM_BOUND = 12 * _NORM_INTERVALS
 
 
 def _norm_grid(cfg: WellConfig, t) -> _Grid:
@@ -439,7 +439,10 @@ def density_closed_form(cfg: WellConfig, state: TwoStateSuperposition, x, t):
         |c1|^2 psi_1^2 + |c2|^2 psi_2^2 + 2 psi_1 psi_2 Re[c1 conj(c2) e^{i dw t}]
 
     Matches density_exact to near machine precision; the interference term
-    carries the only time dependence, at the beat frequency dw.
+    carries the only time dependence, at the beat frequency dw. It is formed
+    as psi_1 psi_2 Re[2 c1 conj(c2) e^{i dw t}], whose factors stay within
+    2/a and |c1|^2 + |c2|^2, so on a well narrower than 4/DBL_MAX it returns
+    the density of a small state as density_exact does.
     """
     return _one_state(_Grid.density_closed_form, "the density", cfg, state, x, t)
 
@@ -457,8 +460,7 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
     instant's scalar bits. A Simpson sum that overflows, as it may on a well
     narrower than about 1.4e-304 or for a large state, raises ValueError.
     """
-    # 2 + 4 * 1024 + 2 * 1023 = 6144 densities of at most 4 (|c1|^2 + |c2|^2) / a
-    return _ret(_no_overflow(cfg, state, 24576.0, "the Simpson norm", None,
+    return _ret(_no_overflow(cfg, state, _NORM_SUM_BOUND, "the Simpson norm", None,
                              lambda: _simpson_norm(cfg, _norm_grid(cfg, t).density_exact(state))))
 
 

@@ -425,7 +425,8 @@ class TestOverflow:
     """A kernel whose result overflows raises ValueError naming the state and
     the well, with no numpy warning."""
 
-    NARROW = WellConfig(1.5e-308, 1e308, 1e-308)  # 4/a, so 2 psi_1 psi_2, overflows
+    # the bound 4/a overflows, and the equal mix's density with it
+    NARROW = WellConfig(1.5e-308, 1e308, 1e-308)
     LARGE = (WellConfig(1e-100, 1e100, 1e-100), TwoStateSuperposition(1e150, 1e150))
 
     @pytest.mark.parametrize("kernel, what, cfg, state", [
@@ -446,25 +447,53 @@ class TestOverflow:
                 kernel(cfg, state, xs, 0.0)
 
     def test_narrow_well_without_overflow(self):
-        # on a well narrower than 4/DBL_MAX the grid's 2 psi_1 psi_2 is inf at
-        # a/4, yet psi and the density of a small state are finite, and are
-        # returned without a warning; only the closed form, which reads that
-        # factor, overflows. A NaN position still gives NaN
+        # on a well narrower than 4/DBL_MAX, 2 psi_1 psi_2 is inf at a/4, yet
+        # psi and the density of a small state are finite, and are returned
+        # without a warning, by the closed form too, which puts the 2 on its
+        # oscillating term. A NaN position still gives NaN
         cfg, state = self.NARROW, TwoStateSuperposition(1e-10, 1e-10)
         xs = [0.5 * cfg.width_a, 0.25 * cfg.width_a, math.nan]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             psi = evaluate_psi(cfg, state, xs, 0.0)
             rho = density_exact(cfg, state, xs, 0.0)
+            closed = density_closed_form(cfg, state, xs, 0.0)
             avg = time_avg_density(cfg, state, xs)
-            with pytest.raises(ValueError, match="the density of c1="):
-                density_closed_form(cfg, state, xs, 0.0)
         assert np.isfinite(psi[:2]).all() and np.isfinite(rho[:2]).all()
-        assert np.isnan(rho[2]) and np.isnan(avg[2])
+        assert closed[:2].tolist() == pytest.approx(rho[:2].tolist(), rel=1e-12, abs=0.0)
+        assert np.isnan(rho[2]) and np.isnan(closed[2]) and np.isnan(avg[2])
         # sin(pi/2) = 1 and |sin(pi)| < 2e-16, so psi_1 = sqrt(2/a) and psi_2 is
         # about 0 there
         assert rho[0] == pytest.approx(2e-20 / cfg.width_a, rel=1e-12)
         assert avg[0] == pytest.approx(2e-20 / cfg.width_a, rel=1e-12)
+
+    def test_closed_form_on_narrow_wells(self):
+        # no factor of the closed form exceeds 2/a or |c1|^2 + |c2|^2, so on
+        # wells narrower than 4/DBL_MAX it is finite, without a warning,
+        # wherever the density is well inside the float range, and it agrees
+        # with the density there within closed-form-equivalence's tolerance
+        rng = np.random.default_rng(40)
+        checked = 0
+        for a in np.linspace(1.2e-308, 2.2e-308, 6).tolist():
+            cfg = WellConfig(a, 1e308, 1e-308)
+            for _ in range(8):
+                c = rng.standard_normal(4) * 10.0 ** rng.uniform(-10.0, -0.5)
+                state = TwoStateSuperposition(complex(c[0], c[1]), complex(c[2], c[3]))
+                t = float(rng.uniform(0.0, beat_period(cfg)))
+                for x in np.linspace(0.0, a, 33).tolist():
+                    try:
+                        rho = density_exact(cfg, state, x, t)
+                    except ValueError:  # the density itself overflows
+                        continue
+                    if rho >= sys.float_info.max / 8.0:
+                        continue
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        closed = density_closed_form(cfg, state, x, t)
+                    assert math.isfinite(closed), (a, state, x)
+                    assert abs(closed - rho) <= 1e-12 * (state.norm_sq() / a), (a, state, x)
+                    checked += 1
+        assert checked > 1000
 
     def test_large_state_psi_and_nan_positions(self):
         # psi of the large state stays below DBL_MAX, and a NaN position on
