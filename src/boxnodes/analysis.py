@@ -6,8 +6,10 @@ node x(t) = (a/pi) arccos(-A cos(dw t)) swings between (a/pi) arccos(+-|A|),
 so its excursion from the well center is (a/pi) arcsin|A|, and the
 reflection x(t) + x(t + T/2) = a puts its time average at a/2. Averaging the
 density over a beat period removes the interference term and leaves
-|c1|^2 psi_1^2 + |c2|^2 psi_2^2. All of these are evaluated in closed form;
-verify measures them independently.
+|c1|^2 psi_1^2 + |c2|^2 psi_2^2, the static term of density_closed_form:
+time_avg_density and heatmap form it by that term's kernel,
+well._static_density. All of these are evaluated in closed form; verify
+measures them independently.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .well import (TwoStateSuperposition, WellConfig, _count, _modes, _no_overflow, _ret,
-                   _uniform_times)
+                   _static_density, _uniform_times)
 
 __all__ = [
     "SweepSpec",
@@ -299,21 +301,14 @@ def time_avg_density(cfg: WellConfig, state: TwoStateSuperposition, x):
     """|Psi|^2 averaged over one beat period at position(s) x.
 
     The interference term oscillates at dw and averages to zero, which leaves
-    |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2.
+    |c1|^2 psi_1(x)^2 + |c2|^2 psi_2(x)^2, the static term of
+    density_closed_form, with its bits.
     """
-    # at most (|c1|^2 + |c2|^2) 2/a, inside the bound of the other density kernels
-    return _ret(_no_overflow(cfg, state, 4.0, "the time-averaged density", x,
-                             _static_density, cfg, state, x))
-
-
-def _static_density(cfg: WellConfig, state: TwoStateSuperposition, x) -> np.ndarray:
-    """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 at x, the modes squared and weighted in place."""
     squares = _modes(cfg, x)
     np.square(squares, out=squares)
-    p1_sq, p2_sq = squares[0, ...], squares[1, ...]  # 0-d for a scalar x
-    p1_sq *= abs(state.c1) ** 2
-    p2_sq *= abs(state.c2) ** 2
-    return np.add(p1_sq, p2_sq, out=p1_sq)
+    # at most (|c1|^2 + |c2|^2) 2/a, inside the bound of the other density kernels
+    return _ret(_no_overflow(cfg, state, 4.0, "the time-averaged density", x,
+                             _static_density, squares, abs(state.c1) ** 2, abs(state.c2) ** 2))
 
 
 def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
@@ -321,16 +316,14 @@ def heatmap(cfg: WellConfig, x_count: int, mix_count: int) -> HeatmapGrid:
 
     Row i uses the state (c1, c2) = (cos theta_i, sin theta_i), sweeping from
     the pure ground state to the pure first excited state; its average
-    density is cos^2 theta_i psi_1^2 + sin^2 theta_i psi_2^2.
+    density is cos^2 theta_i psi_1^2 + sin^2 theta_i psi_2^2, with the bits
+    of time_avg_density for that state at x_values.
     """
     if _count("x_count", x_count) < 8 or _count("mix_count", mix_count) < 8:
         raise ValueError("heatmap grid needs at least 8 points per axis")
     xs = _uniform_times(0.0, cfg.width_a, x_count)
     thetas = _uniform_times(0.0, math.pi / 2.0, mix_count)
-    weights = np.empty((2, mix_count))
-    np.cos(thetas, out=weights[0])
-    np.sin(thetas, out=weights[1])
-    np.square(weights, out=weights)
     # cos^2 and sin^2 as columns times psi_1^2 and psi_2^2 as rows
-    terms = np.multiply(weights[:, :, None], np.square(_modes(cfg, xs))[:, None, :])
-    return HeatmapGrid(x_values=xs, mix_values=thetas, values=np.add(terms[0], terms[1]))
+    columns = thetas[:, None]
+    return HeatmapGrid(x_values=xs, mix_values=thetas, values=_static_density(
+        np.square(_modes(cfg, xs)), np.square(np.cos(columns)), np.square(np.sin(columns))))

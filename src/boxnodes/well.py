@@ -12,18 +12,21 @@ only when one of them lies on a wall. The density kernels share one private
 grid type. When it is built, it checks the positions and the times once and
 computes every state-independent factor of one (x, t) grid, each kept once:
 the modes and the phases e^{-i w1 t} and e^{-i w2 t}, each stacked on a
-first axis and padded to at least one grid axis, and e^{i dw t}; the closed
-form squares the modes and multiplies them itself. evaluate_psi,
-density_exact, density_closed_form and norm_integral build one grid per
-call, and verify one per check. The grid forms psi in one complex work
-array, as one product of the coefficient-weighted modes and the phases and
-one sum of its halves; its densities generator squares that sum in place
-through its float view for each of a sequence of states, and density_exact
-is its one-state case. No factor is a numpy scalar, so a scalar x or t runs
-the arithmetic of a one-element array and gets its bits, as in every public
-kernel. A density is at most 4 (|c1|^2 + |c2|^2) / a; only where that bound
-is not a finite float do the kernels that take a state run without overflow
-warnings and test their result, raising ValueError where it overflows.
+first axis and padded to at least one grid axis, and e^{i dw t}.
+evaluate_psi, density_exact, density_closed_form and norm_integral build one
+grid per call, and verify one per check. One kernel, _static_density,
+weights the squared modes into |c1|^2 psi_1^2 + |c2|^2 psi_2^2: the closed
+form's static term, which is also the beat-period average of the density
+that analysis.time_avg_density and analysis.heatmap return. The grid forms
+psi in one complex work array, as one product of the coefficient-weighted
+modes and the phases and one sum of its halves; its densities generator
+squares that sum in place through its float view for each of a sequence of
+states, and density_exact is its one-state case. No factor is a numpy
+scalar, so a scalar x or t runs the arithmetic of a one-element array and
+gets its bits, as in every public kernel. A density is at most
+4 (|c1|^2 + |c2|^2) / a; only where that bound is not a finite float do the
+kernels that take a state run without overflow warnings and test their
+result, raising ValueError where it overflows.
 """
 
 from __future__ import annotations
@@ -176,6 +179,20 @@ def _modes(cfg: WellConfig, x, n_pi: np.ndarray = _MODE_N_PI) -> np.ndarray:
     if not (lo > 0.0 and hi < a):
         np.copyto(modes, 0.0, where=(xs == 0.0) | (xs == a))
     return modes
+
+
+def _static_density(squares: np.ndarray, w1, w2):
+    """w1 psi_1^2 + w2 psi_2^2 from squares, psi_1^2 and psi_2^2 stacked on a
+    first axis: each weight times its row, then their sum into the first
+    product. The weights are floats or arrays that broadcast against a row;
+    with 0-d rows the result is a numpy scalar.
+
+    This is the beat-period average of the density of a state with
+    |c1|^2 = w1 and |c2|^2 = w2, and the static part of its closed form.
+    """
+    static = w1 * squares[0, ...]
+    static += w2 * squares[1, ...]
+    return static
 
 
 def _ret(values):
@@ -360,7 +377,7 @@ class _Grid:
         the modes stays within the 2/a that WellConfig keeps finite."""
         psi_1, psi_2 = self.modes
         osc = np.real(2.0 * state.c1 * np.conj(state.c2) * self.beat)
-        static = abs(state.c1) ** 2 * np.square(psi_1) + abs(state.c2) ** 2 * np.square(psi_2)
+        static = _static_density(np.square(self.modes), abs(state.c1) ** 2, abs(state.c2) ** 2)
         return np.add(static, np.multiply(psi_1 * psi_2, osc, out=out), out=out)
 
 

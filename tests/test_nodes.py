@@ -326,6 +326,15 @@ class TestExactZeroTimes:
             UNIT, state, period_count=2, grid_n=64, samples_per_period=16).tolist()
 
     @pytest.mark.parametrize("c1", [0.6, 0.0, 2.0])
+    @pytest.mark.parametrize("name", ["grid_n", "samples_per_period"])
+    def test_scan_resolution_below_16_rejected(self, c1, name):
+        # grid_n has no effect, but both counts are still held to 16
+        state = TwoStateSuperposition(c1, 0.8)
+        with pytest.raises(ValueError, match=r"^scan resolution too small$"):
+            exact_zero_times(UNIT, state, **{name: 15})
+        assert exact_zero_times(UNIT, state, **{name: 16}).dtype == np.float64
+
+    @pytest.mark.parametrize("c1", [0.6, 0.0, 2.0])
     def test_every_branch_returns_a_float_array(self, c1):
         # the half-period instants keep the bits of k * 0.5 * T in Python floats
         for cfg in (UNIT, WellConfig(1.37, 0.6, 1.9)):
@@ -729,6 +738,17 @@ class TestTrackTrajectory:
         got = track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, np.int64(8), np.int32(64))
         want = track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8, 64)
         assert got.positions.tobytes() == want.positions.tobytes()
+
+    @pytest.mark.parametrize("kind", [NodeKind.REAL_PART_ZERO, NodeKind.DENSITY_MINIMUM])
+    def test_grid_below_16_rejected_for_the_numeric_kinds(self, kind):
+        # grid_n has no effect, but the numeric kinds still hold it to 16
+        with pytest.raises(ValueError, match=r"^grid_n too small to isolate nodes$"):
+            track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8, grid_n=15)
+        assert track_trajectory(UNIT, EQUAL_MIX, kind, 0.0, T, 8, grid_n=16).times.shape == (8,)
+
+    def test_analytic_kind_takes_any_grid(self):
+        got = track_trajectory(UNIT, EQUAL_MIX, NodeKind.ANALYTIC, 0.0, T, 8, grid_n=15)
+        assert got.times.shape == (8,)
 
     @pytest.mark.parametrize("kind", list(NodeKind))
     def test_overflowing_window_width_rejected(self, kind):

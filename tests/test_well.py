@@ -780,6 +780,37 @@ class TestKernelBits:
             eigenfunction(UNIT, 0, -1.0)
 
 
+class TestStaticDensity:
+    """The beat-period average |c1|^2 psi_1^2 + |c2|^2 psi_2^2 is the static
+    term of the closed form, and the heatmap is that average for the states
+    (cos theta, sin theta): one kernel forms all three, so each identity
+    holds bit for bit on every well of the kernel sample."""
+
+    def test_heatmap_rows_are_time_averages(self):
+        rng = np.random.default_rng(41)
+        for cfg in _WELLS:
+            x_count, mix_count = (int(n) for n in rng.integers(8, 40, 2))
+            grid = heatmap(cfg, x_count, mix_count)
+            thetas = grid.mix_values
+            for row, c1, c2 in zip(grid.values, np.cos(thetas).tolist(),
+                                   np.sin(thetas).tolist()):
+                _same_bits(row, time_avg_density(cfg, TwoStateSuperposition(c1, c2),
+                                                 grid.x_values))
+
+    def test_closed_form_at_zero_is_the_time_average(self):
+        # c1 conj(c2) is purely imaginary, so at t = 0, where e^{i dw t} is
+        # exactly 1, the interference factor is a zero and adds nothing
+        rng = np.random.default_rng(42)
+        for cfg in _WELLS:
+            xs, _ = kernel_bits.edge_positions(cfg.width_a, rng)
+            c = rng.standard_normal(2) * 10.0 ** float(rng.uniform(-100.0, 100.0))
+            for state in (TwoStateSuperposition(0.6, 0.8j),
+                          TwoStateSuperposition(c[0], 1j * c[1])):
+                for x in xs + [rng.uniform(0.0, cfg.width_a, (3, 5))]:
+                    _same_bits(density_closed_form(cfg, state, x, 0.0),
+                               time_avg_density(cfg, state, x))
+
+
 class TestGridReuse:
     """verify evaluates its random states on one grid with its densities
     generator, which reuses one result array; each result must keep the
