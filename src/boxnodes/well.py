@@ -370,15 +370,15 @@ class _Grid:
         """|Psi|^2 through the complex wavefunction: densities for one state."""
         return next(self.densities([state]))[1]
 
-    def density_closed_form(self, state: TwoStateSuperposition, out=None) -> np.ndarray:
-        """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + psi_1 psi_2 Re[2 c1 conj(c2) e^{i dw t}];
-        with a float array out of the grid's shape, the result is written there.
-        The factor 2 scales the oscillating term, exactly, so the product of
-        the modes stays within the 2/a that WellConfig keeps finite."""
+    def density_closed_form(self, state: TwoStateSuperposition) -> np.ndarray:
+        """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + psi_1 psi_2 Re[2 c1 conj(c2) e^{i dw t}]:
+        the oscillating term in a fresh array, and the static term added into
+        it. The factor 2 scales the oscillating term, exactly, so the product
+        of the modes stays within the 2/a that WellConfig keeps finite."""
         psi_1, psi_2 = self.modes
-        osc = np.real(2.0 * state.c1 * np.conj(state.c2) * self.beat)
-        static = _static_density(np.square(self.modes), abs(state.c1) ** 2, abs(state.c2) ** 2)
-        return np.add(static, np.multiply(psi_1 * psi_2, osc, out=out), out=out)
+        rho = psi_1 * psi_2 * np.real(2.0 * state.c1 * np.conj(state.c2) * self.beat)
+        rho += _static_density(np.square(self.modes), abs(state.c1) ** 2, abs(state.c2) ** 2)
+        return rho
 
 
 def _no_overflow(cfg: WellConfig, state: TwoStateSuperposition, bound: float, what: str,

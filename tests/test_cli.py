@@ -3,8 +3,12 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -612,6 +616,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         # no numpy warning reaches stderr ahead of the error
         assert not caught and "Warning" not in err
+
+
+def _run_module(*argv):
+    """python -W error -m boxnodes.cli argv in a fresh process, with the
+    package from this tree's src/."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-W", "error", "-m", "boxnodes.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+class TestModuleEntry:
+    """python -m boxnodes.cli: the module's __main__ guard makes main's return
+    value the process's exit code."""
+
+    def test_verify_exits_0_with_the_stdout_of_main(self, capsys):
+        proc = _run_module("verify", "--a", "1.3", "--seed", "5")
+        assert main(["verify", "--a", "1.3", "--seed", "5"]) == 0
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_bad_input_exits_2(self, tmp_path):
+        proc = _run_module("trajectory", "--c1", "nan", "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+    def test_unwritable_output_exits_3(self, tmp_path):
+        proc = _run_module("heatmap", "--out", str(tmp_path))
+        assert proc.returncode == 3 and proc.stderr.startswith("error:")
 
 
 class TestOutputSpec:
