@@ -11,17 +11,20 @@ well so wide that the phase n pi x overflows inside it; the wall mask runs
 only when one of them lies on a wall. The density kernels share one private
 grid type. When it is built, it checks the positions and the times once and
 computes every state-independent factor of one (x, t) grid, each kept once:
-the modes and the phases e^{-i w1 t} and e^{-i w2 t}, each stacked on a
-first axis and padded to at least one grid axis, and e^{i dw t}.
-evaluate_psi, density_exact, density_closed_form and norm_integral build one
-grid per call, and verify one per check. One kernel, _static_density,
-weights the squared modes into |c1|^2 psi_1^2 + |c2|^2 psi_2^2: the closed
-form's static term, which is also the beat-period average of the density
-that analysis.time_avg_density and analysis.heatmap return. The grid forms
-psi in one complex work array, as one product of the coefficient-weighted
-modes and the phases and one sum of its halves; its densities generator
-squares that sum in place through its float view for each of a sequence of
-states, and density_exact is its one-state case. No factor is a numpy
+the modes, stacked on a first axis, and e^{i dw t}, each padded to at least
+one grid axis. evaluate_psi, density_exact, density_closed_form and
+norm_integral build one grid per call, and verify one per check. One
+kernel, _static_density, weights the squared modes into
+|c1|^2 psi_1^2 + |c2|^2 psi_2^2: the closed form's static term, which is
+also the beat-period average of the density that analysis.time_avg_density
+and analysis.heatmap return. A density depends on time only through the
+relative phase: |Psi|^2 = |c1 psi_1 + c2 psi_2 e^{-i dw t}|^2, as the
+global phase e^{-i w1 t} drops out. So the grid's densities generator forms
+the wave psi_2 e^{-i dw t} once, on the full grid, and for each of a
+sequence of states scales it by c2 into one complex work array, adds
+c1 psi_1 and squares that sum in place through its float view;
+density_exact is its one-state case. Only psi, the wavefunction itself,
+builds the two phases e^{-i w1 t} and e^{-i w2 t}. No factor is a numpy
 scalar, so a scalar x or t runs the arithmetic of a one-element array and
 gets its bits, as in every public kernel. A density is at most
 4 (|c1|^2 + |c2|^2) / a; only where that bound is not a finite float do the
@@ -321,54 +324,69 @@ class _Grid:
     """The state-independent factors of the density kernels on one (x, t) grid.
 
     The positions and the times (omega_2 t must be finite) are checked, and
-    each factor is computed once, when the grid is built: the modes and the
-    phases e^{-i w1 t} and e^{-i w2 t}, each stacked on a first axis and
-    padded with unit axes to the grid's rank, at least one, in its own
-    broadcast shape, never copied out to the full grid, and e^{i dw t},
-    built from the padded times. No factor is a numpy scalar, so scalar x
-    and t run the arithmetic of one-element arrays and get their bits. shape
-    is the broadcast shape of x and t; the results keep at least one axis,
-    and the public kernels reshape them to it.
+    each factor is computed once, when the grid is built: the modes, stacked
+    on a first axis, and e^{i dw t}, each padded with unit axes to the
+    grid's rank, at least one, in its own broadcast shape, never copied out
+    to the full grid. The padded times stay for psi, which alone needs the
+    two phases. No factor is a numpy scalar, so scalar x and t run the
+    arithmetic of one-element arrays and get their bits. shape is the
+    broadcast shape of x and t; the results keep at least one axis, and the
+    public kernels reshape them to it.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
         xs, ts = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
         # the shape of every public result, and the rank, at least one, to
         # which the positions and the times are padded with unit axes, so
-        # that the stacks broadcast against each other behind their common
+        # that the factors broadcast against each other behind the modes'
         # first axis
         self.shape = np.broadcast_shapes(xs.shape, ts.shape)
         rank = max(len(self.shape), 1)
         self.modes = _modes(cfg, xs.reshape((1,) * (rank - xs.ndim) + xs.shape))
         _check_phase(cfg, ts)
-        ts = ts.reshape((1,) * (rank - ts.ndim) + ts.shape)
-        self.phases = np.stack([np.exp(-1j * cfg._omega_1 * ts), np.exp(-1j * cfg._omega_2 * ts)])
-        self.beat = np.exp(1j * cfg._dw * ts)
+        self._cfg, self._ts = cfg, ts.reshape((1,) * (rank - ts.ndim) + ts.shape)
+        self.beat = np.exp(1j * cfg._dw * self._ts)
 
-    def psi(self, state: TwoStateSuperposition, work=None) -> np.ndarray:
+    def psi(self, state: TwoStateSuperposition) -> np.ndarray:
         """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}: [c1, c2] times the modes,
-        times the phases into work, and its halves added into work[0], which
-        is returned. work is a complex array of the stacks' broadcast shape,
-        made here when not given."""
+        times the phases, and its halves added into the first."""
+        w1, w2, ts = self._cfg._omega_1, self._cfg._omega_2, self._ts
+        phases = np.stack([np.exp(-1j * w1 * ts), np.exp(-1j * w2 * ts)])
         coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
-        work = np.multiply(coeffs * self.modes, self.phases, out=work)
+        work = np.multiply(coeffs * self.modes, phases)
         return np.add(work[0], work[1], out=work[0])
+
+    def _wave(self) -> np.ndarray:
+        """psi_2 e^{-i dw t} on the full grid, in a fresh complex array: a
+        complex copy of psi_2 times conj(e^{i dw t})."""
+        return np.multiply(self.modes[1].astype(complex), np.conj(self.beat))
+
+    def _density(self, state: TwoStateSuperposition, z: np.ndarray, out=None) -> np.ndarray:
+        """|c1 psi_1 + z|^2, z = c2 psi_2 e^{-i dw t}: c1 psi_1 added into z,
+        z's float view squared in place, and its even (real) and odd
+        (imaginary) columns added into out."""
+        z += state.c1 * self.modes[0]
+        z = z.view(float)
+        np.square(z, out=z)
+        return np.add(z[..., 0::2], z[..., 1::2], out=out)
 
     def densities(self, states):
         """Yield (state, |Psi|^2) for each state, in one result array, yielded
-        every time, and one work array for psi, both allocated once: psi's
-        float view squared in place, and its even (real) and odd (imaginary)
-        columns added into the result."""
-        out = np.empty(np.broadcast_shapes(self.modes.shape[1:], self.phases.shape[1:]))
-        work = np.empty((2, *out.shape), complex)
+        every time. |Psi|^2 = |c1 psi_1 + c2 psi_2 e^{-i dw t}|^2: the global
+        phase e^{-i w1 t} drops out, so the wave psi_2 e^{-i dw t} is formed
+        once, and each state costs c2 times it into one work array and the
+        steps of _density."""
+        wave = self._wave()
+        work, out = np.empty_like(wave), np.empty(wave.shape)
         for state in states:
-            z = self.psi(state, work).view(float)
-            np.square(z, out=z)
-            yield state, np.add(z[..., 0::2], z[..., 1::2], out=out)
+            yield state, self._density(state, np.multiply(wave, state.c2, out=work), out)
 
     def density_exact(self, state: TwoStateSuperposition) -> np.ndarray:
-        """|Psi|^2 through the complex wavefunction: densities for one state."""
-        return next(self.densities([state]))[1]
+        """|Psi|^2 through the complex wavefunction, up to its global phase:
+        densities for one state, with the wave scaled by c2 in place."""
+        z = self._wave()
+        z *= state.c2
+        return self._density(state, z)
 
     def density_closed_form(self, state: TwoStateSuperposition) -> np.ndarray:
         """|c1|^2 psi_1^2 + |c2|^2 psi_2^2 + psi_1 psi_2 Re[2 c1 conj(c2) e^{i dw t}]:
@@ -446,7 +464,8 @@ def evaluate_psi(cfg: WellConfig, state: TwoStateSuperposition, x, t):
 
 
 def density_exact(cfg: WellConfig, state: TwoStateSuperposition, x, t):
-    """|Psi(x, t)|^2 evaluated through the complex wavefunction."""
+    """|Psi(x, t)|^2 evaluated through the complex wavefunction, up to its
+    global phase: |c1 psi_1 + c2 psi_2 e^{-i dw t}|^2."""
     return _one_state(_Grid.density_exact, "the density", cfg, state, x, t)
 
 
@@ -469,10 +488,11 @@ def norm_integral(cfg: WellConfig, state: TwoStateSuperposition, t=0.0):
 
     t may be a scalar (giving a float) or an array (giving its shape). Time
     evolution is unitary, so the result equals |c1|^2 + |c2|^2 at any t up to
-    quadrature error (~1e-10). The density comes from the same grid type as
-    density_exact, built on the Simpson nodes with one row per instant, so a
-    caller that integrates many states can build that grid once and loop
-    over them with its densities generator. The sum runs in a fixed order,
+    quadrature error (~1e-10). The density is density_exact's, through the
+    relative phase e^{-i dw t}, on the same grid type built on the Simpson
+    nodes with one row per instant, so a caller that integrates many states
+    can build that grid once, form its wave psi_2 e^{-i dw t} once, and loop
+    over the states with its densities generator. The sum runs in a fixed order,
     so the result is reproducible bit for bit, and an array gives each
     instant's scalar bits. A Simpson sum that overflows, as it may on a well
     narrower than about 1.4e-304 or for a large state, raises ValueError.

@@ -5,6 +5,8 @@ Fraction, or in Decimal far past double precision, so its own rounding lies
 far below any bound a test asserts against it. One reference per quantity:
 
 - delta_omega: the beat frequency, as a Fraction;
+- density: |Psi|^2 at one point from the float modes and the float relative
+  phase dw t, through libm's cos and sin, as a Fraction;
 - minimum_v, density_minima and position_error: the density minimum, as the
   60-digit middle root of the derivative cubic whose coefficients are exact
   in c1, c2 and the floats cos(dw t) and sin(dw t) (position_error maps it
@@ -34,6 +36,23 @@ def delta_omega(a, m, hbar) -> Fraction:
     library uses."""
     return (Fraction(3, 2) * Fraction(math.pi) ** 2 * Fraction(hbar)
             / (Fraction(m) * Fraction(a) ** 2))
+
+
+def density(state, m1: float, m2: float, phase: float) -> Fraction:
+    """|c1 m1 + c2 m2 (cos phase - i sin phase)|^2 in exact rationals.
+
+    m1 and m2 are the floats psi_1(x) and psi_2(x) of eigenfunction, phase
+    the float dw t, and its cos and sin libm's: the density of the state up
+    to its global phase, on the inputs the library rounds to, so the
+    library's error against it is the error of its own arithmetic.
+    """
+    re1, im1, re2, im2 = map(Fraction, (state.c1.real, state.c1.imag,
+                                        state.c2.real, state.c2.imag))
+    cos, sin, m1, m2 = map(Fraction, (math.cos(phase), math.sin(phase), m1, m2))
+    # c2 e^{-i phase} = (re2 cos + im2 sin) + i (im2 cos - re2 sin)
+    re = re1 * m1 + m2 * (re2 * cos + im2 * sin)
+    im = im1 * m1 + m2 * (im2 * cos - re2 * sin)
+    return re * re + im * im
 
 
 def minimum_v(alpha, beta, gamma):

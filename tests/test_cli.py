@@ -401,7 +401,9 @@ class TestVerifyCommand:
     def test_peak_memory_of_one_run(self):
         # each random-state check lets its grid and work arrays go before the
         # next check builds its own, so one check's arrays are alive at a
-        # time, at most about 0.8 MiB on the Simpson grid of the norm checks
+        # time, at most about 0.8 MiB on the Simpson grid of the norm checks:
+        # the wave psi_2 e^{-i dw t} and one work array, both complex, and the
+        # float result; the whole run peaks at 0.96 MiB with numpy 2.4.6
         verify_module.run_verification(UNIT)  # its lazy imports stay out of the peak
         tracemalloc.start()
         try:
@@ -409,7 +411,7 @@ class TestVerifyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 2**20
+        assert peak <= 1.1 * 2**20
 
     @pytest.mark.parametrize("row, owner, name, tamper, error",
                              _TAMPERS + [(*case, None) for case in _NAN_TAMPERS],

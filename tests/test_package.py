@@ -137,3 +137,20 @@ def test_default_hypothesis_profile_draws_the_same_examples_on_every_run():
     assert not explore.derandomize
     if "HYPOTHESIS_PROFILE" not in os.environ:
         assert settings.default.derandomize and settings.default.database is None
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "set"])
+def test_conftest_sets_one_openblas_thread_before_numpy(given, expected):
+    # tests/conftest.py run as the session starts: with no value from the
+    # caller OpenBLAS gets one thread, a caller's value is kept, and nothing
+    # it imports has loaded numpy, which reads the variable when it loads
+    # OpenBLAS
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os, runpy, sys; runpy.run_path(sys.argv[1]); "
+            "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests" / "conftest.py")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", expected]
+    assert os.environ.get("OPENBLAS_NUM_THREADS")

@@ -840,3 +840,39 @@ class TestGridReuse:
             _same_bits(grid.density_closed_form(state), density_closed_form(cfg, state, x, t))
         # one result array, yielded for every state
         assert len(yielded) == 3 and all(rho is yielded[0] for rho in yielded)
+
+
+# the accuracy bound of the density kernels, in units of
+# eps (|c1|^2 + |c2|^2)(psi_1^2 + psi_2^2), which bounds |Psi|^2 and every
+# term of it; over these draws the worst is 1.84 units. The instants stay
+# within one beat period: a kernel that rounded the phases w1 t and w2 t
+# apart would add an error that grows with t
+DENSITY_EPS_UNITS = 8
+
+
+class TestDensityAccuracy:
+    """density_exact and the densities generator against exact.density, on
+    seeded wells, positions with the walls, instants over one beat period, and
+    complex states scaled by 10**-100, 1 and 10**100."""
+
+    def test_density_within_a_few_eps_of_the_exact_density(self):
+        rng = np.random.default_rng(43)
+        eps = sys.float_info.epsilon
+        for _ in range(16):
+            cfg = WellConfig(*(10.0 ** rng.uniform(-5.0, 5.0, 3)))
+            a, dw = cfg.width_a, delta_omega(cfg)
+            x = np.concatenate([[0.0, a], rng.uniform(0.0, a, 10)])
+            t = np.concatenate([[0.0, beat_period(cfg)], rng.uniform(0.0, beat_period(cfg), 6)])
+            m1, m2 = eigenfunction(cfg, 1, x), eigenfunction(cfg, 2, x)
+            states = [TwoStateSuperposition(*((rng.standard_normal(2)
+                                               + 1j * rng.standard_normal(2)) * 10.0 ** s))
+                      for s in (-100.0, 0.0, 100.0)]
+            grid = _Grid(cfg, x[:, None], t[None, :])
+            for state, yielded in grid.densities(states):
+                one_shot = density_exact(cfg, state, x[:, None], t[None, :])
+                for i, j in np.ndindex(one_shot.shape):
+                    want = exact.density(state, float(m1[i]), float(m2[i]), dw * float(t[j]))
+                    bound = DENSITY_EPS_UNITS * eps * state.norm_sq() * (m1[i] ** 2 + m2[i] ** 2)
+                    for rho in (one_shot, yielded):
+                        assert abs(Fraction(rho[i, j]) - want) <= Fraction(bound), \
+                            (cfg, state, x[i], t[j])
