@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Benchmark a change against a base commit in alternated pairs of runs.
 
-    python3 scripts/bench_pairs.py --base REV --out BENCH_<n>.json \\
-        [--workload W ...] [--pairs N] [--seconds S] [--seed0 K]
+    python3 scripts/bench_pairs.py --base REV --seed0 K --out BENCH_<n>.json \\
+        [--workload W ...] [--pairs N]
 
-Run from a checkout: the head side is the working tree this script lies in,
-the base side a `git archive` of REV written into a temporary directory.
-For each workload (all of BENCHMARK.json's by default) the script runs each
-side's own `perfbench/run.py --workload W --seed S --seconds S --trace 0` in
-N pairs. Pair i uses seed K + i; the base runs first in the even pairs and
-the head in the odd ones, so neither side always meets the host's state
-the other left behind. Both sides run without PYTHONDONTWRITEBYTECODE and
+Run from a checkout whose tracked files, and whose src/ and perfbench/,
+match its HEAD commit: the head side is that commit, as the working tree
+this script lies in, the base side a `git archive` of REV written into a
+temporary directory. For each workload (all of BENCHMARK.json's by default)
+the script runs each side's own
+`perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, for
+BENCHMARK.json's run_seconds, in N pairs (10 by default). Pair i uses seed
+K + i; the base runs first in the even pairs and the head in the odd ones,
+so neither side always meets the host's state the other left behind. Both sides run without PYTHONDONTWRITEBYTECODE and
 with PYTHONPYCACHEPREFIX set to one temporary cache, warmed by one import
 per side, so that setup_s times an import from bytecode whatever the
 caller's environment says.
@@ -20,9 +22,11 @@ active CPU dispatch groups), the Python and numpy versions, the protocol,
 `correct` and `failed` of every run, and per workload and end-to-end metric
 of BENCHMARK.json: the base and head medians, the base quartiles, the pairs
 in which the head read better, and the median's relative change against the
-metric's bound. Exit status: 0 when every run is correct and no median
-moves past its bound in the worse direction, 1 otherwise, 2 on bad input
-(an unknown workload or revision, a count below 1, a non-positive time).
+metric's bound. Exit status: 0 when every run is correct, no workload's
+median count of failed operations is higher on the head than on the base
+and no median moves past its bound in the worse direction, 1 otherwise, 2 on
+bad input (an unknown workload or revision, a count below 1, or a working
+tree that differs from HEAD, which the record could not name).
 """
 import argparse
 import io
@@ -98,10 +102,21 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def verdict(runs: list[dict], summary: dict) -> tuple[int, list[str]]:
-    """(exit status, reasons): 1 on a run that is not correct or a median past its bound."""
+    """(exit status, reasons): 1 on a run that is not correct, on a workload
+    whose head fails more operations than its base in the median, or on a
+    median past its bound."""
     reasons = [f"{run['workload']} pair {run['pair']} {run['side']} (seed {run['seed']}): "
                f"not correct" + (f" ({run['error']})" if run.get("error") else "")
                for run in runs if not run["correct"]]
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        failed = {side: statistics.median([run["failed"] for run in runs
+                                           if run["workload"] == workload
+                                           and run["side"] == side
+                                           and run["failed"] is not None] or [0])
+                  for side in ("base", "head")}
+        if failed["head"] > failed["base"]:
+            reasons.append(f"{workload} failed: the head's median {failed['head']} is above "
+                           f"the base's {failed['base']}")
     reasons += [f"{workload} {name}: the median moved {entry['change']:+.1%}, past its "
                 f"bound of {entry['bound']:.0%}"
                 for workload, table in summary.items() for name, entry in table.items()
@@ -147,9 +162,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--workload", action="append",
                         help="a workload of BENCHMARK.json, repeatable (default: all)")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed0", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed0", type=int, required=True,
+                        help="the seed of pair 0; choose one not used while writing")
     return parser.parse_args(argv)
 
 
@@ -166,17 +181,18 @@ def main(argv=None) -> int:
             raise BadInput(f"unknown workload {unknown[0]!r}; known: {', '.join(names)}")
         if args.pairs < 1:
             raise BadInput(f"--pairs must be at least 1, got {args.pairs}")
-        if not args.seconds > 0:
-            raise BadInput(f"--seconds must be positive, got {args.seconds!r}")
         try:
             base_sha = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
         except subprocess.CalledProcessError:
             raise BadInput(f"--base {args.base!r} names no commit") from None
+        if (git("status", "--porcelain", "--untracked-files=no")
+                or git("status", "--porcelain", "--", "src", "perfbench")):
+            raise BadInput("the working tree differs from HEAD; commit the change first")
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     head_sha = git("rev-parse", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         base_tree = Path(tmp) / "base"
         base_tree.mkdir()
@@ -197,7 +213,7 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 seed = args.seed0 + i
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    run = run_once(trees[side], workload, seed, args.seconds, env)
+                    run = run_once(trees[side], workload, seed, seconds, env)
                     runs.append({"workload": workload, "pair": i, "side": side,
                                  "seed": seed, **run})
                     print(f"{workload} pair {i} {side}: correct={run['correct']} "
@@ -208,11 +224,10 @@ def main(argv=None) -> int:
     record = {
         "base": base_sha,
         "head": head_sha,
-        "head_dirty": dirty,
         "host": machine,
         "protocol": {
             "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0",
-            "pairs": args.pairs, "seconds": args.seconds, "seed0": args.seed0,
+            "pairs": args.pairs, "seconds": seconds, "seed0": args.seed0,
             "order": "base first in even pairs, head first in odd pairs",
             "environment": "PYTHONDONTWRITEBYTECODE unset; PYTHONPYCACHEPREFIX a "
                            "temporary cache warmed by one import per side",

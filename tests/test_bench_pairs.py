@@ -83,11 +83,42 @@ def test_a_run_that_is_not_correct_exits_1():
     assert bench.summarize(runs, METRICS)["node-finders"]["wall_s"]["pairs"] == 2
 
 
+def test_a_head_that_fails_more_operations_exits_1():
+    runs = _runs("cli", base=[1.0] * 3, head=[1.0] * 3)
+    for run, failed in zip(runs, (0, 1, 0, 2, 1, 0)):  # base 0, 0, 1; head 1, 2, 0
+        run["failed"] = failed
+    status, reasons = bench.verdict(runs, bench.summarize(runs, METRICS))
+    assert status == 1
+    assert reasons == ["cli failed: the head's median 1 is above the base's 0"]
+    # as many failures in the median on both sides pass
+    for run in runs:
+        run["failed"] = 1
+    assert bench.verdict(runs, bench.summarize(runs, METRICS)) == (0, [])
+
+
 @pytest.mark.parametrize("argv", [
-    ["--pairs", "0"], ["--seconds", "0"], ["--seconds", "nan"], ["--workload", "nope"],
-    ["--pairs", "two"]], ids=["no-pairs", "no-seconds", "nan-seconds", "workload", "not-int"])
+    ["--pairs", "0", "--seed0", "1"], ["--workload", "nope", "--seed0", "1"],
+    ["--pairs", "two", "--seed0", "1"], ["--pairs", "3"]],
+    ids=["no-pairs", "workload", "not-int", "no-seed0"])
 def test_bad_input_exits_2_before_any_run(argv, tmp_path, capsys):
     out = tmp_path / "BENCH.json"
     assert bench.main(["--base", "HEAD", "--out", str(out), *argv]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("status", [
+    (" M src/boxnodes/well.py", ""), ("", "?? src/boxnodes/new.py")],
+    ids=["tracked-change", "untracked-source"])
+def test_a_tree_that_differs_from_head_exits_2(status, tmp_path, capsys, monkeypatch):
+    # the record names its head by the commit alone, so the measured tree must be it
+    replies = iter(status)
+
+    def git(*args):
+        return next(replies) if args[0] == "status" else "0" * 40
+
+    monkeypatch.setattr(bench, "git", git)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--base", "HEAD", "--seed0", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "differs from HEAD" in capsys.readouterr().err
