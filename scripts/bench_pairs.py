@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark a change against a base commit in alternated pairs of runs.
 
-    python3 scripts/bench_pairs.py --base REV --seed0 K --out BENCH_<n>.json \\
-        [--workload W ...] [--pairs N]
+    python3 scripts/bench_pairs.py --base REV --seed0 K --out BENCH_<n>.json
 
 Run from a checkout whose tracked files, and whose src/ and perfbench/,
 match its HEAD commit: the head side is that commit, as the working tree
 this script lies in, the base side a `git archive` of REV written into a
-temporary directory. For each workload (all of BENCHMARK.json's by default)
-the script runs each side's own
-`perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0`, for
-BENCHMARK.json's run_seconds, in N pairs (10 by default). Pair i uses seed
+temporary directory. For every workload of BENCHMARK.json the script runs
+each side's own `perfbench/run.py --workload W --seed S --seconds SECONDS
+--trace 0`, for BENCHMARK.json's run_seconds, in PAIRS = 10 pairs, so that
+every record covers the same workloads at the same count. Pair i uses seed
 K + i; the base runs first in the even pairs and the head in the odd ones,
 so neither side always meets the host's state the other left behind. Both sides run without PYTHONDONTWRITEBYTECODE and
 with PYTHONPYCACHEPREFIX set to one temporary cache, warmed by one import
@@ -25,8 +24,9 @@ in which the head read better, and the median's relative change against the
 metric's bound. Exit status: 0 when every run is correct, no workload's
 median count of failed operations is higher on the head than on the base
 and no median moves past its bound in the worse direction, 1 otherwise, 2 on
-bad input (an unknown workload or revision, a count below 1, or a working
-tree that differs from HEAD, which the record could not name).
+bad input (an unknown option or revision, or a working tree that differs
+from HEAD, which the record could not name). A quick look at one workload
+is `perfbench/run.py --workload W`.
 """
 import argparse
 import io
@@ -41,10 +41,13 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
-class BadInput(Exception):
-    """An argument the benchmark cannot run with (exit 2)."""
+def bad_input(message: str) -> int:
+    """Report an argument the benchmark cannot run with; exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def git(*args: str) -> str:
@@ -160,9 +163,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the base commit (any git revision)")
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
-    parser.add_argument("--workload", action="append",
-                        help="a workload of BENCHMARK.json, repeatable (default: all)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed0", type=int, required=True,
                         help="the seed of pair 0; choose one not used while writing")
     return parser.parse_args(argv)
@@ -174,23 +174,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's own exit 2 on a malformed argument
         return int(exc.code or 0)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workload or names
+    workloads = [w["name"] for w in spec["workloads"]]
     try:
-        if unknown := sorted(set(workloads) - set(names)):
-            raise BadInput(f"unknown workload {unknown[0]!r}; known: {', '.join(names)}")
-        if args.pairs < 1:
-            raise BadInput(f"--pairs must be at least 1, got {args.pairs}")
-        try:
-            base_sha = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
-        except subprocess.CalledProcessError:
-            raise BadInput(f"--base {args.base!r} names no commit") from None
-        if (git("status", "--porcelain", "--untracked-files=no")
-                or git("status", "--porcelain", "--", "src", "perfbench")):
-            raise BadInput("the working tree differs from HEAD; commit the change first")
-    except BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        base_sha = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        return bad_input(f"--base {args.base!r} names no commit")
+    if (git("status", "--porcelain", "--untracked-files=no")
+            or git("status", "--porcelain", "--", "src", "perfbench")):
+        return bad_input("the working tree differs from HEAD; commit the change first")
     head_sha = git("rev-parse", "HEAD")
     seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -210,7 +201,7 @@ def main(argv=None) -> int:
                            env={**env, "PYTHONPATH": str(tree / "src")})
         runs = []
         for workload in workloads:
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.seed0 + i
                 for side in ("base", "head") if i % 2 == 0 else ("head", "base"):
                     run = run_once(trees[side], workload, seed, seconds, env)
@@ -227,7 +218,8 @@ def main(argv=None) -> int:
         "host": machine,
         "protocol": {
             "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0",
-            "pairs": args.pairs, "seconds": seconds, "seed0": args.seed0,
+            "workloads": workloads, "pairs": PAIRS, "seconds": seconds,
+            "seed0": args.seed0,
             "order": "base first in even pairs, head first in odd pairs",
             "environment": "PYTHONDONTWRITEBYTECODE unset; PYTHONPYCACHEPREFIX a "
                            "temporary cache warmed by one import per side",

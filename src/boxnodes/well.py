@@ -23,13 +23,15 @@ global phase e^{-i w1 t} drops out. So the grid's densities generator forms
 the wave psi_2 e^{-i dw t} once, on the full grid, and for each of a
 sequence of states scales it by c2 into one complex work array, adds
 c1 psi_1 and squares that sum in place through its float view;
-density_exact is its one-state case. Only psi, the wavefunction itself,
-builds the two phases e^{-i w1 t} and e^{-i w2 t}. No factor is a numpy
-scalar, so a scalar x or t runs the arithmetic of a one-element array and
-gets its bits, as in every public kernel. A density is at most
-4 (|c1|^2 + |c2|^2) / a; only where that bound is not a finite float do the
-kernels that take a state run without overflow warnings and test their
-result, raising ValueError where it overflows.
+density_exact is its one-state case. psi, the wavefunction itself, is
+the global phase times the relative one: it builds e^{-i w1 t} alone and
+forms e^{-i w2 t} as e^{-i w1 t} conj(e^{i dw t}), so every kernel reads
+one relative phase. No factor is a numpy scalar, so a scalar x or t runs
+the arithmetic of a one-element array and gets its bits, as in every public
+kernel. A density is at most 4 (|c1|^2 + |c2|^2) / a; only where that
+bound is not a finite float do the kernels that take a state run without
+overflow warnings and test their result, raising ValueError where it
+overflows.
 """
 
 from __future__ import annotations
@@ -328,10 +330,11 @@ class _Grid:
     on a first axis, and e^{i dw t}, each padded with unit axes to the
     grid's rank, at least one, in its own broadcast shape, never copied out
     to the full grid. The padded times stay for psi, which alone needs the
-    two phases. No factor is a numpy scalar, so scalar x and t run the
-    arithmetic of one-element arrays and get their bits. shape is the
-    broadcast shape of x and t; the results keep at least one axis, and the
-    public kernels reshape them to it.
+    global phase e^{-i w1 t}: psi is that phase times the relative one,
+    e^{-i dw t} = conj(e^{i dw t}). No factor is a numpy scalar, so scalar
+    x and t run the arithmetic of one-element arrays and get their bits.
+    shape is the broadcast shape of x and t; the results keep at least one
+    axis, and the public kernels reshape them to it.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
@@ -348,10 +351,13 @@ class _Grid:
         self.beat = np.exp(1j * cfg._dw * self._ts)
 
     def psi(self, state: TwoStateSuperposition) -> np.ndarray:
-        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}: [c1, c2] times the modes,
-        times the phases, and its halves added into the first."""
-        w1, w2, ts = self._cfg._omega_1, self._cfg._omega_2, self._ts
-        phases = np.stack([np.exp(-1j * w1 * ts), np.exp(-1j * w2 * ts)])
+        """c1 psi_1 e^{-i w1 t} + c2 psi_2 e^{-i w2 t}, the global phase e^{-i w1 t}
+        times the relative one: [c1, c2] times the modes, times the phases
+        e^{-i w1 t} and e^{-i w1 t} conj(e^{i dw t}), and its halves added
+        into the first. The densities share that e^{-i dw t}, so |psi|^2
+        keeps to them however far w1 t and w2 t round apart."""
+        phase = np.exp(-1j * self._cfg._omega_1 * self._ts)
+        phases = np.stack([phase, phase * np.conj(self.beat)])
         coeffs = np.array([state.c1, state.c2]).reshape(2, *(1,) * (self.modes.ndim - 1))
         work = np.multiply(coeffs * self.modes, phases)
         return np.add(work[0], work[1], out=work[0])

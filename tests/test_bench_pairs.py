@@ -96,15 +96,22 @@ def test_a_head_that_fails_more_operations_exits_1():
     assert bench.verdict(runs, bench.summarize(runs, METRICS)) == (0, [])
 
 
-@pytest.mark.parametrize("argv", [
-    ["--pairs", "0", "--seed0", "1"], ["--workload", "nope", "--seed0", "1"],
-    ["--pairs", "two", "--seed0", "1"], ["--pairs", "3"]],
-    ids=["no-pairs", "workload", "not-int", "no-seed0"])
-def test_bad_input_exits_2_before_any_run(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["--pairs", "3", "--seed0", "1"], "unrecognized arguments: --pairs 3"),
+    (["--workload", "cli", "--seed0", "1"], "unrecognized arguments: --workload cli"),
+    ([], "required: --seed0")],
+    ids=["no-pairs", "workload", "no-seed0"])
+def test_bad_input_exits_2_before_any_run(argv, message, tmp_path, capsys, monkeypatch):
+    # every record covers all workloads at PAIRS pairs: neither count is an option
+    def no_call(*args, **kwargs):
+        raise AssertionError("bad input reached git or a benchmark run")
+
+    monkeypatch.setattr(bench, "git", no_call)
+    monkeypatch.setattr(bench, "run_once", no_call)
     out = tmp_path / "BENCH.json"
     assert bench.main(["--base", "HEAD", "--out", str(out), *argv]) == 2
     assert not out.exists()
-    assert "error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("status", [

@@ -876,3 +876,21 @@ class TestDensityAccuracy:
                     for rho in (one_shot, yielded):
                         assert abs(Fraction(rho[i, j]) - want) <= Fraction(bound), \
                             (cfg, state, x[i], t[j])
+
+    def test_psi_squared_is_the_density_at_every_instant(self):
+        # psi and the densities share one relative phase e^{-i dw t}, so
+        # |psi|^2 keeps to density_exact at instants up to 1e6 beat periods,
+        # where phases rounded from w2 t and from dw t apart would not
+        rng = np.random.default_rng(44)
+        eps = sys.float_info.epsilon
+        for _ in range(200):
+            cfg = WellConfig(*(10.0 ** rng.uniform(-5.0, 5.0, 3)))
+            x = rng.uniform(0.0, cfg.width_a, 16)
+            t = beat_period(cfg) * 10.0 ** rng.uniform(0.0, 6.0, 16)
+            c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            state = TwoStateSuperposition(c[0], c[1])
+            psi = evaluate_psi(cfg, state, x, t)
+            bound = (DENSITY_EPS_UNITS * eps * state.norm_sq()
+                     * (eigenfunction(cfg, 1, x) ** 2 + eigenfunction(cfg, 2, x) ** 2))
+            error = np.abs(psi.real ** 2 + psi.imag ** 2 - density_exact(cfg, state, x, t))
+            assert np.all(error <= bound), (cfg, state)
