@@ -102,7 +102,8 @@ def test_a_head_that_fails_more_operations_exits_1():
     ([], "required: --seed0")],
     ids=["no-pairs", "workload", "no-seed0"])
 def test_bad_input_exits_2_before_any_run(argv, message, tmp_path, capsys, monkeypatch):
-    # every record covers all workloads at PAIRS pairs: neither count is an option
+    # neither the workloads nor the pair count is an option: every record
+    # covers all of them at PAIRS pairs
     def no_call(*args, **kwargs):
         raise AssertionError("bad input reached git or a benchmark run")
 
