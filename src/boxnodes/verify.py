@@ -119,8 +119,11 @@ def _wall_zeros(ctx: SimpleNamespace) -> _Errors:
 
 
 def _closed_form(ctx: SimpleNamespace) -> _Errors:
-    # one |exact - closed| per state, its largest entry over the grid
-    grid = _Grid(ctx.cfg, ctx.xg[:, None], np.linspace(0.0, ctx.T, 64)[None, :])
+    # one |exact - closed| per state, its largest entry over the grid. The
+    # grid is instant-major, one row of 256 contiguous positions per instant,
+    # so each per-state ufunc runs 64 inner loops, not 256 of 64 instants;
+    # every entry has the same operands either way, and a maximum is exact
+    grid = _Grid(ctx.cfg, ctx.xg[None, :], np.linspace(0.0, ctx.T, 64)[:, None])
     for state, rho in grid.densities(_random_complex_states(ctx.rng, 50)):
         gap = np.subtract(rho, grid.density_closed_form(state), out=rho)
         yield (np.abs(gap, out=gap).max(),)
@@ -201,7 +204,9 @@ def _mean_position(ctx: SimpleNamespace) -> _Errors:
 
 def _time_avg(ctx: SimpleNamespace) -> _Errors:
     # time averaging kills the interference term exactly: a midpoint rule
-    # over one beat period is exact for a single harmonic
+    # over one beat period is exact for a single harmonic. The grid stays
+    # position-major: the mean sums each position's instants along a row,
+    # and an instant-major grid would sum them in another order
     t_mid = (np.arange(64) + 0.5) * (ctx.T / 64)
     grid = _Grid(ctx.cfg, ctx.xg[:, None], t_mid[None, :])
     for state, rho in grid.densities(_random_complex_states(ctx.rng, 5)):

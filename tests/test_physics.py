@@ -14,7 +14,7 @@ frequencies, the period of its node and the positions of its minimum must
 converge at O(h^2) to omega, delta_omega, beat_period and track_trajectory.
 Its minimum must appear and vanish where the library's does, within a band
 of the instant, and be a zero at the instants of exact_zero_times to
-O(h^2) of the density's scale.
+O(h^2) of the density's scale, its depth deepest in time at those instants.
 
 Each bound below is a multiple of the worst case measured on these wells and
 states, at N = 256 and 512.
@@ -53,6 +53,12 @@ FLIP_B = 1e-4
 # worst 0.031 at N = 256 and 0.029 at N = 512 (A = -0.096 and -0.306); a
 # single state's depth need not fall with h (A = -0.306: 0.0025 to 0.029)
 DEPTH_C = 0.05
+# the FD depth's minimum in time near k T/2, golden-section searched within
+# 1e-3 T, lies off the scaled instant by this many (h/a)^2 T: worst 1.9e-5
+# at N = 256 and 3.2e-5 at N = 512 (A = -0.096; 2.9e-10 T and 1.2e-10 T),
+# the same to two digits for 36 to 60 steps; instants 4e-5 T off read up to
+# 2.6 and 10.5
+ZERO_T_C = 1e-4
 
 # node-ratio states (A, 0.5), for which c1 / (2 c2) = A: real and complex,
 # with a minimum at every instant, at some or at none
@@ -214,16 +220,36 @@ def test_density_minima_follow_track_trajectory(well, state):
         assert (err <= POSITION_C * (solve.h / cfg.width_a) ** 2).all()
 
 
+def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The minimum of f in each bracket [lo, hi] by golden-section search,
+    all brackets at once; f maps an array of points to their values. 40
+    steps shrink a bracket of 2e-3 T to 9e-12 T."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(40):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        left = f(c) < f(d)
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return 0.5 * (lo + hi)
+
+
 @pytest.mark.parametrize("state", ZERO_STATES, ids=[f"A={s.c1.real:.3g}" for s in ZERO_STATES])
 def test_minimum_is_the_true_zero_at_half_periods(well, state):
     # at exact_zero_times' instants k T/2, scaled by dw / dw_h to the same
     # beat phase, the FD density's minimum is a zero to O(h^2) of the
-    # density's scale
+    # density's scale. The depth grows only as the square of the time
+    # offset, so the instants are also located as the minimum in time of
+    # the FD depth, within 1e-3 T of each
     cfg, solves = well
+    T = beat_period(cfg)
     zeros = exact_zero_times(cfg, state)
     assert len(zeros) == 3
     for n in SIZES:
         solve = solves[n]
-        rho = solve.density(state, zeros * (delta_omega(cfg) / (solve.omegas[1] - solve.omegas[0])))
+        h2 = (solve.h / cfg.width_a) ** 2
+        instants = zeros * (delta_omega(cfg) / (solve.omegas[1] - solve.omegas[0]))
+        rho = solve.density(state, instants)
         _, depth = solve.minimum(rho)
-        assert (np.abs(depth) / rho.max(axis=1) <= DEPTH_C * (solve.h / cfg.width_a) ** 2).all()
+        assert (np.abs(depth) / rho.max(axis=1) <= DEPTH_C * h2).all()
+        deepest = _golden_min(lambda t: solve.minimum(solve.density(state, t))[1],
+                              instants - 1e-3 * T, instants + 1e-3 * T)
+        assert (np.abs(deepest - instants) <= ZERO_T_C * h2 * T).all()

@@ -408,6 +408,12 @@ class TestDensity:
         assert grid[3, 2] == pytest.approx(
             density_exact(UNIT, EQUAL_MIX, float(xs[3]), float(ts[2])), rel=1e-14)
 
+    @pytest.mark.parametrize("kernel", [evaluate_psi, density_exact, density_closed_form])
+    def test_shapes_that_do_not_broadcast_are_named(self, kernel):
+        with pytest.raises(ValueError, match=re.escape(
+                "positions x of shape (3,) and times t of shape (4,) do not broadcast")):
+            kernel(UNIT, EQUAL_MIX, np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4))
+
     @pytest.mark.parametrize("cfg", [UNIT, WellConfig(3.0, 0.2, 5.0)])
     def test_time_column_matches_per_instant_calls(self, cfg):
         # verify stacks its instants into one call and prints the errors, so
@@ -823,8 +829,8 @@ class TestGridReuse:
         if on_norm_grid:  # the Simpson grid of norm-value and norm-constancy
             x, t = np.linspace(0.0, a, 2049), np.linspace(0.0, T, 10)[:, None]
             grid = _norm_grid(cfg, t[:, 0])
-        else:  # the grid of closed-form-equivalence
-            x, t = np.linspace(0.0, a, 256)[:, None], np.linspace(0.0, T, 64)[None, :]
+        else:  # the instant-major grid of closed-form-equivalence
+            x, t = np.linspace(0.0, a, 256)[None, :], np.linspace(0.0, T, 64)[:, None]
             grid = _Grid(cfg, x, t)
         rng = np.random.default_rng(5)
         states = []
