@@ -49,12 +49,6 @@ def _format_distinct(col: np.ndarray, fmt, missing: str) -> list[str]:
     return tokens[inverse].tolist()
 
 
-def _csv_cells(col) -> list[str]:
-    if isinstance(col, np.ndarray):
-        return _format_distinct(col, repr, "")
-    return list(map(str, col))
-
-
 def _json_float(x: float) -> str:
     """A float other than NaN as json.dump writes it."""
     if math.isfinite(x):
@@ -62,10 +56,12 @@ def _json_float(x: float) -> str:
     return "Infinity" if x > 0 else "-Infinity"
 
 
-def _json_cells(col) -> list[str]:
+def _cells(col, fmt, missing: str, text) -> list[str]:
+    """The cells of a column: a float array's by fmt, with missing for NaN,
+    a list of strs' by text."""
     if isinstance(col, np.ndarray):
-        return _format_distinct(col, _json_float, "null")
-    return list(map(_encode, col))
+        return _format_distinct(col, fmt, missing)
+    return list(map(text, col))
 
 
 def _json_rows(names: list[str], cells: list[list[str]]) -> str:
@@ -94,11 +90,12 @@ def write_columns(path: str | Path, columns: dict[str, np.ndarray | list[str]],
         raise ValueError(f"columns must have equal lengths, got {lengths}")
     metadata = metadata or {}
     if path.suffix.lower() == ".json":
-        _write_text(path, _json_rows(names, [_json_cells(c) for c in columns.values()]))
+        _write_text(path, _json_rows(names, [_cells(c, _json_float, "null", _encode)
+                                       for c in columns.values()]))
         for name, fields in metadata.items():
             write_json_object(path.with_suffix(f".{name}.json"), fields)
         return
-    cells = [_csv_cells(col) for col in columns.values()]
+    cells = [_cells(col, repr, "", str) for col in columns.values()]
     trailer = [" ".join([f"# {name}", *(f"{k}={v!r}" for k, v in fields.items())])
                for name, fields in metadata.items()]
     _write_text(path, "\n".join([",".join(names), *map(",".join, zip(*cells)), *trailer]) + "\n")

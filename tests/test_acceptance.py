@@ -29,36 +29,10 @@ from boxnodes.well import (
     density_exact,
     eigenfunction,
 )
-from peaks import local_max_positions, peak_separation
+from peaks import golden_min, local_max_positions, peak_separation
 
 CFG = WellConfig()
 T = beat_period(CFG)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def golden_min(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section minimization of a unimodal function on [lo, hi].
-
-    Returns the abscissa of the minimum to within xtol. It is the numeric
-    oracle claim 08 checks the closed-form node position against.
-    """
-    x1 = lo + _INVPHI2 * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = f(x1)
-    f2 = f(x2)
-    while hi - lo > xtol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = lo + _INVPHI2 * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
 
 @functools.cache
 def _verify_rows():
@@ -84,7 +58,8 @@ def _report(number, claim, body):
 
 def test_01_difference_frequency():
     def body():
-        assert abs(delta_omega(CFG) - 1.5 * math.pi**2) <= 1e-12
+        # 1e-12 absolute, relative to verify's exact-rational reference
+        assert_verify_row("delta-omega-formula", 1e-12 / (1.5 * math.pi**2))
 
     _report(1, "delta_omega = 3*pi^2/2 within 1e-12", body)
 
@@ -206,11 +181,12 @@ def test_08_true_zeros_only_at_special_times():
                 for k in (0, 2048):
                     t = float(ts[k])
                     i = int(np.argmin(rho[:, k] / envelope))
+                    # 45 steps take the two-cell bracket below 1e-12
                     x_star = golden_min(
-                        lambda x: float(density_exact(CFG, state, x, t)),
+                        lambda x: density_exact(CFG, state, x, t),
                         float(xs[max(i - 1, 0)]),
                         float(xs[min(i + 1, xs.size - 1)]),
-                        1e-12)
+                        45)
                     expected = node_position(CFG, state, NodeKind.ANALYTIC, t)
                     assert abs(x_star - expected) <= 1e-8
                     assert density_exact(CFG, state, x_star, t) \

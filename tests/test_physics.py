@@ -28,6 +28,7 @@ import pytest
 
 from boxnodes import (NodeKind, TwoStateSuperposition, WellConfig, beat_period, delta_omega,
                       exact_zero_times, node_position, omega, track_trajectory)
+from peaks import golden_min
 
 WELLS = [WellConfig(1.37, 0.6, 1.9), WellConfig(0.8, 1.6, 0.45)]
 SIZES = (256, 512)
@@ -220,18 +221,6 @@ def test_density_minima_follow_track_trajectory(well, state):
         assert (err <= POSITION_C * (solve.h / cfg.width_a) ** 2).all()
 
 
-def _golden_min(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The minimum of f in each bracket [lo, hi] by golden-section search,
-    all brackets at once; f maps an array of points to their values. 40
-    steps shrink a bracket of 2e-3 T to 9e-12 T."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(40):
-        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-        left = f(c) < f(d)
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-    return 0.5 * (lo + hi)
-
-
 @pytest.mark.parametrize("state", ZERO_STATES, ids=[f"A={s.c1.real:.3g}" for s in ZERO_STATES])
 def test_minimum_is_the_true_zero_at_half_periods(well, state):
     # at exact_zero_times' instants k T/2, scaled by dw / dw_h to the same
@@ -250,6 +239,6 @@ def test_minimum_is_the_true_zero_at_half_periods(well, state):
         rho = solve.density(state, instants)
         _, depth = solve.minimum(rho)
         assert (np.abs(depth) / rho.max(axis=1) <= DEPTH_C * h2).all()
-        deepest = _golden_min(lambda t: solve.minimum(solve.density(state, t))[1],
-                              instants - 1e-3 * T, instants + 1e-3 * T)
+        deepest = golden_min(lambda t: solve.minimum(solve.density(state, t))[1],
+                             instants - 1e-3 * T, instants + 1e-3 * T, 40)
         assert (np.abs(deepest - instants) <= ZERO_T_C * h2 * T).all()
