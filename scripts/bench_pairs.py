@@ -21,11 +21,13 @@ active CPU dispatch groups), the Python and numpy versions, the protocol,
 `correct` and `failed` of every run, and per workload and end-to-end metric
 of BENCHMARK.json: the base and head medians, the base quartiles, the pairs
 in which the head read better, and the median's relative change against the
-metric's bound. Exit status: 0 when every run is correct, no workload's
-median count of failed operations is higher on the head than on the base
-and no median moves past its bound in the worse direction, 1 otherwise, 2 on
-bad input (an unknown option or revision, or a working tree that differs
-from HEAD, which the record could not name). A quick look at one workload
+metric's bound. It then prints the record's block, the lines that
+scripts/bench_trajectory.py prints for every committed record. Exit
+status: 0 when every run is correct, no workload's median count of failed
+operations is higher on the head than on the base and no median moves past
+its bound in the worse direction, 1 otherwise, 2 on bad input (an unknown
+option or revision, or a working tree that differs from HEAD, which the
+record could not name). A quick look at one workload
 is `perfbench/run.py --workload W`.
 """
 import argparse
@@ -39,6 +41,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+from bench_trajectory import record_block
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
@@ -230,6 +234,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print("\n".join(record_block(args.out.name, record, spec["end_to_end"])))
     for reason in reasons:
         print(f"FAIL {reason}", file=sys.stderr)
     return code

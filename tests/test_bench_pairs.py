@@ -1,17 +1,15 @@
 """The paired benchmark record, scripts/bench_pairs.py, on canned run records:
 no benchmark runs here."""
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs",
-                                               ROOT / "scripts" / "bench_pairs.py")
-bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench)
+sys.path.insert(0, str(ROOT / "scripts"))
+import bench_pairs as bench  # noqa: E402
 
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 

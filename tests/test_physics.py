@@ -16,6 +16,14 @@ Its minimum must appear and vanish where the library's does, within a band
 of the instant, and be a zero at the instants of exact_zero_times to
 O(h^2) of the density's scale, its depth deepest in time at those instants.
 
+The same Hamiltonian is also stepped in time, by Crank-Nicolson (J. Crank and
+P. Nicolson, Proc. Camb. Phil. Soc. 43, 50 (1947)), from the state
+sqrt(2/a) (c1 sin(pi x/a) + c2 sin(2 pi x/a)) on the grid: no eigenvector and
+no phase enters that solve, only one step matrix. Its node's period, from
+the upward crossings of a/2, carries the step's known O(dt^2) error on top of
+the FD one, and extrapolates to beat_period; its positions follow
+track_trajectory.
+
 Each bound below is a multiple of the worst case measured on these wells and
 states, at N = 256 and 512.
 """
@@ -71,14 +79,18 @@ STATES = [TwoStateSuperposition(A, 0.5) for A in
 ZERO_STATES = [s for s in STATES if s.c1.imag == 0.0 and 0.0 < abs(s.c1) < 1.0]
 
 
+def _tridiag(n: int) -> np.ndarray:
+    """L_N = tridiag(-1, 2, -1) on N points."""
+    return np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
+
+
 @functools.cache
 def _laplacian(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenvalues of L_N = tridiag(-1, 2, -1) on N points, and
-    their unit eigenvectors as rows, psi_1 > 0 inside the well and psi_2 > 0
-    next to x = 0. Every well's FD Hamiltonian is (hbar^2 / 2 m h^2) L_N, so
-    one solve per N serves them all."""
-    laplacian = np.diag(np.full(n, 2.0)) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)
-    values, vectors = np.linalg.eigh(laplacian)
+    """The two lowest eigenvalues of L_N on N points, and their unit
+    eigenvectors as rows, psi_1 > 0 inside the well and psi_2 > 0 next to
+    x = 0. Every well's FD Hamiltonian is (hbar^2 / 2 m h^2) L_N, so one
+    solve per N serves them all."""
+    values, vectors = np.linalg.eigh(_tridiag(n))
     vectors = vectors[:, :2].T.copy()
     vectors[0] *= np.sign(vectors[0].sum())
     vectors[1] *= np.sign(vectors[1, 0])
@@ -242,3 +254,113 @@ def test_minimum_is_the_true_zero_at_half_periods(well, state):
         deepest = golden_min(lambda t: solve.minimum(solve.density(state, t))[1],
                              instants - 1e-3 * T, instants + 1e-3 * T, 40)
         assert (np.abs(deepest - instants) <= ZERO_T_C * h2 * T).all()
+
+
+# Crank-Nicolson time steps of the FD Hamiltonian: (N, steps S per beat
+# period), h and dt halving together
+CN_SIZES = ((256, 4096), (512, 8192))
+# node samples per beat period, over two periods
+CN_SAMPLES = 64
+CN_STATE = TwoStateSuperposition(0.6, 0.5)
+# the CN period over the FD period of the same N, less 1, over (dw_h dt)^2,
+# relative to 7/36: worst -2.3e-3 at S = 4096 and +4.3e-4 at S = 8192
+CN_DT_REL = 1e-2
+# the CN periods Richardson-extrapolated in h and dt, relative to the beat
+# period: worst -8.2e-10, of which about -6e-10 is the dt term that h's
+# ratio (513/257)^2 leaves uncancelled
+CN_PERIOD_REL = 4e-9
+# |x_CN - x| / a over (h/a)^2 away from changes of presence: worst 6.2 at
+# N = 256 and 6.5 at N = 512
+CN_POSITION_C = 10.0
+
+
+@functools.cache
+def _cn_step(n: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Crank-Nicolson step U = (I + i dt H / 2 hbar)^-1 (I - i dt H / 2 hbar)
+    on N points at S steps per beat period, and U^(S/64), the steps between
+    samples. dt H / 2 hbar = (r / 2) L_N with r = hbar dt / (2 m h^2) =
+    (2 / (3 pi S)) (N + 1)^2 for every well, so one solve serves them all."""
+    half = 1j / (3.0 * math.pi * steps) * (n + 1) ** 2 * _tridiag(n)
+    eye = np.eye(n)
+    step = np.linalg.solve(eye + half, eye - half)
+    return step, np.linalg.matrix_power(step, steps // CN_SAMPLES)
+
+
+def _crank_nicolson(cfg: WellConfig, solve: Solve, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CN node at 64 samples per beat period over two periods, and the
+    times of its upward crossings of a/2: each bracketed by two samples,
+    then stepped to the step before it and interpolated linearly."""
+    a, per_sample, dt = cfg.width_a, steps // CN_SAMPLES, beat_period(cfg) / steps
+    step, stride = _cn_step(len(solve.x), steps)
+    psi = math.sqrt(2.0 / a) * (CN_STATE.c1 * np.sin(math.pi * solve.x / a)
+                                + CN_STATE.c2 * np.sin(2.0 * math.pi * solve.x / a))
+    samples = [psi.astype(complex)]
+    for _ in range(2 * CN_SAMPLES):
+        samples.append(stride @ samples[-1])
+
+    def offsets(states):
+        """The node's offsets from a/2, and the indices after which they turn
+        from negative to non-negative."""
+        psi = np.array(states)
+        off = solve.minimum(psi.real ** 2 + psi.imag ** 2)[0] - 0.5 * a
+        return off, np.flatnonzero((off[:-1] < 0.0) & (off[1:] >= 0.0))
+
+    nodes, upward = offsets(samples)
+    crossings = []
+    for k in upward:
+        states = [samples[k]]
+        for _ in range(per_sample):
+            states.append(step @ states[-1])
+        off, (j, *_) = offsets(states)
+        crossings.append((k * per_sample + j + off[j] / (off[j] - off[j + 1])) * dt)
+    return nodes + 0.5 * a, np.array(crossings)
+
+
+@pytest.fixture(scope="module")
+def crank_nicolson(well):
+    """The CN node and its upward crossings at each (N, S), made once per well."""
+    cfg, solves = well
+    return {size: _crank_nicolson(cfg, solves[size[0]], size[1]) for size in CN_SIZES}
+
+
+def test_crank_nicolson_node_period_is_the_beat_period(well, crank_nicolson):
+    # CN turns mode n by 2 arctan(omega_n dt / 2) per step, so the node's
+    # period exceeds the FD one of the same N by (omega_2^3 - omega_1^3) dt^2
+    # / (12 dw) = (7/36) (dw dt)^2, as omega_2 = 4 omega_1; the crossings
+    # must measure that coefficient. h and dt halve together from one size
+    # to the next, so one Richardson step in h cancels both O(h^2) and
+    # O(dt^2), and leaves the beat period
+    cfg, solves = well
+    T = beat_period(cfg)
+    periods = []
+    for n, steps in CN_SIZES:
+        crossings = crank_nicolson[n, steps][1]
+        assert len(crossings) == 2
+        periods.append(crossings[1] - crossings[0])
+        dw_h = solves[n].omegas[1] - solves[n].omegas[0]
+        coefficient = (periods[-1] * dw_h / (2.0 * math.pi) - 1.0) / (dw_h * T / steps) ** 2
+        assert abs(coefficient / (7.0 / 36.0) - 1.0) <= CN_DT_REL
+    extrapolated = (R2 * periods[1] - periods[0]) / (R2 - 1.0)
+    assert abs(extrapolated / T - 1.0) <= CN_PERIOD_REL
+
+
+def test_crank_nicolson_node_follows_track_trajectory(well, crank_nicolson):
+    # the library's density minimum at the same beat phase, the CN sample
+    # times scaled by T / T_CN, T_CN the period of the CN crossings: the
+    # same presence, and positions within CN_POSITION_C (h/a)^2, except at
+    # the two samples around each change of presence
+    cfg, solves = well
+    T = beat_period(cfg)
+    for n, steps in CN_SIZES:
+        nodes, crossings = crank_nicolson[n, steps]
+        scale = T / (crossings[1] - crossings[0])
+        track = track_trajectory(cfg, CN_STATE, NodeKind.DENSITY_MINIMUM, 0.0, 2.0 * T * scale,
+                                 2 * CN_SAMPLES + 1)
+        present = ~np.isnan(track.positions)
+        changes = np.flatnonzero(present[:-1] != present[1:])
+        far = np.ones(len(present), bool)
+        far[changes] = far[changes + 1] = False
+        assert (~np.isnan(nodes) == present)[far].all()
+        both = far & present
+        err = np.abs(nodes[both] - track.positions[both]) / cfg.width_a
+        assert (err <= CN_POSITION_C * (solves[n].h / cfg.width_a) ** 2).all()
